@@ -10,6 +10,8 @@ byte-identical.
 
 from __future__ import annotations
 
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -97,9 +99,28 @@ def from_records(records):
                    np.array([r[6] for r in records], dtype=float))
 
 
+@contextmanager
+def atomic_write(path):
+    """Text file handle whose content replaces ``path`` only once complete.
+
+    Writes go to ``path.tmp``, renamed over ``path`` when the block exits
+    normally; when it raises, the temporary file is removed and ``path``
+    keeps its previous content.
+    """
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
 def save_kbase(dataset: DataSet, path):
     """Write the knowledge base as line-delimited records with a version header."""
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         fh.write(f"# {KBASE_VERSION}\n")
         fh.write("# source iteration path step t F(9 row-major) P(9 row-major)\n")
         for i in range(len(dataset)):

@@ -41,10 +41,6 @@ class FirstStepDivergence(NewtonDivergence):
     """The very first load step diverged; the setup itself is suspect."""
 
 
-class NonPeriodicMesh(MatmineError):
-    """Voxel grid faces cannot be tied into periodic pairs."""
-
-
 class ZeroMean(MatmineError):
     """The scatter statistic is undefined for a sample with zero mean."""
 
@@ -74,5 +70,4 @@ class CorruptRecord(MatmineError):
     def __init__(self, message, line_no=None):
         super().__init__(message if line_no is None
                          else f"line {line_no}: {message}")
-        self.line_no = line_no
         self.line_no = line_no

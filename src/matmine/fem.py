@@ -24,12 +24,6 @@ GAUSS_POINTS = CORNERS * _g
 GAUSS_WEIGHTS = np.ones(8)
 
 
-def shape_functions(xi):
-    """Trilinear shape values at local coordinates xi, shape (...,8)."""
-    xi = np.asarray(xi, dtype=float)
-    return 0.125 * np.prod(1.0 + xi[..., None, :] * CORNERS, axis=-1)
-
-
 def _shape_gradients_local(points):
     """dN/dxi at the given local points, shape (n_pts, 8, 3)."""
     pts = np.asarray(points, dtype=float)
@@ -102,22 +96,72 @@ def nominal_stress_operator(F, T, tangent_mandel):
     """Two-point tangent A_iJkL = dP_iJ/dF_kL from T and the material tangent.
 
     ``tangent_mandel`` is 4 d^2psi/dCdC as (...,6,6); the geometric term
-    delta_ik T_JL is included.
+    delta_ik T_JL is included.  With G_a = F E_a flattened to 9 entries per
+    Mandel basis tensor E_a, the material part is the 9x9 product G^T C G.
     """
-    Cfull = tensors.mandel_to_tensor4(tangent_mandel)
-    A = np.einsum("...im,...kn,...mjnl->...ijkl", F, F, Cfull, optimize=True)
-    A += np.einsum("ik,...jl->...ijkl", np.eye(3), T)
+    F = np.asarray(F, dtype=float)
+    G = (F[..., None, :, :] @ tensors.MANDEL_BASIS).reshape(F.shape[:-2] + (6, 9))
+    A = np.swapaxes(G, -1, -2) @ (tangent_mandel @ G)
+    A = A.reshape(F.shape[:-2] + (3, 3, 3, 3))
+    for i in range(3):
+        A[..., i, :, i, :] += T
     return A
 
 
-def tangent_matrix(A, dNdX, wdet, conn, n_nodes):
-    """Assemble the global stiffness as CSR from per-point tangents A."""
-    Ke = np.einsum("eq,eqaj,eqijkl,eqbl->eaibk", wdet, dNdX, A, dNdX,
-                   optimize=True)
-    E = conn.shape[0]
-    dofs = (3 * conn[:, :, None] + np.arange(3)[None, None, :]).reshape(E, 24)
-    rows = np.repeat(dofs, 24, axis=1).reshape(-1)
-    cols = np.tile(dofs, (1, 24)).reshape(-1)
-    K = sp.coo_matrix((Ke.reshape(E, 24, 24).reshape(-1), (rows, cols)),
-                      shape=(3 * n_nodes, 3 * n_nodes))
-    return K.tocsr()
+class StiffnessPattern:
+    """CSR layout of the global stiffness of one mesh.
+
+    ``conn`` holds global node ids (E, 8); repeated ids (periodic wrapping)
+    sum into one entry.  Two nodes that share an element couple through a
+    3x3 block, so the layout is found on node pairs and expanded to dofs:
+    dof row 3n+i holds the blocks of n's neighbours m in ascending order,
+    3 columns each.  ``slot`` maps every entry of the element blocks, in the
+    (E, 3, 8, 3, 8) layout :func:`tangent_matrix` forms, to its position in
+    the CSR data array, so assembly is a single ``np.bincount``.
+    """
+
+    def __init__(self, conn, n_nodes):
+        conn = np.asarray(conn)
+        E = conn.shape[0]
+        pairs = (conn[:, :, None] * n_nodes + conn[:, None, :]).reshape(-1)
+        unique, pair_slot = np.unique(pairs, return_inverse=True)
+        node_ptr = np.searchsorted(unique // n_nodes, np.arange(n_nodes + 1))
+        node_ptr = node_ptr.astype(np.int32)
+        degree = np.diff(node_ptr)
+        # neighbour rank of b among the neighbours of a, per element
+        rank = pair_slot.reshape(E, 8, 8).astype(np.int32) - node_ptr[conn][:, :, None]
+        base = 9 * node_ptr[conn]     # first CSR entry of node a's three rows
+        width = 3 * degree[conn]      # entries per dof row of node a
+        i = np.arange(3, dtype=np.int32)
+        # slot[e, i, a, k, b] = base + i * width + 3 * rank + k
+        slot = (base[:, None, :, None, None]
+                + i[:, None, None, None] * width[:, None, :, None, None]
+                + 3 * rank[:, None, :, None, :] + i[:, None])
+        self.slot = slot.reshape(-1)
+        self.indptr = np.append(
+            9 * node_ptr[:-1, None] + 3 * degree[:, None] * i, 9 * node_ptr[-1])
+        self.indices = np.empty(9 * node_ptr[-1], dtype=np.int32)
+        col = 3 * conn.astype(np.int32)[:, None, None, None, :] + i[:, None]
+        self.indices[self.slot] = np.broadcast_to(col, slot.shape).reshape(-1)
+        self.shape = (3 * n_nodes, 3 * n_nodes)
+
+
+def tangent_matrix(A, dNdX, wdet, pattern: StiffnessPattern):
+    """Assemble the global stiffness as CSR from per-point tangents A.
+
+    K_(ia)(kb) = sum_q w dN_a/dX_j A_ijkl dN_b/dX_l per element, formed one
+    quadrature point at a time as two batched matmuls: A (27x3) times the
+    8 shape gradients, then the weighted shape gradients against the j slot.
+    """
+    E, n_q = A.shape[:2]
+    wdN = wdet[:, :, None, None] * dNdX
+    dNdX_T = np.swapaxes(dNdX, -1, -2)
+    Ke = np.zeros((E, 3, 8, 24))
+    for q in range(n_q):
+        # X[e, i, j, (k, b)] = A_ijkl dN_b/dX_l
+        X = (A[:, q].reshape(E, 27, 3) @ dNdX_T[:, q]).reshape(E, 3, 3, 24)
+        Ke += wdN[:, q, None] @ X
+    data = np.bincount(pattern.slot, weights=Ke.reshape(-1),
+                       minlength=len(pattern.indices))
+    return sp.csr_matrix((data, pattern.indices, pattern.indptr),
+                         shape=pattern.shape)

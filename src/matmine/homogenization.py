@@ -310,6 +310,7 @@ class VoxelHomogenizer:
         self.conn = conn
         self.n_nodes = rve.n ** 3
         self.dNdX, self.wdet = fem.element_gradients(coords)
+        self.pattern = fem.StiffnessPattern(conn, self.n_nodes)
         self.coords = coords
         self.phase_qp = np.repeat(rve.phase.reshape(-1), 8).reshape(-1, 8)
         self.M = tensors.structural_tensor(rve.fiber_axis)
@@ -376,8 +377,7 @@ class VoxelHomogenizer:
             if res <= self.force_tol:
                 return u_tilde, it
             A = fem.nominal_stress_operator(F, T, self._phase_tangent(C))
-            K = fem.tangent_matrix(A, self.dNdX, self.wdet, self.conn,
-                                   self.n_nodes)
+            K = fem.tangent_matrix(A, self.dNdX, self.wdet, self.pattern)
             du = np.zeros(3 * self.n_nodes)
             du[self.free] = spla.spsolve(
                 K[self.free][:, self.free].tocsc(), -f.reshape(-1)[self.free])

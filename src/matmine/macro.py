@@ -390,6 +390,7 @@ def solve_macro(mesh: MacroMesh, bcs, model=None, fiber_axis=(0.0, 0.0, 1.0),
         pointwise = _surrogate_pointwise(model, tensors.structural_tensor(fiber_axis))
     coords = mesh.element_coords()
     dNdX, wdet = fem.element_gradients(coords)
+    pattern = fem.StiffnessPattern(mesh.conn, mesh.n_nodes)
     area_scale = float(np.mean(wdet.sum(axis=1)) ** (2.0 / 3.0))
     force_tol = rel_tol * shear_scale * area_scale
     n_dof = 3 * mesh.n_nodes
@@ -408,8 +409,8 @@ def solve_macro(mesh: MacroMesh, bcs, model=None, fiber_axis=(0.0, 0.0, 1.0),
         t_next = min(1.0, t + dt)
         try:
             u_next, record = _newton_step(mesh, bcs, pointwise, u, t_next,
-                                          dNdX, wdet, force_tol, max_newton,
-                                          n_dof)
+                                          dNdX, wdet, pattern, force_tol,
+                                          max_newton, n_dof)
         except NewtonDivergence:
             cutbacks += 1
             if cutbacks > max_cutbacks:
@@ -424,8 +425,8 @@ def solve_macro(mesh: MacroMesh, bcs, model=None, fiber_axis=(0.0, 0.0, 1.0),
     return MacroState(steps)
 
 
-def _newton_step(mesh, bcs, pointwise, u_start, t, dNdX, wdet, force_tol,
-                 max_newton, n_dof):
+def _newton_step(mesh, bcs, pointwise, u_start, t, dNdX, wdet, pattern,
+                 force_tol, max_newton, n_dof):
     mask, values = _merge_constraints(bcs, t, mesh)
     f_ext = _external_forces(bcs, t, mesh)
     free = ~mask.reshape(-1)
@@ -447,7 +448,7 @@ def _newton_step(mesh, bcs, pointwise, u_start, t, dNdX, wdet, force_tol,
         if res <= force_tol:
             return u, StepRecord(t, u, F, P, it, residuals)
         A = fem.nominal_stress_operator(F, T, tang)
-        K = fem.tangent_matrix(A, dNdX, wdet, mesh.conn, mesh.n_nodes)
+        K = fem.tangent_matrix(A, dNdX, wdet, pattern)
         du = np.zeros(n_dof)
         du[free] = spla.spsolve(K[free][:, free].tocsc(), -r[free])
         if not np.all(np.isfinite(du)):

@@ -358,7 +358,7 @@ class LoopResult:
         }
 
     def save_report(self, path):
-        with open(path, "w") as fh:
+        with data.atomic_write(path) as fh:
             json.dump(self.report_dict(), fh, indent=1, sort_keys=True)
             fh.write("\n")
 

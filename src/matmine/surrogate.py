@@ -16,13 +16,12 @@ materially symmetric by construction.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import expit
 
-from . import tensors
+from . import data, tensors
 from .errors import FormatVersionMismatch
 
 FORMAT_VERSION = "surrogate-v1"
@@ -173,18 +172,18 @@ def model_stress(model: SurrogateModel, C, M=None):
 def model_tangent(model: SurrogateModel, C, M=None):
     """Material tangent 4 d^2psi/dCdC as (...,6,6) Mandel matrices."""
     _, z = _neuron_state(model, C, M)
-    wfull = model.stacked_weights
+    # weights on the raw invariants: the normalization slope folded in
+    wraw = model.stacked_weights * model.bounds.slope
     sig = expit(z)
-    g1 = np.einsum("a,...a,ak->...k", model.gate_weights, sig, wfull)
-    g2 = np.einsum("a,...a,ak,al->...kl", model.gate_weights, sig * (1.0 - sig),
-                   wfull, wfull)
+    g1 = (model.gate_weights * sig) @ wraw
     M_arg = M if model.anisotropy == "transverse" else None
-    G = tensors.invariant_gradients(C, M_arg)
+    Gm = tensors.sym_to_mandel(tensors.invariant_gradients(C, M_arg))
     H = tensors.invariant_hessians(C, M_arg)
-    Gm = tensors.sym_to_mandel(G)
-    s = model.bounds.slope
-    curv = np.einsum("...kl,k,l,...ka,...lb->...ab", g2, s, s, Gm, Gm)
-    spread = np.einsum("...k,k,...kab->...ab", g1, s, H)
+    # per-neuron Mandel gradient of the neuron input: V_a = sum_k w_ak G_k
+    V = np.einsum("ak,...kb->...ab", wraw, Gm, optimize=True)
+    curv = np.swapaxes(V, -1, -2) @ (
+        (model.gate_weights * sig * (1.0 - sig))[..., None] * V)
+    spread = np.einsum("...k,...kab->...ab", g1, H, optimize=True)
     return 4.0 * (curv + spread)
 
 
@@ -194,13 +193,6 @@ def model_nominal_stress(model: SurrogateModel, F, M=None):
     tensors.jacobian(F)
     T = model_stress(model, tensors.right_cauchy_green(F), M)
     return np.einsum("...ik,...kj->...ij", F, T)
-
-
-def identity_invariants(mode):
-    """Invariant coordinates of the undeformed state."""
-    if mode == "transverse":
-        return np.array([3.0, 3.0, 1.0, 1.0, 1.0, 1.0])
-    return np.array([3.0, 3.0, 1.0, 1.0])
 
 
 def fix_energy_offset(model: SurrogateModel, M=None):
@@ -269,11 +261,9 @@ def save_model(model: SurrogateModel, path):
         "bounds_lower": model.bounds.lower.tolist(),
         "bounds_upper": model.bounds.upper.tolist(),
     }
-    tmp = f"{path}.tmp"
-    with open(tmp, "w") as fh:
+    with data.atomic_write(path) as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
-    os.replace(tmp, path)
 
 
 def load_model(path):

@@ -33,12 +33,12 @@ MANDEL_COLS = np.array([0, 1, 2, 2, 2, 1])
 MANDEL_WEIGHTS = np.array([1.0, 1.0, 1.0, SQRT2, SQRT2, SQRT2])
 
 # Orthonormal basis tensors E_a, shape (6, 3, 3).
-_BASIS = np.zeros((6, 3, 3))
+MANDEL_BASIS = np.zeros((6, 3, 3))
 for _a, (_i, _j) in enumerate(zip(MANDEL_ROWS, MANDEL_COLS)):
     if _i == _j:
-        _BASIS[_a, _i, _j] = 1.0
+        MANDEL_BASIS[_a, _i, _j] = 1.0
     else:
-        _BASIS[_a, _i, _j] = _BASIS[_a, _j, _i] = 1.0 / SQRT2
+        MANDEL_BASIS[_a, _i, _j] = MANDEL_BASIS[_a, _j, _i] = 1.0 / SQRT2
 
 IDENTITY = np.eye(3)
 
@@ -61,7 +61,7 @@ def sym_to_mandel(A):
 def mandel_to_sym(v):
     """Inverse of :func:`sym_to_mandel`."""
     v = np.asarray(v, dtype=float)
-    return np.einsum("...a,aij->...ij", v, _BASIS)
+    return np.einsum("...a,aij->...ij", v, MANDEL_BASIS)
 
 
 def tensor4_to_mandel(T):
@@ -75,7 +75,7 @@ def tensor4_to_mandel(T):
 def mandel_to_tensor4(M):
     """Inverse of :func:`tensor4_to_mandel` (minor symmetries restored)."""
     M = np.asarray(M, dtype=float)
-    return np.einsum("...ab,aij,bkl->...ijkl", M, _BASIS, _BASIS)
+    return np.einsum("...ab,aij,bkl->...ijkl", M, MANDEL_BASIS, MANDEL_BASIS)
 
 
 def jacobian(F, check=True):
@@ -246,45 +246,57 @@ def invariant_gradients(C, M=None):
                      np.ascontiguousarray(G4), G5, G3r], axis=-3)
 
 
-def _dyad44(A, B):
-    """A_ij B_kl, batched."""
-    return np.einsum("...ij,...kl->...ijkl", A, B)
+# Index grids of a (6,6) Mandel matrix: slot a <-> (i, j), slot b <-> (k, l).
+_I = MANDEL_ROWS[:, None]
+_J = MANDEL_COLS[:, None]
+_K = MANDEL_ROWS[None, :]
+_L = MANDEL_COLS[None, :]
+_WEIGHTS66 = MANDEL_WEIGHTS[:, None] * MANDEL_WEIGHTS[None, :]
 
 
-def _symdyad44(A, B):
-    """(A_ik B_jl + A_il B_jk)/2, batched."""
-    return 0.5 * (np.einsum("...ik,...jl->...ijkl", A, B)
-                  + np.einsum("...il,...jk->...ijkl", A, B))
+def _dyad66(A, B):
+    """A_ij B_kl on the Mandel slots, before the basis weights."""
+    return A[..., _I, _J] * B[..., _K, _L]
+
+
+def _symdyad66(A, B):
+    """(A_ik B_jl + A_il B_jk)/2 on the Mandel slots, before the weights."""
+    return 0.5 * (A[..., _I, _K] * B[..., _J, _L] + A[..., _I, _L] * B[..., _J, _K])
+
+
+# d^2 I2/dCdC = 1 x 1 - sym(1 x 1), the same for every C
+_H2 = (_dyad66(IDENTITY, IDENTITY) - _symdyad66(IDENTITY, IDENTITY)) * _WEIGHTS66
+
+
+def _fiber_hessian(M):
+    """d^2 I5/dCdC = (M_ik d_jl + M_il d_jk + d_ik M_jl + d_il M_jk)/2."""
+    d = IDENTITY
+    return 0.5 * (M[..., _I, _K] * d[_J, _L] + M[..., _I, _L] * d[_J, _K]
+                  + d[_I, _K] * M[..., _J, _L] + d[_I, _L] * M[..., _J, _K]) * _WEIGHTS66
 
 
 def invariant_hessians(C, M=None):
     """d^2 I_k / dC dC in the Mandel basis, shape (..., k, 6, 6).
 
     Slots align with :func:`invariants`; every matrix is symmetric (major
-    symmetry of the underlying fourth-order tensor).
+    symmetry of the underlying fourth-order tensor).  I1 and I4 are linear
+    in C and I2 and I5 quadratic, so only the determinant slots depend on C.
     """
     C = np.asarray(C, dtype=float)
-    I3 = np.linalg.det(C)[..., None, None, None, None]
+    I3 = np.linalg.det(C)[..., None, None]
     Cinv = np.linalg.inv(C)
-    eye = np.broadcast_to(IDENTITY, C.shape)
+    batch = C.shape[:-2] + (6, 6)
 
-    H1 = np.zeros(C.shape + (3, 3))
-    H2 = _dyad44(eye, eye) - _symdyad44(eye, eye)
-    inv_dyad = _dyad44(Cinv, Cinv)
-    inv_sym = _symdyad44(Cinv, Cinv)
-    H3 = I3 * (inv_dyad - inv_sym)
-    H3r = (inv_dyad + inv_sym) / I3
+    inv_dyad = _dyad66(Cinv, Cinv)
+    inv_sym = _symdyad66(Cinv, Cinv)
+    H3 = (I3 * (inv_dyad - inv_sym)) * _WEIGHTS66
+    H3r = ((inv_dyad + inv_sym) / I3) * _WEIGHTS66
+    zero = np.zeros(batch)
+    H2 = np.broadcast_to(_H2, batch)
     if M is None:
-        stack = np.stack([H1, H2, H3, H3r], axis=-5)
-    else:
-        M = np.broadcast_to(np.asarray(M, dtype=float), C.shape)
-        H4 = np.zeros(C.shape + (3, 3))
-        H5 = 0.5 * (np.einsum("...ik,jl->...ijkl", M, IDENTITY)
-                    + np.einsum("...il,jk->...ijkl", M, IDENTITY)
-                    + np.einsum("ik,...jl->...ijkl", IDENTITY, M)
-                    + np.einsum("il,...jk->...ijkl", IDENTITY, M))
-        stack = np.stack([H1, H2, H3, H4, H5, H3r], axis=-5)
-    return tensor4_to_mandel(stack)
+        return np.stack([zero, H2, H3, H3r], axis=-3)
+    H5 = np.broadcast_to(_fiber_hessian(np.asarray(M, dtype=float)), batch)
+    return np.stack([zero, H2, H3, zero, H5, H3r], axis=-3)
 
 
 def cross_matrix(n):

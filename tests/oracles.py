@@ -7,6 +7,7 @@ iteration written directly against the energy functions.
 """
 
 import numpy as np
+import scipy.sparse as sp
 
 from matmine import tensors
 
@@ -79,6 +80,65 @@ def fd_hessian_mandel(grad, C, h=1e-6):
 def fd_stress_tangent_mandel(stress, C, h=1e-6):
     """Alias spelling for tangents: Mandel FD of a stress function of C."""
     return fd_hessian_mandel(stress, C, h)
+
+
+def _dyad44(A, B):
+    return np.einsum("...ij,...kl->...ijkl", A, B)
+
+
+def _symdyad44(A, B):
+    return 0.5 * (np.einsum("...ik,...jl->...ijkl", A, B)
+                  + np.einsum("...il,...jk->...ijkl", A, B))
+
+
+def invariant_hessians_tensor4(C, M=None):
+    """Invariant Hessians as full fourth-order tensors mapped to Mandel form.
+
+    Reference for the Mandel-direct implementation: every slot is built as a
+    (...,3,3,3,3) tensor and converted with ``tensor4_to_mandel``.
+    """
+    C = np.asarray(C, dtype=float)
+    I3 = np.linalg.det(C)[..., None, None, None, None]
+    Cinv = np.linalg.inv(C)
+    eye = np.broadcast_to(np.eye(3), C.shape)
+    H1 = np.zeros(C.shape + (3, 3))
+    H2 = _dyad44(eye, eye) - _symdyad44(eye, eye)
+    inv_dyad = _dyad44(Cinv, Cinv)
+    inv_sym = _symdyad44(Cinv, Cinv)
+    H3 = I3 * (inv_dyad - inv_sym)
+    H3r = (inv_dyad + inv_sym) / I3
+    if M is None:
+        stack = np.stack([H1, H2, H3, H3r], axis=-5)
+    else:
+        M = np.broadcast_to(np.asarray(M, dtype=float), C.shape)
+        I = np.eye(3)
+        H5 = 0.5 * (np.einsum("...ik,jl->...ijkl", M, I)
+                    + np.einsum("...il,jk->...ijkl", M, I)
+                    + np.einsum("ik,...jl->...ijkl", I, M)
+                    + np.einsum("il,...jk->...ijkl", I, M))
+        stack = np.stack([H1, H2, H3, H1, H5, H3r], axis=-5)
+    return tensors.tensor4_to_mandel(stack)
+
+
+def nominal_stress_operator_einsum(F, T, tangent_mandel):
+    """A_iJkL = F_iM F_kN C_MJNL + delta_ik T_JL by index contraction."""
+    Cfull = tensors.mandel_to_tensor4(tangent_mandel)
+    A = np.einsum("...im,...kn,...mjnl->...ijkl", F, F, Cfull, optimize=True)
+    A += np.einsum("ik,...jl->...ijkl", np.eye(3), T)
+    return A
+
+
+def tangent_matrix_einsum(A, dNdX, wdet, conn, n_nodes):
+    """Element stiffness by one index contraction, assembled through COO."""
+    Ke = np.einsum("eq,eqaj,eqijkl,eqbl->eaibk", wdet, dNdX, A, dNdX,
+                   optimize=True)
+    E = conn.shape[0]
+    dofs = (3 * conn[:, :, None] + np.arange(3)[None, None, :]).reshape(E, 24)
+    rows = np.repeat(dofs, 24, axis=1).reshape(-1)
+    cols = np.tile(dofs, (1, 24)).reshape(-1)
+    K = sp.coo_matrix((Ke.reshape(E, 24, 24).reshape(-1), (rows, cols)),
+                      shape=(3 * n_nodes, 3 * n_nodes))
+    return K.tocsr()
 
 
 def invariants_bruteforce(C, M=None):

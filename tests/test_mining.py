@@ -1,4 +1,5 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -474,3 +475,29 @@ class TestKnowledgeBase:
         with pytest.raises(CorruptRecord) as err:
             data.load_kbase(p)
         assert err.value.line_no == 3
+
+
+class _Unprintable:
+    def __str__(self):
+        raise RuntimeError("write interrupted")
+
+
+@pytest.mark.parametrize("artifact", ["kbase", "report"])
+def test_interrupted_write_keeps_previous_file(tmp_path, artifact):
+    ds = TestKnowledgeBase()._dataset(54, 6)
+    path = tmp_path / "artifact"
+    if artifact == "kbase":
+        data.save_kbase(ds, path)
+        ds.source[4] = _Unprintable()   # raises after four records are written
+        write = lambda: data.save_kbase(ds, path)
+    else:
+        result = mining.LoopResult(True, [], None, ds, 7)
+        result.save_report(path)
+        # json cannot encode the record, so the dump stops partway
+        result.iterations.append(SimpleNamespace(loss=object()))
+        write = lambda: result.save_report(path)
+    before = path.read_bytes()
+    with pytest.raises((RuntimeError, TypeError)):
+        write()
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["artifact"]

@@ -237,3 +237,15 @@ def test_structural_tensor_normalizes():
     assert np.isclose(np.trace(M), 1.0)
     # projector property M M = M
     assert np.allclose(M @ M, M, atol=0.0)
+
+
+@pytest.mark.parametrize("transverse", [False, True], ids=["isotropic", "transverse"])
+def test_invariant_hessians_match_fourth_order_reference(transverse):
+    rng = rng0(7)
+    M = tensors.structural_tensor(oracles.random_unit(rng)) if transverse else None
+    C = np.stack([oracles.random_spd(rng) for _ in range(12)]).reshape(3, 4, 3, 3)
+    for sample in (C[1, 2], C):
+        H = tensors.invariant_hessians(sample, M)
+        ref = oracles.invariant_hessians_tensor4(sample, M)
+        assert H.shape == ref.shape == sample.shape[:-2] + (6 if transverse else 4, 6, 6)
+        np.testing.assert_allclose(H, ref, rtol=0.0, atol=1e-14 * np.abs(ref).max())
