@@ -80,10 +80,7 @@ def _load_dataset(path):
 
 def cmd_init_data(args):
     rc = _run_config(args)
-    ds = mining.initial_dataset(eps_filter=rc.loop.eps_filter,
-                                n_steps=rc.initial_steps,
-                                rve_fiber_axis=rc.loop.rve_fiber_axis,
-                                stress=config.make_initial_stress(rc))
+    ds = config.make_initial_dataset(rc, config.make_oracle(rc))
     data.save_kbase(ds, args.out)
     print(f"initial suite: {len(ds)} tuples after filtering -> {args.out}")
 
@@ -174,10 +171,7 @@ def cmd_run(args):
         initial = _load_dataset(args.dataset)
     else:
         log.info("no --dataset given, driving the initial load suite")
-        initial = mining.initial_dataset(eps_filter=rc.loop.eps_filter,
-                                         n_steps=rc.initial_steps,
-                                         rve_fiber_axis=rc.loop.rve_fiber_axis,
-                                         stress=config.make_initial_stress(rc))
+        initial = config.make_initial_dataset(rc, oracle)
     os.makedirs(args.out, exist_ok=True)
     try:
         result = mining.run_loop(problem, oracle, initial, rc.training,
@@ -217,9 +211,10 @@ def cmd_validate(args):
                                    rc.loop.rve_fiber_axis, tol=args.tol)
     scatter = out.pop("scatter")
     scatter_path = os.path.splitext(args.out)[0] + "_scatter.txt"
-    np.savetxt(scatter_path, scatter, fmt="%.17g",
-               header="oracle_norm model_norm rel_error")
-    with open(args.out, "w") as fh:
+    with data.atomic_write(scatter_path) as fh:
+        np.savetxt(fh, scatter, fmt="%.17g",
+                   header="oracle_norm model_norm rel_error")
+    with data.atomic_write(args.out) as fh:
         json.dump(out, fh, indent=1, sort_keys=True)
         fh.write("\n")
     print(f"{out['n_uncovered']} of {out['n_states']} states uncovered; "

@@ -234,23 +234,25 @@ def make_oracle(rc: RunConfig):
     return mining.VoxelOracle(rve, substeps=rc.substeps)
 
 
-def make_initial_stress(rc: RunConfig):
-    """Pointwise homogenized stress map for driving the initial load suite.
+def make_initial_dataset(rc: RunConfig, oracle):
+    """The filtered initial load suite, every stress answered by ``oracle``.
 
-    Analytic runs get the closed form; voxel runs wrap a fresh cell solve per
-    call (slow, but the suite is small and runs once).
+    Pass the oracle object the loop gets, so the suite and the mined tuples
+    come from the same microscale model.
     """
-    if rc.oracle_kind == "analytic":
-        return lambda F: materials.oracle_nominal_stress(F, rc.oracle)
-    rve = homogenization.fiber_rve(rc.voxel_grid, rc.volume_fraction,
-                                   rc.placement_seed,
-                                   phases=(rc.matrix, rc.fiber))
+    return mining.initial_dataset(eps_filter=rc.loop.eps_filter,
+                                  n_steps=rc.initial_steps,
+                                  rve_fiber_axis=rc.loop.rve_fiber_axis,
+                                  stress=oracle.evaluate_states)
 
-    def stress(F):
-        hom = homogenization.VoxelHomogenizer(rve)
-        return hom.solve(F, n_steps=max(2, rc.substeps)).P_bar
 
-    return stress
+def make_initial_stress(rc: RunConfig):
+    """Pointwise stress map of a fresh configured oracle.
+
+    This is ``make_oracle(rc).evaluate_states``; prefer
+    :func:`make_initial_dataset` with the loop's own oracle.
+    """
+    return make_oracle(rc).evaluate_states
 
 
 def make_problem(rc: RunConfig):

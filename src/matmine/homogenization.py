@@ -177,19 +177,18 @@ def _solve_free_entries(stress, F, free_idx, tol, max_iterations, name, t):
         f"at t={t:g} (|r|={np.max(np.abs(r)):.3e}, tol={tol:.3e})")
 
 
-def generate_initial_data(oracle: materials.OracleParameters = None,
-                          n_steps=12, cases=None, stress=None):
+def generate_initial_data(n_steps=12, cases=None, stress=None):
     """Run the seed suite through the oracle and collect (F, P) tuples.
 
-    ``stress`` overrides the nominal stress map (defaults to the analytic
-    oracle built from ``oracle``).
+    ``stress`` is the pointwise nominal stress map, normally an oracle's
+    ``evaluate_states``; it defaults to the analytic oracle law with default
+    parameters.
     """
     if cases is None:
         cases = initial_load_suite()
     if stress is None:
-        if oracle is None:
-            oracle = materials.OracleParameters()
-        stress = lambda F: materials.oracle_nominal_stress(F, oracle)
+        params = materials.OracleParameters()
+        stress = lambda F: materials.oracle_nominal_stress(F, params)
     records = []
     for pid, case in enumerate(cases):
         path = drive_material_point(stress, case, n_steps=n_steps)

@@ -16,8 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from . import fem, surrogate, tensors
-from .errors import FirstStepDivergence, NewtonDivergence, UnknownGeometry
+from . import data, fem, surrogate, tensors
+from .errors import (FirstStepDivergence, FormatVersionMismatch,
+                     NewtonDivergence, UnknownGeometry)
 
 GEOMETRY_NAMES = ("cuboid-hole", "torsion-bar", "cook-membrane")
 
@@ -499,7 +500,6 @@ def load_state(path):
     """Inverse of :func:`save_state`; returns (state, mesh, meta)."""
     with np.load(path, allow_pickle=False) as z:
         if str(z["version"]) != STATE_VERSION:
-            from .errors import FormatVersionMismatch
             raise FormatVersionMismatch(
                 f"unsupported state file version {z['version']!r}")
         mesh = MacroMesh(z["nodes"], z["conn"])
@@ -538,5 +538,5 @@ def export_vtk(state: MacroState, mesh: MacroMesh, path, step=-1):
             for row in m:
                 lines.append(" ".join(repr(float(x)) for x in row))
             lines.append("")
-    with open(path, "w") as fh:
+    with data.atomic_write(path) as fh:
         fh.write("\n".join(lines) + "\n")

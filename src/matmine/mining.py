@@ -163,8 +163,7 @@ class AnalyticOracle:
     def evaluate_path(self, F_series):
         return materials.oracle_nominal_stress(F_series, self.params)
 
-    def evaluate_states(self, F_batch):
-        return materials.oracle_nominal_stress(F_batch, self.params)
+    evaluate_states = evaluate_path
 
 
 class VoxelOracle:
@@ -189,11 +188,13 @@ class VoxelOracle:
         return out
 
     def evaluate_states(self, F_batch):
+        """Independent cell solves of a (..., 3, 3) batch, same shape out."""
         homogenizer = homogenization.VoxelHomogenizer(self.rve)
         F_batch = np.asarray(F_batch, dtype=float)
         out = np.empty_like(F_batch)
-        for k, F in enumerate(F_batch):
-            out[k] = homogenizer.solve(F, n_steps=max(2, self.substeps)).P_bar
+        for idx in np.ndindex(F_batch.shape[:-2]):
+            out[idx] = homogenizer.solve(F_batch[idx],
+                                         n_steps=max(2, self.substeps)).P_bar
         return out
 
 
@@ -212,17 +213,17 @@ class ModelOracle:
     evaluate_states = evaluate_path
 
 
-def initial_dataset(oracle=None, eps_filter=0.01, n_steps=12, cases=None,
+def initial_dataset(eps_filter=0.01, n_steps=12, cases=None,
                     rve_fiber_axis=(0.0, 0.0, 1.0), stress=None):
     """Drive the initial load suite and dedup it into the starting dataset.
 
     The raw suite shares its undeformed state across all paths and its
     gentler load levels crowd together, so the same greedy filter used for
     mined data thins it here; ranges come from the raw suite itself.
-    ``oracle``/``stress`` pass through to the material-point driver.
+    ``stress`` passes through to the material-point driver.
     """
-    raw = homogenization.generate_initial_data(oracle, n_steps=n_steps,
-                                               cases=cases, stress=stress)
+    raw = homogenization.generate_initial_data(n_steps=n_steps, cases=cases,
+                                               stress=stress)
     inv = raw.invariant_values(rve_fiber_axis)
     kept = filter_candidates(inv, np.zeros((0, inv.shape[1])),
                              coordinate_ranges(inv), eps_filter)

@@ -24,7 +24,7 @@ from scipy.optimize import minimize
 from scipy.special import expit
 
 from . import tensors
-from .data import DataSet
+from .data import DataSet, atomic_write
 from .errors import AsymmetricStressTarget, EmptyDataSet, NoFeasibleRestart
 from .surrogate import (DET_SLOT, NormalizationBounds, SurrogateModel,
                         check_growth_condition, fix_energy_offset, softplus)
@@ -73,7 +73,7 @@ class TrainingReport:
         return asdict(self)
 
     def save(self, path):
-        with open(path, "w") as fh:
+        with atomic_write(path) as fh:
             json.dump(self.to_dict(), fh, indent=1)
             fh.write("\n")
 

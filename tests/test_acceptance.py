@@ -57,10 +57,7 @@ def _run_geometry(geometry, dataset, out_dir):
     problem = config.make_problem(rc)
     oracle = config.make_oracle(rc)
     if dataset is None:
-        dataset = mining.initial_dataset(eps_filter=rc.loop.eps_filter,
-                                         n_steps=rc.initial_steps,
-                                         rve_fiber_axis=rc.loop.rve_fiber_axis,
-                                         stress=config.make_initial_stress(rc))
+        dataset = config.make_initial_dataset(rc, oracle)
     t0 = time.perf_counter()
     result = mining.run_loop(problem, oracle, dataset, rc.training, rc.loop,
                              out_dir=str(out_dir))
@@ -77,9 +74,7 @@ def cuboid_run(tmp_path_factory):
 @pytest.fixture(scope="module")
 def suite_dataset():
     rc = config.load_config(None)
-    return mining.initial_dataset(eps_filter=rc.loop.eps_filter,
-                                  n_steps=rc.initial_steps,
-                                  stress=config.make_initial_stress(rc))
+    return config.make_initial_dataset(rc, config.make_oracle(rc))
 
 
 # --- the gates ------------------------------------------------------------------

@@ -1,6 +1,9 @@
 """Configuration parsing and the command-line pipeline, end to end."""
 
 import json
+import pathlib
+import re
+import shlex
 
 import numpy as np
 import pytest
@@ -59,6 +62,18 @@ class TestConfig:
         rc = config.load_config(p)
         assert rc.loop.rve_fiber_axis == rc.oracle.fiber_axis
         assert rc.oracle.fiber_axis == (0.0, 1.0, 0.0)
+
+    def test_initial_dataset_matches_the_stress_map_route(self):
+        rc = config.load_config(None)
+        ours = config.make_initial_dataset(rc, config.make_oracle(rc))
+        stress_map = mining.initial_dataset(
+            eps_filter=rc.loop.eps_filter, n_steps=rc.initial_steps,
+            rve_fiber_axis=rc.loop.rve_fiber_axis,
+            stress=config.make_initial_stress(rc))
+        for name in ("F", "P", "iteration", "path_id", "step", "t"):
+            np.testing.assert_array_equal(getattr(ours, name),
+                                          getattr(stress_map, name))
+        assert list(ours.source) == list(stress_map.source)
 
     @pytest.mark.parametrize("text", [
         "[nosuch]\nx = 1\n",
@@ -195,3 +210,15 @@ class TestExitCodes:
         monkeypatch.setattr(macro, "solve_macro", explode)
         assert cli.main(["solve", "--config", str(art / "tiny.ini"),
                          "--model", str(art / "model.json")]) == 3
+
+
+def test_readme_commands_parse():
+    """Every ``matmine`` line of README's shell blocks matches the CLI."""
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"```sh\n(.*?)```", readme.read_text(), re.S)
+    lines = [line for block in blocks for line in block.splitlines()
+             if line.startswith("matmine ")]
+    assert len(lines) >= 10
+    parser = cli._build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line, comments=True)[1:])

@@ -104,7 +104,7 @@ def test_incompressible_single_term_limit_matches_closed_form():
 
 def test_initial_data_contains_identity_rows_and_oracle_stresses():
     oracle = materials.OracleParameters()
-    ds = hom.generate_initial_data(oracle, n_steps=3)
+    ds = hom.generate_initial_data(n_steps=3)
     assert len(ds) == 18 * 4
     start = ds.step == 0
     np.testing.assert_array_equal(ds.F[start], np.broadcast_to(np.eye(3), (18, 3, 3)))

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matmine import data, macro, materials, mining, surrogate, tensors, training
+from matmine import (data, homogenization, macro, materials, mining, surrogate,
+                     tensors, training)
 from matmine.errors import (CorruptRecord, FormatVersionMismatch, MatmineError,
                             MaxIterationsExceeded)
 
@@ -230,6 +231,15 @@ def test_enrich_runs_with_thread_pool():
     np.testing.assert_array_equal(serial.F, pooled.F)
     np.testing.assert_array_equal(serial.P, pooled.P)
     assert serial.path_id.tolist() == pooled.path_id.tolist()
+
+
+def test_voxel_oracle_answers_single_states_and_batches_alike():
+    oracle = mining.VoxelOracle(homogenization.fiber_rve(3, 0.25, seed=5))
+    F = np.array([[1.08, 0.03, 0.0], [0.0, 0.96, 0.02], [0.01, 0.0, 0.98]])
+    single = oracle.evaluate_states(F)
+    batched = oracle.evaluate_states(F[None])
+    assert single.shape == (3, 3) and batched.shape == (1, 3, 3)
+    np.testing.assert_array_equal(single, batched[0])
 
 
 # --- initial dataset -------------------------------------------------------------
@@ -482,7 +492,7 @@ class _Unprintable:
         raise RuntimeError("write interrupted")
 
 
-@pytest.mark.parametrize("artifact", ["kbase", "report"])
+@pytest.mark.parametrize("artifact", ["kbase", "report", "training-report"])
 def test_interrupted_write_keeps_previous_file(tmp_path, artifact):
     ds = TestKnowledgeBase()._dataset(54, 6)
     path = tmp_path / "artifact"
@@ -490,6 +500,15 @@ def test_interrupted_write_keeps_previous_file(tmp_path, artifact):
         data.save_kbase(ds, path)
         ds.source[4] = _Unprintable()   # raises after four records are written
         write = lambda: data.save_kbase(ds, path)
+    elif artifact == "training-report":
+        report = training.TrainingReport(
+            n_data=54, n_train=43, n_test=11, config={}, restarts=[],
+            selected_restart=0, train_loss=0.5, test_loss=0.6, growth={},
+            wall_seconds=1.0)
+        report.save(path)
+        # the restart list is dumped before the losses, which never arrive
+        report.restarts.append(object())
+        write = lambda: report.save(path)
     else:
         result = mining.LoopResult(True, [], None, ds, 7)
         result.save_report(path)
