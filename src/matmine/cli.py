@@ -104,8 +104,9 @@ def cmd_solve(args):
     _need(args, "model")
     model = surrogate.load_model(args.model)
     problem = config.make_problem(rc)
-    state = macro.solve_macro(problem.mesh, problem.bcs, model,
-                              problem.fiber_axis, problem.n_steps)
+    state = macro.solve_macro(problem.mesh, problem.bcs,
+                              macro.surrogate_law(model, problem.fiber_axis),
+                              problem.n_steps)
     macro.save_state(state, problem.mesh, args.out,
                      meta={"geometry": problem.name,
                            "completed": bool(state.completed)})

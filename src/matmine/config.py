@@ -187,6 +187,8 @@ def load_config(path=None, overrides=None):
             raise InvalidConfig(
                 "the voxel oracle grows fibers along 0 0 1; rotate the macro "
                 "problem instead of the cell")
+        if parser["oracle"].getint("substeps") < 1:
+            raise InvalidConfig("substeps must be at least 1")
         train_cfg = training.TrainingConfig(
             n_neurons=parser["network"].getint("n_neurons"),
             restarts=parser["training"].getint("restarts"),

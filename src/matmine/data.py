@@ -100,16 +100,17 @@ def from_records(records):
 
 
 @contextmanager
-def atomic_write(path):
-    """Text file handle whose content replaces ``path`` only once complete.
+def atomic_write(path, mode="w"):
+    """File handle whose content replaces ``path`` only once complete.
 
-    Writes go to ``path.tmp``, renamed over ``path`` when the block exits
-    normally; when it raises, the temporary file is removed and ``path``
-    keeps its previous content.
+    ``mode`` is ``"w"`` for text or ``"wb"`` for bytes.  Writes go to
+    ``path.tmp``, renamed over ``path`` when the block exits normally; when
+    it raises, the temporary file is removed and ``path`` keeps its previous
+    content.
     """
     tmp = f"{path}.tmp"
     try:
-        with open(tmp, "w") as fh:
+        with open(tmp, mode) as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:

@@ -1,17 +1,20 @@
 """Shared trilinear hexahedron machinery for the total-Lagrangian solvers.
 
 Element type is the 8-node brick with 2x2x2 Gauss quadrature.  All routines
-are vectorized over elements; connectivity-dependent scatter/gather is left
-to the callers (the voxel homogenizer wraps node indices periodically, the
-macro solver does not).
+are vectorized over elements and gather and scatter through a connectivity
+array of global node ids (E, 8); repeated ids accumulate, which is how the
+voxel homogenizer wraps its cell periodically.  :class:`HexGrid` holds one
+mesh and runs the Newton iteration both solvers use.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from . import tensors
+from .errors import NewtonDivergence
 
 # local corner coordinates, VTK hexahedron ordering
 CORNERS = np.array([
@@ -165,3 +168,59 @@ def tangent_matrix(A, dNdX, wdet, pattern: StiffnessPattern):
                        minlength=len(pattern.indices))
     return sp.csr_matrix((data, pattern.indices, pattern.indptr),
                          shape=pattern.shape)
+
+
+class HexGrid:
+    """One hexahedral mesh: shape gradients, weights and stiffness layout.
+
+    ``coords`` holds the reference node coordinates per element (E, 8, 3)
+    and ``conn`` the global node ids (E, 8).
+    """
+
+    def __init__(self, coords, conn, n_nodes):
+        self.coords = np.asarray(coords, dtype=float)
+        self.conn = np.asarray(conn)
+        self.n_nodes = n_nodes
+        self.dNdX, self.wdet = element_gradients(self.coords)
+        self.pattern = StiffnessPattern(self.conn, n_nodes)
+
+    def newton(self, u, stress, tangent, free, tol, max_iterations,
+               f_ext=0.0, u_affine=None):
+        """Newton-Raphson equilibrium iteration on the dofs where ``free``.
+
+        ``stress`` and ``tangent`` map right Cauchy-Green tensors C to the
+        second Piola-Kirchhoff stress and the Mandel material tangent; the
+        tangent is formed only for an update.  ``u_affine`` adds an
+        element-gathered displacement (E, 8, 3) to ``u``.  Converged once the
+        largest free residual entry of f_int - f_ext is at most ``tol``;
+        returns (u, F, T, P, residuals).  Inverted elements, a non-finite
+        update or ``max_iterations`` residuals above ``tol`` raise
+        :class:`NewtonDivergence`.
+        """
+        residuals = []
+        for _ in range(max_iterations):
+            u_elem = u[self.conn] if u_affine is None else u_affine + u[self.conn]
+            F = deformation_gradients(u_elem, self.dNdX)
+            det = np.linalg.det(F)
+            if np.any(det <= 0.0) or not np.all(np.isfinite(det)):
+                raise NewtonDivergence("element inversion")
+            C = tensors.right_cauchy_green(F)
+            T = stress(C)
+            P = F @ T
+            f_int = internal_forces(P, self.dNdX, self.wdet, self.conn,
+                                    self.n_nodes)
+            r = (f_int - f_ext).reshape(-1)
+            res = np.linalg.norm(r[free], ord=np.inf) if free.any() else 0.0
+            residuals.append(res)
+            if res <= tol:
+                return u, F, T, P, residuals
+            A = nominal_stress_operator(F, T, tangent(C))
+            K = tangent_matrix(A, self.dNdX, self.wdet, self.pattern)
+            du = np.zeros(r.size)
+            du[free] = spla.spsolve(K[free][:, free].tocsc(), -r[free])
+            if not np.all(np.isfinite(du)):
+                raise NewtonDivergence("linear solve produced a non-finite update")
+            u = u + du.reshape(-1, 3)
+        raise NewtonDivergence(
+            f"no convergence in {max_iterations} iterations "
+            f"(|r|={res:.3e}, tol={tol:.3e})")

@@ -11,10 +11,9 @@ apparent properties across realizations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from . import data, fem, materials, tensors
 from .errors import MatmineError, NewtonDivergence, ZeroMean
@@ -214,7 +213,6 @@ class VoxelRVE:
     phase: np.ndarray
     phases: tuple
     edge: float = 1.0
-    fiber_axis: tuple = (0.0, 0.0, 1.0)
 
     def __post_init__(self):
         self.phase = np.asarray(self.phase, dtype=int)
@@ -298,21 +296,20 @@ class VoxelHomogenizer:
 
     The total deformation is the macroscopic affine map plus a periodic
     fluctuation; sharing wrapped node ids enforces periodicity exactly and
-    one node is pinned to remove the rigid translation.
+    one node is pinned to remove the rigid translation.  A solve only reads
+    the homogenizer, so concurrent solves may share one.
     """
 
     def __init__(self, rve: VoxelRVE, rel_tol=1e-9, max_iterations=25):
         self.rve = rve
-        self.rel_tol = rel_tol
         self.max_iterations = max_iterations
         coords, conn = _voxel_topology(rve)
-        self.conn = conn
         self.n_nodes = rve.n ** 3
-        self.dNdX, self.wdet = fem.element_gradients(coords)
-        self.pattern = fem.StiffnessPattern(conn, self.n_nodes)
-        self.coords = coords
-        self.phase_qp = np.repeat(rve.phase.reshape(-1), 8).reshape(-1, 8)
-        self.M = tensors.structural_tensor(rve.fiber_axis)
+        self.grid = fem.HexGrid(coords, conn, self.n_nodes)
+        phase_qp = np.repeat(rve.phase.reshape(-1), 8).reshape(-1, 8)
+        self.phase_masks = [(params, phase_qp == pid)
+                            for pid, params in enumerate(rve.phases)
+                            if np.any(phase_qp == pid)]
         h = rve.edge / rve.n
         scale = max(p.initial_shear_modulus for p in rve.phases)
         self.force_tol = rel_tol * scale * h * h
@@ -320,94 +317,61 @@ class VoxelHomogenizer:
         free[:3] = False
         self.free = free
 
-    def _phase_stress(self, C):
-        T = np.empty_like(C)
-        for pid, params in enumerate(self.rve.phases):
-            mask = self.phase_qp == pid
-            if np.any(mask):
-                T[mask] = materials.ogden_stress_from_C(C[mask], params)
-        return T
+    def _per_phase(self, law, C, shape):
+        """``law(C, params)`` of each phase at its quadrature points."""
+        out = np.empty(C.shape[:-2] + shape)
+        for params, mask in self.phase_masks:
+            out[mask] = law(C[mask], params)
+        return out
 
-    def _phase_energy(self, C):
-        psi = np.empty(C.shape[:-2])
-        for pid, params in enumerate(self.rve.phases):
-            mask = self.phase_qp == pid
-            if np.any(mask):
-                psi[mask] = materials.ogden_energy_from_C(C[mask], params)
-        return psi
+    def _newton(self, F_bar, u_tilde):
+        """Equilibrated fluctuation at F_bar: (u_tilde, F, T, P, residuals)."""
+        return self.grid.newton(
+            u_tilde,
+            lambda C: self._per_phase(materials.ogden_stress_from_C, C, (3, 3)),
+            lambda C: self._per_phase(_ogden_tangent, C, (6, 6)),
+            self.free, self.force_tol, self.max_iterations,
+            u_affine=self.grid.coords @ (F_bar - np.eye(3)).T)
 
-    def _phase_tangent(self, C):
-        tang = np.empty(C.shape[:-2] + (6, 6))
-        for pid, params in enumerate(self.rve.phases):
-            mask = self.phase_qp == pid
-            if np.any(mask):
-                stress = lambda Cb: materials.ogden_stress_from_C(Cb, params)
-                tang[mask] = materials.stress_tangent_fd(stress, C[mask])
-        return tang
-
-    def _kinematics(self, F_bar, u_tilde):
-        u_aff = self.coords @ (F_bar - np.eye(3)).T
-        u_elem = u_aff + u_tilde[self.conn]
-        return fem.deformation_gradients(u_elem, self.dNdX)
+    def _package(self, F_bar, u_tilde, F, P, iterations):
+        psi = self._per_phase(materials.ogden_energy_from_C,
+                              tensors.right_cauchy_green(F), ())
+        wdet = self.grid.wdet
+        return VoxelSolution(
+            F_bar=F_bar,
+            P_bar=fem.volume_average(P, wdet),
+            psi_bar=float(fem.volume_average(psi, wdet)),
+            F_qp=F, P_qp=P, psi_qp=psi,
+            wdet=wdet, u_tilde=u_tilde, iterations=iterations)
 
     def solve(self, F_bar, n_steps=1, u_tilde=None):
-        """Equilibrate the cell at F_bar, ramping in ``n_steps`` increments."""
+        """Equilibrate the cell at F_bar, ramping in ``n_steps`` >= 1 increments."""
         F_bar = np.asarray(F_bar, dtype=float)
         if u_tilde is None:
             u_tilde = np.zeros((self.n_nodes, 3))
-        else:
-            u_tilde = u_tilde.copy()
         iterations = 0
         for k in range(1, n_steps + 1):
             F_k = np.eye(3) + (k / n_steps) * (F_bar - np.eye(3))
-            u_tilde, it = self._newton(F_k, u_tilde)
-            iterations += it
-        return self._package(F_bar, u_tilde, iterations)
-
-    def _newton(self, F_bar, u_tilde):
-        for it in range(self.max_iterations):
-            F = self._kinematics(F_bar, u_tilde)
-            C = tensors.right_cauchy_green(F)
-            T = self._phase_stress(C)
-            P = F @ T
-            f = fem.internal_forces(P, self.dNdX, self.wdet, self.conn,
-                                    self.n_nodes)
-            res = np.linalg.norm(f.reshape(-1)[self.free], ord=np.inf)
-            if res <= self.force_tol:
-                return u_tilde, it
-            A = fem.nominal_stress_operator(F, T, self._phase_tangent(C))
-            K = fem.tangent_matrix(A, self.dNdX, self.wdet, self.pattern)
-            du = np.zeros(3 * self.n_nodes)
-            du[self.free] = spla.spsolve(
-                K[self.free][:, self.free].tocsc(), -f.reshape(-1)[self.free])
-            u_tilde = u_tilde + du.reshape(-1, 3)
-        raise NewtonDivergence(
-            f"cell problem: no convergence in {self.max_iterations} "
-            f"iterations (|f|={res:.3e}, tol={self.force_tol:.3e})")
-
-    def _package(self, F_bar, u_tilde, iterations):
-        F = self._kinematics(F_bar, u_tilde)
-        C = tensors.right_cauchy_green(F)
-        T = self._phase_stress(C)
-        P = F @ T
-        psi = self._phase_energy(C)
-        return VoxelSolution(
-            F_bar=F_bar,
-            P_bar=fem.volume_average(P, self.wdet),
-            psi_bar=float(fem.volume_average(psi, self.wdet)),
-            F_qp=F, P_qp=P, psi_qp=psi,
-            wdet=self.wdet, u_tilde=u_tilde, iterations=iterations)
+            u_tilde, F, _, P, residuals = self._newton(F_k, u_tilde)
+            iterations += len(residuals) - 1
+        return self._package(F_bar, u_tilde, F, P, iterations)
 
     def path(self, F_bar, n_steps):
         """Solutions at every increment of a ramp to F_bar (incl. start)."""
         F_bar = np.asarray(F_bar, dtype=float)
         u_tilde = np.zeros((self.n_nodes, 3))
-        out = [self._package(np.eye(3), u_tilde, 0)]
-        for k in range(1, n_steps + 1):
+        out = []
+        for k in range(n_steps + 1):
             F_k = np.eye(3) + (k / n_steps) * (F_bar - np.eye(3))
-            u_tilde, it = self._newton(F_k, u_tilde.copy())
-            out.append(self._package(F_k, u_tilde, it))
+            u_tilde, F, _, P, residuals = self._newton(F_k, u_tilde)
+            out.append(self._package(F_k, u_tilde, F, P, len(residuals) - 1))
         return out
+
+
+def _ogden_tangent(C, params):
+    """Finite-difference material tangent of one Ogden phase."""
+    return materials.stress_tangent_fd(
+        lambda Cb: materials.ogden_stress_from_C(Cb, params), C)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Macroscopic boundary value problems on coarse hexahedral meshes.
 
-The solver is total-Lagrangian Newton-Raphson with the trained surrogate
+The solver ramps the load program and runs the total-Lagrangian Newton
+iteration of :class:`fem.HexGrid` per increment, with the trained surrogate
 supplying stress and analytic tangent at every quadrature point.  Besides the
 solver itself this module ships three built-in benchmark geometries (a
 perforated plate under tension, a perforated bar under torsion and a tapered
@@ -14,7 +15,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from . import data, fem, surrogate, tensors
 from .errors import (FirstStepDivergence, FormatVersionMismatch,
@@ -359,46 +359,39 @@ class MacroState:
         return self.t_end >= self.t_goal - 1e-12
 
 
-def _surrogate_pointwise(model, M):
-    def evaluate(F):
-        C = tensors.right_cauchy_green(F)
-        T = surrogate.model_stress(model, C, M)
-        tang = surrogate.model_tangent(model, C, M)
-        return T, tang
+def surrogate_law(model, fiber_axis):
+    """(stress, tangent) of the surrogate with fibers along ``fiber_axis``.
 
-    return evaluate
+    Both map right Cauchy-Green tensors C to the second Piola-Kirchhoff
+    stress and to the Mandel material tangent, as :meth:`fem.HexGrid.newton`
+    expects.
+    """
+    M = tensors.structural_tensor(fiber_axis)
+    return (lambda C: surrogate.model_stress(model, C, M),
+            lambda C: surrogate.model_tangent(model, C, M))
 
 
-def solve_macro(mesh: MacroMesh, bcs, model=None, fiber_axis=(0.0, 0.0, 1.0),
-                n_steps=10, rel_tol=1e-8, shear_scale=100.0, max_newton=20,
-                max_cutbacks=3, pointwise=None):
+def solve_macro(mesh: MacroMesh, bcs, law, n_steps=10, rel_tol=1e-8,
+                shear_scale=100.0, max_newton=20, max_cutbacks=3):
     """Incremental Newton solve of the macroscopic problem.
 
-    The constitutive response comes from the surrogate ``model`` with fibers
-    along ``fiber_axis``, or from an explicit ``pointwise`` callable mapping
-    batched F to (second Piola-Kirchhoff stress, material tangent).  The load
-    program is ramped in ``n_steps`` increments; a diverged increment is
-    retried at half size up to ``max_cutbacks`` times.  Failure on the very
-    first increment raises :class:`FirstStepDivergence`; later failures
-    return the partial history reached so far.  The returned state stores
-    per-point deformation gradients per converged step (the mining loop's
-    raw material) starting with the undeformed step at t = 0.
+    ``law`` is the constitutive (stress, tangent) pair, normally
+    :func:`surrogate_law`.  The load program is ramped in ``n_steps``
+    increments; a diverged increment is retried at half size up to
+    ``max_cutbacks`` times.  Failure on the very first increment raises
+    :class:`FirstStepDivergence`; later failures return the partial history
+    reached so far.  The returned state stores per-point deformation
+    gradients per converged step (the mining loop's raw material) starting
+    with the undeformed step at t = 0.
     """
-    if pointwise is None:
-        if model is None:
-            raise ValueError("either a surrogate model or a pointwise "
-                             "response callable is required")
-        pointwise = _surrogate_pointwise(model, tensors.structural_tensor(fiber_axis))
-    coords = mesh.element_coords()
-    dNdX, wdet = fem.element_gradients(coords)
-    pattern = fem.StiffnessPattern(mesh.conn, mesh.n_nodes)
-    area_scale = float(np.mean(wdet.sum(axis=1)) ** (2.0 / 3.0))
+    stress, tangent = law
+    grid = fem.HexGrid(mesh.element_coords(), mesh.conn, mesh.n_nodes)
+    area_scale = float(np.mean(grid.wdet.sum(axis=1)) ** (2.0 / 3.0))
     force_tol = rel_tol * shear_scale * area_scale
-    n_dof = 3 * mesh.n_nodes
 
     E = mesh.n_elements
     identity_F = np.broadcast_to(np.eye(3), (E, 8, 3, 3)).copy()
-    T0, _ = pointwise(np.eye(3).reshape(1, 1, 3, 3))
+    T0 = stress(np.eye(3).reshape(1, 1, 3, 3))
     P0 = np.broadcast_to(T0.reshape(3, 3), (E, 8, 3, 3)).copy()
     steps = [StepRecord(0.0, np.zeros((mesh.n_nodes, 3)), identity_F, P0, 0, [])]
 
@@ -408,10 +401,13 @@ def solve_macro(mesh: MacroMesh, bcs, model=None, fiber_axis=(0.0, 0.0, 1.0),
     cutbacks = 0
     while t < 1.0 - 1e-12:
         t_next = min(1.0, t + dt)
+        mask, values = _merge_constraints(bcs, t_next, mesh)
+        u_start = u.copy()
+        u_start[mask] = values[mask]
         try:
-            u_next, record = _newton_step(mesh, bcs, pointwise, u, t_next,
-                                          dNdX, wdet, pattern, force_tol,
-                                          max_newton, n_dof)
+            u_next, F, _, P, residuals = grid.newton(
+                u_start, stress, tangent, ~mask.reshape(-1), force_tol,
+                max_newton, f_ext=_external_forces(bcs, t_next, mesh))
         except NewtonDivergence:
             cutbacks += 1
             if cutbacks > max_cutbacks:
@@ -422,42 +418,8 @@ def solve_macro(mesh: MacroMesh, bcs, model=None, fiber_axis=(0.0, 0.0, 1.0),
             dt *= 0.5
             continue
         u, t = u_next, t_next
-        steps.append(record)
+        steps.append(StepRecord(t, u, F, P, len(residuals) - 1, residuals))
     return MacroState(steps)
-
-
-def _newton_step(mesh, bcs, pointwise, u_start, t, dNdX, wdet, pattern,
-                 force_tol, max_newton, n_dof):
-    mask, values = _merge_constraints(bcs, t, mesh)
-    f_ext = _external_forces(bcs, t, mesh)
-    free = ~mask.reshape(-1)
-    u = u_start.copy()
-    u[mask] = values[mask]
-    residuals = []
-    for it in range(max_newton):
-        u_elem = u[mesh.conn]
-        F = fem.deformation_gradients(u_elem, dNdX)
-        det = np.linalg.det(F)
-        if np.any(det <= 0.0) or not np.all(np.isfinite(det)):
-            raise NewtonDivergence(f"element inversion at t={t:g}")
-        T, tang = pointwise(F)
-        P = F @ T
-        f_int = fem.internal_forces(P, dNdX, wdet, mesh.conn, mesh.n_nodes)
-        r = (f_int - f_ext).reshape(-1)
-        res = np.linalg.norm(r[free], ord=np.inf) if free.any() else 0.0
-        residuals.append(res)
-        if res <= force_tol:
-            return u, StepRecord(t, u, F, P, it, residuals)
-        A = fem.nominal_stress_operator(F, T, tang)
-        K = fem.tangent_matrix(A, dNdX, wdet, pattern)
-        du = np.zeros(n_dof)
-        du[free] = spla.spsolve(K[free][:, free].tocsc(), -r[free])
-        if not np.all(np.isfinite(du)):
-            raise NewtonDivergence(f"linear solve produced non-finite update at t={t:g}")
-        u = u + du.reshape(-1, 3)
-    raise NewtonDivergence(
-        f"no convergence in {max_newton} iterations at t={t:g} "
-        f"(|r|={res:.3e}, tol={force_tol:.3e})")
 
 
 def collect_deformations(state: MacroState):
@@ -480,7 +442,7 @@ STATE_VERSION = "macro-state-v1"
 
 
 def save_state(state: MacroState, mesh: MacroMesh, path, meta=None):
-    """Bundle mesh and step history into a single npz archive."""
+    """Bundle mesh and step history into a single npz archive at ``path``."""
     payload = {
         "version": np.array(STATE_VERSION),
         "nodes": mesh.nodes,
@@ -493,7 +455,8 @@ def save_state(state: MacroState, mesh: MacroMesh, path, meta=None):
         "t_goal": np.array(state.t_goal),
         "meta": np.array(json.dumps(meta or {})),
     }
-    np.savez_compressed(path, **payload)
+    with data.atomic_write(path, "wb") as fh:
+        np.savez_compressed(fh, **payload)
 
 
 def load_state(path):

@@ -36,7 +36,11 @@ def coordinate_ranges(values):
     return values.max(axis=0) - values.min(axis=0)
 
 
-def distinct_mask(candidates, existing, ranges, tol, chunk=4_000_000):
+# largest number of pairwise coordinate differences held at once
+_DISTANCE_CHUNK = 4_000_000
+
+
+def distinct_mask(candidates, existing, ranges, tol):
     """True per candidate row if it is far from every existing row.
 
     Distance is the range-normalized Chebyshev metric: the largest
@@ -54,7 +58,8 @@ def distinct_mask(candidates, existing, ranges, tol, chunk=4_000_000):
     ranges = np.asarray(ranges, dtype=float)
     ranges = np.where(ranges > 0.0, ranges, 1.0)
     out = np.empty(len(candidates), dtype=bool)
-    rows_per_chunk = max(1, chunk // max(1, existing.shape[0] * existing.shape[1]))
+    rows_per_chunk = max(1, _DISTANCE_CHUNK
+                         // max(1, existing.shape[0] * existing.shape[1]))
     for start in range(0, len(candidates), rows_per_chunk):
         block = candidates[start:start + rows_per_chunk]
         d = np.abs(block[:, None, :] - existing[None, :, :]) / ranges
@@ -106,7 +111,7 @@ class DetectedPath:
 
 
 def detect_new_paths(dataset: data.DataSet, paths, times, macro_fiber_axis,
-                     rve_fiber_axis=(0.0, 0.0, 1.0), eps=0.05, ranges=None):
+                     rve_fiber_axis=(0.0, 0.0, 1.0), eps=0.05):
     """Find quadrature-point histories with states absent from the dataset.
 
     ``paths`` is (n_points, n_steps+1, 3, 3) from the macro solve (step 0
@@ -114,11 +119,10 @@ def detect_new_paths(dataset: data.DataSet, paths, times, macro_fiber_axis,
     first distinct state found truncates the path there, and all states of
     the truncated path join the comparison set for later points, so a state
     is only ever claimed once per sweep.  Ranges for the normalized metric
-    are frozen from the dataset (pass ``ranges`` to override).
+    are frozen from the dataset.
     """
     known = dataset.invariant_values(rve_fiber_axis)
-    if ranges is None:
-        ranges = coordinate_ranges(known)
+    ranges = coordinate_ranges(known)
     M = tensors.structural_tensor(macro_fiber_axis)
     paths = np.asarray(paths, dtype=float)
     n_points, n_states = paths.shape[:2]
@@ -172,29 +176,27 @@ class VoxelOracle:
     name = "voxel"
 
     def __init__(self, rve: homogenization.VoxelRVE, substeps=2):
-        self.rve = rve
         self.substeps = substeps
+        # a solve only reads the homogenizer, so the enrich threads share it
+        self.homogenizer = homogenization.VoxelHomogenizer(rve)
 
     def evaluate_path(self, F_series):
-        # a fresh homogenizer per call keeps concurrent path jobs independent
-        homogenizer = homogenization.VoxelHomogenizer(self.rve)
         F_series = np.asarray(F_series, dtype=float)
         out = np.empty_like(F_series)
         u = None
         for k, F in enumerate(F_series):
-            sol = homogenizer.solve(F, n_steps=self.substeps, u_tilde=u)
+            sol = self.homogenizer.solve(F, n_steps=self.substeps, u_tilde=u)
             u = sol.u_tilde
             out[k] = sol.P_bar
         return out
 
     def evaluate_states(self, F_batch):
         """Independent cell solves of a (..., 3, 3) batch, same shape out."""
-        homogenizer = homogenization.VoxelHomogenizer(self.rve)
         F_batch = np.asarray(F_batch, dtype=float)
         out = np.empty_like(F_batch)
         for idx in np.ndindex(F_batch.shape[:-2]):
-            out[idx] = homogenizer.solve(F_batch[idx],
-                                         n_steps=max(2, self.substeps)).P_bar
+            out[idx] = self.homogenizer.solve(
+                F_batch[idx], n_steps=max(2, self.substeps)).P_bar
         return out
 
 
@@ -238,7 +240,7 @@ def _evaluate_series(oracle, F_series):
 
 def enrich(dataset: data.DataSet, detected, oracle, macro_fiber_axis,
            rve_fiber_axis=(0.0, 0.0, 1.0), eps_filter=0.01, iteration=1,
-           source="mined", ranges=None, threads=1):
+           source="mined", threads=1):
     """Evaluate the oracle on deduplicated detected states.
 
     Every detected history is rotated to the microscale frame; its states
@@ -250,8 +252,7 @@ def enrich(dataset: data.DataSet, detected, oracle, macro_fiber_axis,
     """
     M_rve = tensors.structural_tensor(rve_fiber_axis)
     known = dataset.invariant_values(rve_fiber_axis)
-    if ranges is None:
-        ranges = coordinate_ranges(known)
+    ranges = coordinate_ranges(known)
 
     series = []
     meta = []
@@ -401,8 +402,10 @@ def run_loop(problem: macro.MacroProblem, oracle, initial_data: data.DataSet,
             model, train_report = training.train(dataset, cfg,
                                                  fiber_axis=lc.rve_fiber_axis)
             try:
-                state = macro.solve_macro(problem.mesh, problem.bcs, model,
-                                          problem.fiber_axis, problem.n_steps)
+                state = macro.solve_macro(
+                    problem.mesh, problem.bcs,
+                    macro.surrogate_law(model, problem.fiber_axis),
+                    problem.n_steps)
             except FirstStepDivergence as exc:
                 log.warning("macro solve diverged on the first step "
                             "(iteration %d, repeat %d): %s",

@@ -42,10 +42,6 @@ for _a, (_i, _j) in enumerate(zip(MANDEL_ROWS, MANDEL_COLS)):
 
 IDENTITY = np.eye(3)
 
-# Invariant slot order used across the package.
-INVARIANT_NAMES_TRANSVERSE = ("I1", "I2", "I3", "I4", "I5", "I3inv")
-INVARIANT_NAMES_ISOTROPIC = ("I1", "I2", "I3", "I3inv")
-
 
 def sym(A):
     """Symmetric part (A + A^T)/2, batched."""

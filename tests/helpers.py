@@ -6,6 +6,29 @@ from matmine import surrogate, tensors
 
 import oracles
 
+LAME_LAMBDA, LAME_MU = 60.0, 40.0
+_M1 = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
+_SVK_TANGENT = LAME_LAMBDA * np.outer(_M1, _M1) + 2.0 * LAME_MU * np.eye(6)
+
+
+def svk_stress(C):
+    """Quadratic reference material: T = lambda tr(E) 1 + 2 mu E."""
+    E = 0.5 * (C - np.eye(3))
+    trE = np.trace(E, axis1=-2, axis2=-1)
+    return LAME_LAMBDA * trE[..., None, None] * np.eye(3) + 2.0 * LAME_MU * E
+
+
+def svk_tangent(C):
+    return np.broadcast_to(_SVK_TANGENT, np.shape(C)[:-2] + (6, 6))
+
+
+# the (stress, tangent) pair the hexahedral solvers take
+SVK = (svk_stress, svk_tangent)
+
+
+def svk_nominal(F):
+    return F @ svk_stress(tensors.right_cauchy_green(F))
+
 
 def random_model(rng, mode="transverse", n_neurons=5, growth=False):
     """Random surrogate with bounds taken from a cloud of random states."""

@@ -19,19 +19,6 @@ import oracles
 
 FIBER_AXIS = np.array([0.0, 0.0, 1.0])
 
-LAME_LAMBDA, LAME_MU = 60.0, 40.0
-_M1 = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
-_SVK_TANGENT = LAME_LAMBDA * np.outer(_M1, _M1) + 2.0 * LAME_MU * np.eye(6)
-
-
-def svk_pointwise(F):
-    C = tensors.right_cauchy_green(F)
-    E = 0.5 * (C - np.eye(3))
-    trE = np.trace(E, axis1=-2, axis2=-1)
-    T = LAME_LAMBDA * trE[..., None, None] * np.eye(3) + 2.0 * LAME_MU * E
-    return T, np.broadcast_to(_SVK_TANGENT, C.shape[:-2] + (6, 6))
-
-
 def _bounded_spd(rng):
     """Random symmetric tensor with eigenvalues uniform in [0.25, 4]."""
     Q = oracles.random_rotation(rng)
@@ -330,8 +317,7 @@ def test_10_macro_solver_reference_checks():
                   [0.0, 0.01, 0.06]])
     state = macro.solve_macro(mesh, (macro.AffineRamp("boundary",
                                                       tuple(H.reshape(-1))),),
-                              pointwise=svk_pointwise, n_steps=1,
-                              rel_tol=1e-13)
+                              helpers.SVK, n_steps=1, rel_tol=1e-13)
     patch_err = np.abs(state.steps[-1].F_qp - (np.eye(3) + H)).max()
     assert patch_err <= 1e-12
 
@@ -350,16 +336,13 @@ def test_10_macro_solver_reference_checks():
                                   components=(False, True, True)),
            macro.DisplacementRamp("pin-yline", (0.0, 0.0, 0.0),
                                   components=(False, False, True)))
-    state = macro.solve_macro(mesh, bcs, pointwise=svk_pointwise,
-                              n_steps=n_steps)
+    state = macro.solve_macro(mesh, bcs, helpers.SVK, n_steps=n_steps)
     assert state.completed
 
-    def nominal(F):
-        T, _ = svk_pointwise(F)
-        return F @ T
-
-    path = hom.drive_material_point(nominal, hom.uniaxial_case(0, stretch),
-                                    n_steps=n_steps, force_scale=LAME_MU)
+    path = hom.drive_material_point(helpers.svk_nominal,
+                                    hom.uniaxial_case(0, stretch),
+                                    n_steps=n_steps,
+                                    force_scale=helpers.LAME_MU)
     for k, rec in enumerate(state.steps):
         if k:
             assert rec.P_qp[0, 0, 0, 0] == pytest.approx(path.P[k][0, 0],
@@ -373,8 +356,7 @@ def test_10_macro_solver_reference_checks():
                  macro.DisplacementRamp("x1max", (0.015 * 2.0, 0.0, 0.0),
                                         components=(True, False, False)),
                  bcs[2], bcs[3])
-    state = macro.solve_macro(mesh, bcs_small, pointwise=svk_pointwise,
-                              n_steps=1)
+    state = macro.solve_macro(mesh, bcs_small, helpers.SVK, n_steps=1)
     res = np.array(state.steps[-1].residuals)
     assert len(res) >= 3
     rho = res / res[0]

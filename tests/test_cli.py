@@ -84,6 +84,7 @@ class TestConfig:
         "[training]\nseed = abc\n",
         "[network]\nanisotropy = cubic\n",
         "[oracle]\nkind = voxel\nfiber_axis = 1 0 0\n",
+        "[oracle]\nsubsteps = 0\n",
     ])
     def test_bad_files_rejected(self, tmp_path, text):
         p = tmp_path / "bad.ini"

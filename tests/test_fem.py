@@ -29,7 +29,7 @@ def _cuboid():
 
 def _voxel(n):
     cell = hom.VoxelHomogenizer(hom.homogeneous_rve(n))
-    return cell.coords, cell.conn, cell.n_nodes
+    return cell.grid.coords, cell.grid.conn, cell.n_nodes
 
 
 @pytest.mark.parametrize("mesh", [_cuboid, lambda: _voxel(1), lambda: _voxel(3)],

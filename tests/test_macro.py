@@ -4,28 +4,11 @@ import numpy as np
 import pytest
 
 from matmine import fem, homogenization as hom
-from matmine import macro, surrogate, tensors
+from matmine import macro, surrogate
 from matmine.errors import FirstStepDivergence, UnknownGeometry
 
-LAME_LAMBDA, LAME_MU = 60.0, 40.0
-_M1 = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
-_SVK_TANGENT = LAME_LAMBDA * np.outer(_M1, _M1) + 2.0 * LAME_MU * np.eye(6)
-
-
-def svk_pointwise(F):
-    """Quadratic reference material: T = lambda tr(E) 1 + 2 mu E."""
-    C = tensors.right_cauchy_green(F)
-    E = 0.5 * (C - np.eye(3))
-    trE = np.trace(E, axis1=-2, axis2=-1)
-    T = LAME_LAMBDA * trE[..., None, None] * np.eye(3) + 2.0 * LAME_MU * E
-    tang = np.broadcast_to(_SVK_TANGENT, C.shape[:-2] + (6, 6))
-    return T, tang
-
-
-def svk_nominal(F):
-    T, _ = svk_pointwise(F)
-    return F @ T
-
+import helpers
+from helpers import SVK
 
 # --- meshes ------------------------------------------------------------------
 
@@ -108,8 +91,7 @@ def test_patch_test_affine_field_is_exact():
                   [0.02, -0.05, 0.04],
                   [0.0, 0.01, 0.06]])
     bcs = (macro.AffineRamp("boundary", tuple(H.reshape(-1))),)
-    state = macro.solve_macro(mesh, bcs, pointwise=svk_pointwise, n_steps=1,
-                              rel_tol=1e-13)
+    state = macro.solve_macro(mesh, bcs, SVK, n_steps=1, rel_tol=1e-13)
     F_expected = np.eye(3) + H
     err = np.abs(state.steps[-1].F_qp - F_expected).max()
     assert err < 1e-11
@@ -119,7 +101,7 @@ def test_zero_load_keeps_identity_when_reference_is_stress_free():
     mesh = macro.box_mesh((1.0, 1.0, 1.0), (2, 2, 2))
     bcs = (macro.DisplacementRamp("x1min", (0.0, 0.0, 0.0)),
            macro.DisplacementRamp("x1max", (0.0, 0.0, 0.0)))
-    state = macro.solve_macro(mesh, bcs, pointwise=svk_pointwise, n_steps=2)
+    state = macro.solve_macro(mesh, bcs, SVK, n_steps=2)
     assert state.completed
     for rec in state.steps:
         np.testing.assert_array_equal(rec.u, 0.0)
@@ -142,16 +124,17 @@ def _uniaxial_bar(stretch, n_steps):
                                   components=(False, True, True)),
            macro.DisplacementRamp("pin-yline", (0.0, 0.0, 0.0),
                                   components=(False, False, True)))
-    return macro.solve_macro(mesh, bcs, pointwise=svk_pointwise,
-                             n_steps=n_steps)
+    return macro.solve_macro(mesh, bcs, SVK, n_steps=n_steps)
 
 
 def test_homogeneous_bar_matches_material_point_driver():
     stretch, n_steps = 1.25, 5
     state = _uniaxial_bar(stretch, n_steps)
     assert state.completed
-    path = hom.drive_material_point(svk_nominal, hom.uniaxial_case(0, stretch),
-                                    n_steps=n_steps, force_scale=LAME_MU)
+    path = hom.drive_material_point(helpers.svk_nominal,
+                                    hom.uniaxial_case(0, stretch),
+                                    n_steps=n_steps,
+                                    force_scale=helpers.LAME_MU)
     assert len(state.steps) == n_steps + 1
     for rec, k in zip(state.steps, range(n_steps + 1)):
         P_fe = rec.P_qp.reshape(-1, 3, 3)
@@ -179,21 +162,21 @@ def test_first_step_divergence_and_partial_state():
     bcs = (macro.DisplacementRamp("x1min", (0.0, 0.0, 0.0)),
            macro.DisplacementRamp("x1max", (0.4, 0.0, 0.0)))
 
-    def broken_everywhere(F):
-        T, tang = svk_pointwise(F)
-        return T + 1e6, tang
+    def broken_everywhere(C):
+        return helpers.svk_stress(C) + 1e6
 
     with pytest.raises(FirstStepDivergence):
-        macro.solve_macro(mesh, bcs, pointwise=broken_everywhere, n_steps=4,
-                          max_newton=4, max_cutbacks=2)
+        macro.solve_macro(mesh, bcs, (broken_everywhere, helpers.svk_tangent),
+                          n_steps=4, max_newton=4, max_cutbacks=2)
 
-    def breaks_past_halfway(F):
-        T, tang = svk_pointwise(F)
-        if np.max(np.abs(F - np.eye(3))) > 0.2:
+    def breaks_past_halfway(C):
+        T = helpers.svk_stress(C)
+        if np.max(np.abs(C - np.eye(3))) > 0.44:   # a stretch of 1.2
             T = T + 1e6
-        return T, tang
+        return T
 
-    state = macro.solve_macro(mesh, bcs, pointwise=breaks_past_halfway,
+    state = macro.solve_macro(mesh, bcs,
+                              (breaks_past_halfway, helpers.svk_tangent),
                               n_steps=4, max_newton=6, max_cutbacks=2)
     assert not state.completed
     assert 0.0 < state.t_end < 1.0
@@ -213,8 +196,9 @@ def test_surrogate_model_drives_the_solver():
     mesh = macro.box_mesh((1.0, 1.0, 1.0), (2, 2, 2))
     bcs = (macro.DisplacementRamp("x1min", (0.0, 0.0, 0.0)),
            macro.DisplacementRamp("x1max", (0.05, 0.0, 0.0)))
-    state = macro.solve_macro(mesh, bcs, model=model, n_steps=2,
-                              shear_scale=60.0)
+    state = macro.solve_macro(mesh, bcs,
+                              macro.surrogate_law(model, (0.0, 0.0, 1.0)),
+                              n_steps=2, shear_scale=60.0)
     assert state.completed
     F = state.steps[-1].F_qp
     assert np.all(np.linalg.det(F) > 0)

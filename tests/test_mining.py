@@ -1,4 +1,5 @@
 import json
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -224,13 +225,48 @@ def test_enrich_runs_with_thread_pool():
     paths = random_walk_paths(rng, 6, 3, spread=0.15)
     times = np.linspace(0.0, 1.0, 4)
     detected = [mining.DetectedPath(p, 3, times, paths[p]) for p in range(6)]
-    oracle = mining.AnalyticOracle()
-    serial, n1 = mining.enrich(ds, detected, oracle, E1, E3, threads=1)
-    pooled, n2 = mining.enrich(ds, detected, oracle, E1, E3, threads=4)
-    assert n1 == n2
-    np.testing.assert_array_equal(serial.F, pooled.F)
-    np.testing.assert_array_equal(serial.P, pooled.P)
-    assert serial.path_id.tolist() == pooled.path_id.tolist()
+    # the voxel oracle's threads share one homogenizer; a short switch
+    # interval makes them interleave inside its solves
+    for oracle in (mining.AnalyticOracle(),
+                   mining.VoxelOracle(homogenization.fiber_rve(2, 0.25, seed=5))):
+        serial, n1 = mining.enrich(ds, detected, oracle, E1, E3, threads=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pooled, n2 = mining.enrich(ds, detected, oracle, E1, E3, threads=4)
+        finally:
+            sys.setswitchinterval(interval)
+        assert n1 == n2 and len(serial) > 0
+        np.testing.assert_array_equal(serial.F, pooled.F)
+        np.testing.assert_array_equal(serial.P, pooled.P)
+        assert serial.path_id.tolist() == pooled.path_id.tolist()
+
+
+def test_voxel_oracle_builds_its_cell_once(monkeypatch):
+    built = []
+    init = homogenization.VoxelHomogenizer.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(homogenization.VoxelHomogenizer, "__init__",
+                        counting_init)
+    oracle = mining.VoxelOracle(homogenization.fiber_rve(2, 0.25, seed=5))
+    F = np.array([[1.08, 0.03, 0.0], [0.0, 0.96, 0.02], [0.01, 0.0, 0.98]])
+    oracle.evaluate_path([np.eye(3), F])
+    oracle.evaluate_path([np.eye(3), F.T])
+    oracle.evaluate_states(np.stack([F, F.T]))
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("oracle", [
+    mining.AnalyticOracle(),
+    mining.VoxelOracle(homogenization.fiber_rve(2, 0.25, seed=5)),
+], ids=["analytic", "voxel"])
+def test_oracles_reject_an_inverted_state(oracle):
+    with pytest.raises(MatmineError):
+        oracle.evaluate_path(np.stack([np.eye(3), np.diag([-0.5, 1.0, 1.0])]))
 
 
 def test_voxel_oracle_answers_single_states_and_batches_alike():
@@ -491,8 +527,12 @@ class _Unprintable:
     def __str__(self):
         raise RuntimeError("write interrupted")
 
+    def __reduce__(self):
+        raise RuntimeError("write interrupted")
 
-@pytest.mark.parametrize("artifact", ["kbase", "report", "training-report"])
+
+@pytest.mark.parametrize("artifact",
+                         ["kbase", "report", "training-report", "state"])
 def test_interrupted_write_keeps_previous_file(tmp_path, artifact):
     ds = TestKnowledgeBase()._dataset(54, 6)
     path = tmp_path / "artifact"
@@ -509,6 +549,15 @@ def test_interrupted_write_keeps_previous_file(tmp_path, artifact):
         # the restart list is dumped before the losses, which never arrive
         report.restarts.append(object())
         write = lambda: report.save(path)
+    elif artifact == "state":
+        mesh = macro.box_mesh((1.0, 1.0, 1.0), (1, 1, 1))
+        F = np.broadcast_to(np.eye(3), (1, 8, 3, 3))
+        step = macro.StepRecord(0.0, np.zeros((8, 3)), F, F, 0, [])
+        state = macro.MacroState([step])
+        macro.save_state(state, mesh, path)
+        # the mesh and times are archived before the unpicklable displacements
+        step.u = np.full((8, 3), _Unprintable(), dtype=object)
+        write = lambda: macro.save_state(state, mesh, path)
     else:
         result = mining.LoopResult(True, [], None, ds, 7)
         result.save_report(path)
