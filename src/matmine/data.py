@@ -121,16 +121,23 @@ def atomic_write(path, mode="w"):
 
 def save_kbase(dataset: DataSet, path):
     """Write the knowledge base as line-delimited records with a version header."""
+    numbers = np.concatenate([dataset.t[:, None], dataset.F.reshape(-1, 9),
+                              dataset.P.reshape(-1, 9)], axis=1)
     with atomic_write(path) as fh:
         fh.write(f"# {KBASE_VERSION}\n")
         fh.write("# source iteration path step t F(9 row-major) P(9 row-major)\n")
-        for i in range(len(dataset)):
-            src = str(dataset.source[i]).replace(" ", "_") or "unknown"
-            fields = [src, str(int(dataset.iteration[i])), str(int(dataset.path_id[i])),
-                      str(int(dataset.step[i])), repr(float(dataset.t[i]))]
-            fields += [repr(float(v)) for v in dataset.F[i].flat]
-            fields += [repr(float(v)) for v in dataset.P[i].flat]
-            fh.write(" ".join(fields) + "\n")
+        for src, it, pid, stp, row in zip(
+                dataset.source, dataset.iteration.tolist(),
+                dataset.path_id.tolist(), dataset.step.tolist(), numbers.tolist()):
+            src = str(src).replace(" ", "_") or "unknown"
+            fh.write(f"{src} {it} {pid} {stp} {' '.join(map(repr, row))}\n")
+
+
+def _check_finite(values, line_nos):
+    """Raise :class:`CorruptRecord` at the first record with an inf or NaN."""
+    bad = ~np.isfinite(values).all(axis=-1)
+    if bad.any():
+        raise CorruptRecord("non-finite value", line_no=line_nos[np.argmax(bad)])
 
 
 def load_kbase(path):
@@ -139,29 +146,30 @@ def load_kbase(path):
     Raises :class:`FormatVersionMismatch` for a missing or unknown header and
     :class:`CorruptRecord` (with line number) for malformed records.
     """
-    records = []
+    sources, labels, numbers, line_nos = [], [], [], []
     with open(path) as fh:
         first = fh.readline().strip()
         if first != f"# {KBASE_VERSION}":
             raise FormatVersionMismatch(
                 f"expected header '# {KBASE_VERSION}', found {first!r}")
         for line_no, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
             parts = line.split()
-            if len(parts) != _N_FIELDS:
-                raise CorruptRecord(f"expected {_N_FIELDS} fields, found {len(parts)}",
-                                    line_no=line_no)
+            if not parts or parts[0].startswith("#"):
+                continue
             try:
-                src = parts[0]
-                it, pid, stp = int(parts[1]), int(parts[2]), int(parts[3])
-                numbers = np.array([float(v) for v in parts[4:]])
+                if len(parts) != _N_FIELDS:
+                    raise ValueError(
+                        f"expected {_N_FIELDS} fields, found {len(parts)}")
+                labels.append((int(parts[1]), int(parts[2]), int(parts[3])))
+                numbers.append(list(map(float, parts[4:])))
             except ValueError as exc:
+                # an inf or NaN on an earlier line is the first fault
+                _check_finite(np.array(numbers), line_nos)
                 raise CorruptRecord(str(exc), line_no=line_no) from None
-            if not np.all(np.isfinite(numbers)):
-                raise CorruptRecord("non-finite value", line_no=line_no)
-            records.append((numbers[1:10].reshape(3, 3),
-                            numbers[10:19].reshape(3, 3),
-                            src, it, pid, stp, numbers[0]))
-    return from_records(records)
+            sources.append(parts[0])
+            line_nos.append(line_no)
+    values = np.array(numbers).reshape(-1, _N_FIELDS - 4)
+    _check_finite(values, line_nos)
+    labels = np.array(labels, dtype=int).reshape(-1, 3)
+    return DataSet(values[:, 1:10].copy(), values[:, 10:].copy(), sources,
+                   labels[:, 0], labels[:, 1], labels[:, 2], values[:, 0].copy())

@@ -214,6 +214,8 @@ class HexGrid:
             residuals.append(res)
             if res <= tol:
                 return u, F, T, P, residuals
+            if len(residuals) == max_iterations:
+                break  # an update now would go unchecked
             A = nominal_stress_operator(F, T, tangent(C))
             K = tangent_matrix(A, self.dNdX, self.wdet, self.pattern)
             du = np.zeros(r.size)

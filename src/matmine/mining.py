@@ -18,6 +18,7 @@ import os
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from . import data, homogenization, macro, materials, surrogate, tensors, training
 from .errors import FirstStepDivergence, MatmineError, MaxIterationsExceeded
@@ -36,10 +37,6 @@ def coordinate_ranges(values):
     return values.max(axis=0) - values.min(axis=0)
 
 
-# largest number of pairwise coordinate differences held at once
-_DISTANCE_CHUNK = 4_000_000
-
-
 def distinct_mask(candidates, existing, ranges, tol):
     """True per candidate row if it is far from every existing row.
 
@@ -47,8 +44,28 @@ def distinct_mask(candidates, existing, ranges, tol):
     per-coordinate difference divided by that coordinate's spread.  Zero
     spreads fall back to plain absolute differences, so a coordinate that is
     constant across the dataset still vetoes closeness when it moves.  A
-    candidate is distinct when its distance to every existing row exceeds
-    ``tol`` strictly.
+    candidate ``c`` is distinct when its distance to every existing row
+    ``e``, ``(np.abs(c - e) / ranges).max()``, exceeds ``tol`` strictly.
+
+    The search runs on a kd-tree of the existing rows in the scaled
+    coordinates ``(x - lo) / ranges``, ``lo`` the per-coordinate minimum of
+    the existing rows (0 where that is not finite), in which the Chebyshev
+    distance is the metric up to rounding.  With ``u = eps / 2``, a scaled
+    coordinate carries a relative error of at most ``2u``, so a scaled
+    difference is off from ``(a - b) / r`` by at most ``4u S`` plus ``u`` of
+    itself, while ``|a - b| / r`` as computed is off by at most ``2u`` of
+    itself; as a distance is at most ``2S``, the two disagree by less than
+    ``6 eps S``, ``S >= 1`` bounding the scaled magnitudes of the tree rows
+    and the candidates.  ``margin = 64 eps S`` covers that gap, and the
+    tree's pruning, which compares the same rounded differences, with an
+    order of magnitude to spare.  Every candidate is then settled in one
+    pass: a nearest neighbour beyond ``tol + margin`` makes it distinct, one
+    at or below ``tol - margin`` makes it not distinct, and one in between is
+    settled exactly, by the expression above over the rows within ``tol +
+    margin``.  Rows with an inf or NaN (after scaling) take no part in the
+    search and are compared exactly with every row of the other side; a NaN
+    distance never exceeds ``tol``, so a NaN candidate is not distinct.  The
+    answers are thus bit for bit those of the dense pairwise scan.
     """
     candidates = np.atleast_2d(np.asarray(candidates, dtype=float))
     existing = np.asarray(existing, dtype=float)
@@ -57,13 +74,32 @@ def distinct_mask(candidates, existing, ranges, tol):
     existing = np.atleast_2d(existing)
     ranges = np.asarray(ranges, dtype=float)
     ranges = np.where(ranges > 0.0, ranges, 1.0)
-    out = np.empty(len(candidates), dtype=bool)
-    rows_per_chunk = max(1, _DISTANCE_CHUNK
-                         // max(1, existing.shape[0] * existing.shape[1]))
-    for start in range(0, len(candidates), rows_per_chunk):
-        block = candidates[start:start + rows_per_chunk]
-        d = np.abs(block[:, None, :] - existing[None, :, :]) / ranges
-        out[start:start + rows_per_chunk] = d.max(axis=2).min(axis=1) > tol
+
+    def far(c, rows):
+        return (np.abs(c - rows) / ranges).max(axis=-1) > tol
+
+    lo = existing.min(axis=0)
+    lo[~np.isfinite(lo)] = 0.0
+    scaled = (existing - lo) / ranges
+    query = (candidates - lo) / ranges
+    in_tree = np.isfinite(scaled).all(axis=1)
+    queried = np.isfinite(query).all(axis=1)
+    query[~queried] = 0.0  # settled exactly below
+    rows, scaled = existing[in_tree], scaled[in_tree]
+
+    margin = 64.0 * np.finfo(float).eps * max(
+        1.0, np.abs(scaled).max(initial=0.0), np.abs(query).max(initial=0.0))
+    tree = cKDTree(scaled)
+    d, _ = tree.query(query, p=np.inf, distance_upper_bound=tol + margin)
+    out = d > tol - margin
+    band = np.flatnonzero(out & (d < np.inf))
+    for i, ball in zip(band, tree.query_ball_point(query[band], tol + margin,
+                                                    p=np.inf)):
+        out[i] = far(candidates[i], rows[ball]).all()
+    for row in existing[~in_tree]:
+        out &= far(candidates, row)
+    for i in np.flatnonzero(~queried):
+        out[i] = far(candidates[i], existing).all()
     return out
 
 
@@ -72,26 +108,17 @@ def filter_candidates(candidates, existing, ranges, tol):
 
     A row is admitted when it is distinct from the existing set and from
     every row admitted before it, so the output set has no internal pair
-    within ``tol`` either.
+    within ``tol`` either.  One static :func:`distinct_mask` pass settles
+    the existing set for all rows at once; only the rows it admits are then
+    checked, in order, against the rows admitted so far.
     """
     candidates = np.atleast_2d(np.asarray(candidates, dtype=float))
-    pool = np.asarray(existing, dtype=float)
-    if pool.size == 0:
-        pool = np.zeros((0, candidates.shape[1]))
-    pool = np.atleast_2d(pool)
-    # distinctness against the static pool is vectorized; admitted rows are
-    # few, so they are rechecked per candidate
-    static_ok = distinct_mask(candidates, pool, ranges, tol)
     kept = []
-    admitted = []
-    for idx in range(len(candidates)):
-        if pool.shape[0] and not static_ok[idx]:
+    for idx in np.flatnonzero(distinct_mask(candidates, existing, ranges, tol)):
+        if kept and not distinct_mask(candidates[idx], candidates[kept],
+                                      ranges, tol)[0]:
             continue
-        if admitted and not distinct_mask(
-                candidates[idx:idx + 1], np.array(admitted), ranges, tol)[0]:
-            continue
-        kept.append(idx)
-        admitted.append(candidates[idx])
+        kept.append(int(idx))
     return kept
 
 
@@ -120,6 +147,11 @@ def detect_new_paths(dataset: data.DataSet, paths, times, macro_fiber_axis,
     the truncated path join the comparison set for later points, so a state
     is only ever claimed once per sweep.  Ranges for the normalized metric
     are frozen from the dataset.
+
+    One static :func:`distinct_mask` pass compares every state with the
+    dataset.  Points with no state flagged by it are skipped; the others are
+    visited in order, each with one sequential pass of its flagged states
+    against the rows claimed earlier in the sweep.
     """
     known = dataset.invariant_values(rve_fiber_axis)
     ranges = coordinate_ranges(known)
@@ -128,17 +160,23 @@ def detect_new_paths(dataset: data.DataSet, paths, times, macro_fiber_axis,
     n_points, n_states = paths.shape[:2]
     C = tensors.right_cauchy_green(paths.reshape(-1, 3, 3))
     path_inv = tensors.invariants(C.reshape(n_points, n_states, 3, 3), M)
+    step_inv = path_inv[:, 1:]
+    rows = step_inv.reshape(-1, path_inv.shape[-1])
 
+    static = distinct_mask(rows, known, ranges, eps).reshape(step_inv.shape[:2])
+    claimed = np.empty_like(rows)
+    n_claimed = 0
     detected = []
-    for p in range(n_points):
-        fresh = distinct_mask(path_inv[p], known, ranges, eps)
-        hits = np.nonzero(fresh[1:])[0]
-        if hits.size == 0:
+    for p in np.flatnonzero(static.any(axis=1)):
+        steps = np.flatnonzero(static[p])
+        fresh = distinct_mask(step_inv[p, steps], claimed[:n_claimed], ranges, eps)
+        if not fresh.any():
             continue
-        n = int(hits[-1]) + 1
-        detected.append(DetectedPath(p, n, np.asarray(times)[:n + 1].copy(),
+        n = int(steps[fresh][-1]) + 1
+        detected.append(DetectedPath(int(p), n, np.asarray(times)[:n + 1].copy(),
                                      paths[p, :n + 1].copy()))
-        known = np.concatenate([known, path_inv[p, 1:n + 1]])
+        claimed[n_claimed:n_claimed + n] = step_inv[p, :n]
+        n_claimed += n
     return detected
 
 

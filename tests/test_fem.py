@@ -7,6 +7,7 @@ import helpers
 import oracles
 from matmine import fem, homogenization as hom
 from matmine import macro, surrogate, tensors
+from matmine.errors import NewtonDivergence
 
 rng0 = np.random.default_rng
 
@@ -95,3 +96,23 @@ def test_stiffness_is_the_derivative_of_internal_forces():
                       - forces(u0 - du.reshape(-1, 3))) / (2.0 * h)
     assert _rel(K, K_fd) <= 1e-6
     assert _rel(K, K.T) <= 1e-12
+
+
+def test_newton_raises_without_solving_an_update_it_cannot_check(monkeypatch):
+    # a tangent 1000 times too stiff shrinks the residual by about 0.1% per
+    # update, so three residuals never reach the tolerance
+    mesh = macro.box_mesh((1.0, 1.0, 1.0), (2, 1, 1))
+    grid = fem.HexGrid(mesh.element_coords(), mesh.conn, mesh.n_nodes)
+    u = np.zeros((mesh.n_nodes, 3))
+    u[mesh.node_sets["x1max"], 0] = 0.1
+    free = np.ones((mesh.n_nodes, 3), dtype=bool)
+    free[mesh.node_sets["x1min"]] = False
+    free[mesh.node_sets["x1max"]] = False
+    stiff = (helpers.svk_stress, lambda C: 1e3 * helpers.svk_tangent(C))
+    solves = []
+    spsolve = fem.spla.spsolve
+    monkeypatch.setattr(fem.spla, "spsolve",
+                        lambda *a, **k: solves.append(1) or spsolve(*a, **k))
+    with pytest.raises(NewtonDivergence, match="no convergence in 3 iterations"):
+        grid.newton(u, *stiff, free.reshape(-1), 1e-10, 3)
+    assert len(solves) == 2

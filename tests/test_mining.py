@@ -107,6 +107,20 @@ def test_filter_matches_greedy_reference():
     assert got[0] == 0
 
 
+def test_filter_accepts_a_single_row_or_no_rows_as_existing():
+    rng = rng0(47)
+    cand = rng.normal(size=(60, 4))
+    ranges = np.abs(rng.normal(size=4)) + 0.5
+    row = cand[7] + 0.01
+    want = oracles.filter_bruteforce(cand, [row], ranges, 0.3)
+    assert 7 not in want
+    assert mining.filter_candidates(cand, row, ranges, 0.3) == want
+    assert mining.filter_candidates(cand, row[None], ranges, 0.3) == want
+    want = oracles.filter_bruteforce(cand, [], ranges, 0.3)
+    for empty in ([], np.zeros(0), np.zeros((0, 4))):
+        assert mining.filter_candidates(cand, empty, ranges, 0.3) == want
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**31 - 1))
 def test_filter_postcondition_pairwise_distinct(seed):
@@ -127,6 +141,93 @@ def test_filter_postcondition_pairwise_distinct(seed):
     for i in range(len(cand)):
         if i not in kept and len(final):
             assert not mining.distinct_mask(cand[i][None], final, ranges, tol)[0]
+
+
+def _nudged(x, ulps):
+    """``x`` moved by ``ulps`` units in the last place (either sign)."""
+    for _ in range(abs(ulps)):
+        x = np.nextafter(x, np.inf if ulps > 0 else -np.inf)
+    return x
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**31 - 1))
+def test_distinct_mask_matches_reference_at_the_tolerance_boundary(seed):
+    # candidates sit within a few ulps of tol * range of some existing row in
+    # one coordinate, on data with large offsets, tiny spreads and a zero one
+    rng = rng0(seed)
+    k = int(rng.integers(1, 7))
+    m = int(rng.integers(1, 30))
+    offset = 10.0 ** rng.uniform(-2.0, 6.0, k) * rng.choice([-1.0, 1.0], k)
+    ranges = 10.0 ** rng.uniform(-6.0, 2.0, k)
+    ranges[rng.integers(k)] = 0.0
+    spread = np.where(ranges > 0.0, ranges, 1.0)
+    existing = offset + rng.uniform(0.0, 1.0, (m, k)) * spread
+    tol = float(rng.choice([0.0, 1e-12, 0.01, 0.05, 0.3]))
+    n = 24
+    cand = existing[rng.integers(m, size=n)]
+    cand = cand + rng.uniform(-0.5, 0.5, (n, k)) * tol * spread
+    for row in cand:
+        j = rng.integers(k)
+        edge = row[j] + rng.choice([-1.0, 1.0]) * tol * spread[j]
+        row[j] = _nudged(edge, int(rng.integers(-2, 3)))
+    got = mining.distinct_mask(cand, existing, ranges, tol)
+    want = [oracles.chebyshev_distinct_bruteforce(c, existing, ranges, tol)
+            for c in cand]
+    assert got.tolist() == want
+
+
+def test_distinct_mask_keeps_the_dense_answer_for_non_finite_rows():
+    # the dense scan's answers: a NaN distance never exceeds tol, an infinite
+    # one always does, and inf - inf is NaN
+    rng = rng0(45)
+    existing = rng.normal(size=(20, 3))
+    ranges = mining.coordinate_ranges(existing)
+    far = existing[0] + 10.0 * ranges
+    cand = np.array([existing[0], existing[0], existing[0], existing[0], far])
+    cand[1, 1] = np.nan
+    cand[2, 0] = np.inf
+    cand[3] = [np.inf, -np.inf, np.nan]
+    got = mining.distinct_mask(cand, existing, ranges, 0.1)
+    assert got.tolist() == [False, False, True, False, True]
+
+    with_inf = np.vstack([existing, existing[1]])
+    with_inf[-1, 0] = np.inf
+    with np.errstate(invalid="ignore"):
+        got = mining.distinct_mask(cand, with_inf, ranges, 0.1)
+    assert got.tolist() == [False, False, False, False, True]
+
+    with_nan = np.vstack([existing, [np.nan, 0.0, 0.0]])
+    got = mining.distinct_mask(cand, with_nan, ranges, 0.1)
+    assert got.tolist() == [False] * 5
+
+
+def test_detection_claims_states_only_once_per_sweep():
+    rng = rng0(46)
+    ds = random_dataset(rng, 40, spread=0.05)
+    first = random_walk_paths(rng, 1, 5, spread=0.12)[0]
+    # a copy of the first path, suppressed by its states alone; and one whose
+    # last state is a claimed one but whose third is new, so the sweep
+    # truncates it where a scan against the dataset would not
+    copy = first.copy()
+    partial = first.copy()
+    partial[5] = first[2]
+    partial[3] = first[3] @ np.diag([1.3, 0.8, 1.1])
+    paths = np.stack([first, copy, partial])
+    times = np.linspace(0.0, 1.0, 6)
+
+    detected = mining.detect_new_paths(ds, paths, times, E1, E3, eps=0.05)
+    alone = [mining.detect_new_paths(ds, paths[p:p + 1], times, E1, E3, eps=0.05)
+             for p in range(3)]
+
+    known = ds.invariant_values(E3)
+    ranges = mining.coordinate_ranges(known)
+    M = tensors.structural_tensor(E1)
+    path_inv = [tensors.invariants(tensors.right_cauchy_green(p), M)
+                for p in paths]
+    want = oracles.detect_bruteforce(path_inv, list(known), ranges, 0.05)
+    assert [(d.point_id, d.last_step) for d in detected] == want == [(0, 5), (2, 3)]
+    assert [[d.last_step for d in a] for a in alone] == [[5], [5], [5]]
 
 
 # --- rotation and enrichment ----------------------------------------------------

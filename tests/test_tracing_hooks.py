@@ -8,6 +8,10 @@ only surface in a traced benchmark run; this test catches it first.
 import importlib.util
 import pathlib
 
+import numpy as np
+
+from matmine import data, mining
+
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
@@ -20,3 +24,28 @@ def test_every_traced_attribute_is_defined_on_its_owner():
                for owner, attr, *_ in tracing.HOOKS
                if attr not in owner.__dict__]
     assert missing == []
+
+
+def test_detection_and_admission_call_distinct_mask_through_the_module(monkeypatch):
+    # the benchmark counts ``mining.distinct_mask`` spans on every workload
+    # and fails when a traced layer records none
+    calls = []
+    original = mining.distinct_mask
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(mining, "distinct_mask", counted)
+    rng = np.random.default_rng(0)
+    F = np.eye(3) + 0.1 * rng.normal(size=(20, 3, 3))
+    ds = data.DataSet(F, np.zeros_like(F), ["init"] * 20, np.zeros(20, dtype=int),
+                      np.arange(20), np.zeros(20, dtype=int), np.zeros(20))
+    paths = np.stack([np.eye(3) + t * 0.4 * rng.normal(size=(4, 3, 3))
+                      for t in np.linspace(0.0, 1.0, 3)], axis=1)
+    mining.detect_new_paths(ds, paths, np.linspace(0.0, 1.0, 3), (1.0, 0.0, 0.0))
+    assert calls
+    calls.clear()
+    inv = ds.invariant_values((0.0, 0.0, 1.0))
+    mining.filter_candidates(inv, inv[:5], mining.coordinate_ranges(inv), 0.01)
+    assert calls
