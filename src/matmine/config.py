@@ -3,7 +3,8 @@
 The default values live in the dataclasses they configure; this module only
 renders them into a commented INI skeleton and parses user files back onto
 those dataclasses, so the file and the code cannot drift apart.  Unknown
-sections or keys are rejected rather than ignored.
+sections or keys are rejected rather than ignored, and so are counts below
+one (cell grid, substeps, mesh resolution, network width, restarts).
 
 ``python3 -m matmine.config`` prints the annotated default file.
 """
@@ -187,8 +188,12 @@ def load_config(path=None, overrides=None):
             raise InvalidConfig(
                 "the voxel oracle grows fibers along 0 0 1; rotate the macro "
                 "problem instead of the cell")
-        if parser["oracle"].getint("substeps") < 1:
-            raise InvalidConfig("substeps must be at least 1")
+        for section, key in (("oracle", "substeps"), ("oracle", "grid"),
+                             ("network", "n_neurons"),
+                             ("training", "restarts"),
+                             ("geometry", "resolution")):
+            if parser[section].getint(key) < 1:
+                raise InvalidConfig(f"{key} must be at least 1")
         train_cfg = training.TrainingConfig(
             n_neurons=parser["network"].getint("n_neurons"),
             restarts=parser["training"].getint("restarts"),

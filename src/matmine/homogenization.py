@@ -1,12 +1,14 @@
-"""Microscale oracle: controlled load paths and voxel RVE homogenization.
+"""Microscale models: controlled load paths and voxel RVE homogenization.
 
 Two levels of fidelity share this module.  For constitutive sampling we drive
 a single material point along mixed-control load paths (some deformation
 gradient entries prescribed, the rest found so the conjugate nominal stress
-components vanish).  For audits of the averaging itself we solve a periodic
-first-order homogenization problem on a voxelized representative volume and
-check the macrohomogeneity (average-work) identity and the scatter of
-apparent properties across realizations.
+components vanish); ``initial_load_suite`` lists the seed paths that
+``mining.initial_dataset`` drives through an oracle's pointwise stress.  The
+voxel oracle solves a periodic first-order homogenization problem on a
+voxelized representative volume, and the audits of the averaging check the
+macrohomogeneity (average-work) identity and the scatter of apparent
+properties across realizations.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import data, fem, materials, tensors
+from . import fem, materials, tensors
 from .errors import MatmineError, NewtonDivergence, ZeroMean
 
 AXIS_NAMES = ("x1", "x2", "x3")
@@ -74,20 +76,19 @@ def shear_case(row, col, amount):
                     values, np.ones((3, 3), dtype=bool))
 
 
-def initial_load_suite(tension=1.6, biax_tension=1.3, compression=0.7,
-                       biax_compression=0.85, shear=0.5):
+def initial_load_suite():
     """The 18 seed paths: 4 axial families over all axes plus 6 shears."""
     cases = []
     for k in range(3):
-        cases.append(uniaxial_case(k, tension))
+        cases.append(uniaxial_case(k, 1.6))
     for a, b in ((0, 1), (0, 2), (1, 2)):
-        cases.append(equibiaxial_case(a, b, biax_tension))
+        cases.append(equibiaxial_case(a, b, 1.3))
     for k in range(3):
-        cases.append(uniaxial_case(k, compression))
+        cases.append(uniaxial_case(k, 0.7))
     for a, b in ((0, 1), (0, 2), (1, 2)):
-        cases.append(equibiaxial_case(a, b, biax_compression))
+        cases.append(equibiaxial_case(a, b, 0.85))
     for r, c in ((0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1)):
-        cases.append(shear_case(r, c, shear))
+        cases.append(shear_case(r, c, 0.5))
     return cases
 
 
@@ -174,27 +175,6 @@ def _solve_free_entries(stress, F, free_idx, tol, max_iterations, name, t):
     raise NewtonDivergence(
         f"no convergence in {max_iterations} iterations on path {name} "
         f"at t={t:g} (|r|={np.max(np.abs(r)):.3e}, tol={tol:.3e})")
-
-
-def generate_initial_data(n_steps=12, cases=None, stress=None):
-    """Run the seed suite through the oracle and collect (F, P) tuples.
-
-    ``stress`` is the pointwise nominal stress map, normally an oracle's
-    ``evaluate_states``; it defaults to the analytic oracle law with default
-    parameters.
-    """
-    if cases is None:
-        cases = initial_load_suite()
-    if stress is None:
-        params = materials.OracleParameters()
-        stress = lambda F: materials.oracle_nominal_stress(F, params)
-    records = []
-    for pid, case in enumerate(cases):
-        path = drive_material_point(stress, case, n_steps=n_steps)
-        for k in range(len(path.t)):
-            records.append((path.F[k], path.P[k], f"init:{case.name}",
-                            0, pid, k, path.t[k]))
-    return data.from_records(records)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,9 @@ analytic fiber-reinforced oracle used as the default microscale stand-in.
 
 Stress measure throughout is the second Piola-Kirchhoff tensor T = 2 dpsi/dC;
 the nominal (first Piola-Kirchhoff) stress follows as P = F T with the first
-index spatial.  Units: stresses and moduli in kPa, lengths dimensionless.
+index spatial.  Energies and stresses are functions of C, batched over
+leading dimensions; only the oracle's nominal stress takes F.  Units:
+stresses and moduli in kPa, lengths dimensionless.
 """
 
 from __future__ import annotations
@@ -86,27 +88,18 @@ def ogden_energy_from_C(C, params: OgdenParameters):
     return dev + vol
 
 
-def ogden_energy(F, params: OgdenParameters):
-    """Strain energy density from the deformation gradient (det F > 0)."""
-    tensors.jacobian(F)
-    return ogden_energy_from_C(tensors.right_cauchy_green(F), params)
-
-
-def _ogden_coefficients(lam2, lam, J, params, multiplicities=None):
+def _ogden_coefficients(lam2, lam, J, params):
     """Per-eigenvalue stress coefficients of the principal-stretch form.
 
-    ``multiplicities`` weights the inner sum over stretches when ``lam``
-    holds only the distinct (clustered) values; with three simple entries it
-    is omitted.  Treating every eigenvalue as simple is algebraically
-    identical to the clustered evaluation: equal stretches receive equal
-    coefficients and their dyads sum to the cluster projector.
+    Every eigenvalue is treated as simple, which stays exact at coalescent
+    stretches: equal stretches receive equal coefficients, and their dyads
+    sum to the eigenprojector however the eigenvectors are picked.
     """
-    nu = 1.0 if multiplicities is None else np.asarray(multiplicities, dtype=float)
     lam_iso = lam * J[..., None] ** (-1.0 / 3.0)
     coeff = np.zeros_like(lam)
     for m, a in zip(params.mu, params.alpha):
         pw = lam_iso**a
-        coeff = coeff + m * (pw - np.sum(nu * pw, axis=-1, keepdims=True) / 3.0)
+        coeff = coeff + m * (pw - np.sum(pw, axis=-1, keepdims=True) / 3.0)
     coeff = coeff + 0.5 * params.kappa * (J * J - 1.0)[..., None]
     return coeff / lam2
 
@@ -121,22 +114,6 @@ def ogden_stress_from_C(C, params: OgdenParameters):
     J = lam[..., 0] * lam[..., 1] * lam[..., 2]
     coeff = _ogden_coefficients(lam2, lam, J, params)
     return np.einsum("...b,...ib,...jb->...ij", coeff, vecs, vecs)
-
-
-def ogden_stress(F, params: OgdenParameters, cluster_tol=1e-8):
-    """Second Piola-Kirchhoff stress for one deformation gradient.
-
-    Evaluates the principal-stretch form over the clustered eigenprojectors
-    of C, which stays stable at (near-)coalescent stretches.
-    """
-    J = float(tensors.jacobian(F))
-    C = tensors.right_cauchy_green(F)
-    dec = tensors.spectral_decomposition(C, cluster_tol=cluster_tol)
-    lam2 = dec.eigenvalues
-    lam = np.sqrt(lam2)
-    coeff = _ogden_coefficients(lam2, lam, np.asarray(J), params,
-                                multiplicities=dec.multiplicities)
-    return np.einsum("b,bij->ij", coeff, dec.projectors)
 
 
 @dataclass(frozen=True)
@@ -179,16 +156,6 @@ def oracle_stress_from_C(C, oracle: OracleParameters, M=None):
     I4 = np.einsum("ij,...ij->...", M, np.asarray(C, dtype=float))
     fiber = 2.0 * oracle.fiber_stiffness * (I4 - 1.0)[..., None, None] * M
     return ogden_stress_from_C(C, oracle.matrix) + fiber
-
-
-def oracle_energy(F, oracle: OracleParameters):
-    tensors.jacobian(F)
-    return oracle_energy_from_C(tensors.right_cauchy_green(F), oracle)
-
-
-def oracle_stress(F, oracle: OracleParameters):
-    tensors.jacobian(F)
-    return oracle_stress_from_C(tensors.right_cauchy_green(F), oracle)
 
 
 def oracle_nominal_stress(F, oracle: OracleParameters):

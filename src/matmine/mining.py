@@ -6,7 +6,8 @@ into invariant space and hunts for states that are not represented in the
 dataset yet.  Detected histories are rotated into the microscale frame,
 deduplicated and handed to the oracle; the answers enlarge the dataset for
 the next iteration.  The loop ends when a completed macro solve contains
-nothing new.
+nothing new.  The starting dataset is the initial load suite, driven through
+the same oracle's pointwise stress and filtered alike.
 """
 
 from __future__ import annotations
@@ -253,17 +254,22 @@ class ModelOracle:
     evaluate_states = evaluate_path
 
 
-def initial_dataset(eps_filter=0.01, n_steps=12, cases=None,
-                    rve_fiber_axis=(0.0, 0.0, 1.0), stress=None):
+def initial_dataset(stress, eps_filter=0.01, n_steps=12,
+                    rve_fiber_axis=(0.0, 0.0, 1.0)):
     """Drive the initial load suite and dedup it into the starting dataset.
 
-    The raw suite shares its undeformed state across all paths and its
-    gentler load levels crowd together, so the same greedy filter used for
-    mined data thins it here; ranges come from the raw suite itself.
-    ``stress`` passes through to the material-point driver.
+    ``stress`` is the pointwise nominal stress map the material-point driver
+    follows, normally an oracle's ``evaluate_states``.  The raw suite shares
+    its undeformed state across all paths and its gentler load levels crowd
+    together, so the same greedy filter used for mined data thins it here;
+    ranges come from the raw suite itself.
     """
-    raw = homogenization.generate_initial_data(n_steps=n_steps, cases=cases,
-                                               stress=stress)
+    records = []
+    for pid, case in enumerate(homogenization.initial_load_suite()):
+        path = homogenization.drive_material_point(stress, case, n_steps=n_steps)
+        records += [(path.F[k], path.P[k], f"init:{case.name}", 0, pid, k,
+                     path.t[k]) for k in range(len(path.t))]
+    raw = data.from_records(records)
     inv = raw.invariant_values(rve_fiber_axis)
     kept = filter_candidates(inv, np.zeros((0, inv.shape[1])),
                              coordinate_ranges(inv), eps_filter)

@@ -19,8 +19,6 @@ order is (11, 22, 33, 23, 13, 12) with sqrt(2) weights on the shear slots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DegenerateDirection, NonPositiveJacobian, NotPositiveDefinite
@@ -60,20 +58,6 @@ def mandel_to_sym(v):
     return np.einsum("...a,aij->...ij", v, MANDEL_BASIS)
 
 
-def tensor4_to_mandel(T):
-    """Map a minor-symmetric (...,3,3,3,3) tensor to its (...,6,6) matrix."""
-    T = np.asarray(T, dtype=float)
-    M = T[..., MANDEL_ROWS[:, None], MANDEL_COLS[:, None],
-          MANDEL_ROWS[None, :], MANDEL_COLS[None, :]]
-    return M * (MANDEL_WEIGHTS[:, None] * MANDEL_WEIGHTS[None, :])
-
-
-def mandel_to_tensor4(M):
-    """Inverse of :func:`tensor4_to_mandel` (minor symmetries restored)."""
-    M = np.asarray(M, dtype=float)
-    return np.einsum("...ab,aij,bkl->...ijkl", M, MANDEL_BASIS, MANDEL_BASIS)
-
-
 def jacobian(F, check=True):
     """det F, raising :class:`NonPositiveJacobian` when any det <= 0."""
     J = np.linalg.det(np.asarray(F, dtype=float))
@@ -96,63 +80,6 @@ def structural_tensor(a):
         raise DegenerateDirection("direction has (near-)zero length")
     a = a / n
     return np.outer(a, a)
-
-
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """Clustered eigendecomposition of a symmetric positive definite tensor.
-
-    ``eigenvalues`` holds the distinct (cluster-averaged) eigenvalues in
-    descending order, ``multiplicities`` their cluster sizes (summing to 3),
-    and ``projectors`` the corresponding orthogonal eigenprojectors, so that
-    ``sum(lam[b] * P[b]) == C`` and ``sum(P[b]) == I``.
-    """
-
-    eigenvalues: np.ndarray
-    multiplicities: tuple
-    projectors: np.ndarray
-
-    @property
-    def n_distinct(self):
-        return len(self.multiplicities)
-
-    def reconstruct(self):
-        return np.einsum("b,bij->ij", self.eigenvalues, self.projectors)
-
-
-def spectral_decomposition(C, cluster_tol=1e-8):
-    """Eigenvalues and projectors of a single SPD 3x3 tensor.
-
-    Eigenvalues whose relative gap (against the largest eigenvalue) is at
-    most ``cluster_tol`` are merged into one cluster; the projector of a
-    cluster is the sum of its eigenvector dyads, which is stable even when
-    the individual eigenvectors are not.
-    """
-    C = np.asarray(C, dtype=float)
-    if C.shape != (3, 3):
-        raise ValueError("spectral_decomposition expects a single 3x3 tensor")
-    if not np.allclose(C, C.T, rtol=0.0, atol=1e-10 * max(1.0, abs(C).max())):
-        raise NotPositiveDefinite("tensor is not symmetric")
-    lam, vecs = np.linalg.eigh(C)
-    if lam[0] <= 0.0:
-        raise NotPositiveDefinite(f"min eigenvalue = {lam[0]:g}")
-    lam = lam[::-1]
-    vecs = vecs[:, ::-1]
-    scale = lam[0]
-
-    clusters = [[0]]
-    for i in (1, 2):
-        if lam[i - 1] - lam[i] <= cluster_tol * scale:
-            clusters[-1].append(i)
-        else:
-            clusters.append([i])
-
-    values = np.array([lam[c].mean() for c in clusters])
-    mults = tuple(len(c) for c in clusters)
-    projectors = np.stack([
-        sum(np.outer(vecs[:, i], vecs[:, i]) for i in c) for c in clusters
-    ])
-    return SpectralDecomposition(values, mults, projectors)
 
 
 def _check_spdish(C, I3):
@@ -196,23 +123,6 @@ def invariants(C, M=None, check=True):
     Csq = np.einsum("...ik,...kj->...ij", C, C)
     I5 = np.einsum("...ij,...ij->...", M, Csq)
     return np.stack([I1, I2, I3, I4, I5, 1.0 / I3], axis=-1)
-
-
-def invariants_from_stretches(stretches, multiplicities=None):
-    """Isotropic invariants (I1, I2, I3) from principal stretches of F.
-
-    ``stretches`` are the distinct principal stretches lambda_b (not squared)
-    with optional multiplicities; useful for cross-checking spectral paths.
-    """
-    lam = np.asarray(stretches, dtype=float)
-    nu = np.ones_like(lam) if multiplicities is None \
-        else np.asarray(multiplicities, dtype=float)
-    lam2 = lam * lam
-    I1 = np.sum(nu * lam2, axis=-1)
-    I2 = 0.5 * (I1**2 - np.sum(nu * lam2**2, axis=-1))
-    # Account for multiplicity in the product: det C = prod lam^(2 nu).
-    I3 = np.prod(lam2**nu, axis=-1)
-    return np.stack([I1, I2, I3], axis=-1)
 
 
 def invariant_gradients(C, M=None):

@@ -109,10 +109,8 @@ class _Features:
     targets: np.ndarray   # (m, 6) stress components
 
 
-def _build_features(dataset, bounds, anisotropy, fiber_axis, targets):
-    C = tensors.right_cauchy_green(dataset.F)
-    M = tensors.structural_tensor(fiber_axis) if anisotropy == "transverse" else None
-    raw = tensors.invariants(C, M)
+def _build_features(C, M, raw, bounds, targets):
+    """Features of right Cauchy-Green tensors C with raw invariants ``raw``."""
     G = tensors.invariant_gradients(C, M)
     Gc = G[..., _ROWS, _COLS]                      # (m, k, 6)
     Gs = 2.0 * bounds.slope[None, :, None] * Gc
@@ -212,9 +210,10 @@ def train(dataset: DataSet, config: TrainingConfig, fiber_axis=(0.0, 0.0, 1.0)):
 
     C = tensors.right_cauchy_green(dataset.F)
     M = tensors.structural_tensor(fiber_axis) if config.anisotropy == "transverse" else None
-    bounds = NormalizationBounds.from_invariants(tensors.invariants(C, M))
+    raw = tensors.invariants(C, M)
+    bounds = NormalizationBounds.from_invariants(raw)
 
-    feats = _build_features(dataset, bounds, config.anisotropy, fiber_axis, targets)
+    feats = _build_features(C, M, raw, bounds, targets)
     train_idx, test_idx = split_dataset(m, config.seed, config.train_fraction)
     f_train = _Features(feats.inputs[train_idx], feats.grads[train_idx],
                         feats.targets[train_idx])

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from matmine import surrogate, tensors
+from matmine import materials, surrogate, tensors
 
 import oracles
 
@@ -28,6 +28,22 @@ SVK = (svk_stress, svk_tangent)
 
 def svk_nominal(F):
     return F @ svk_stress(tensors.right_cauchy_green(F))
+
+
+def ogden_energy(F, params):
+    """Ogden strain energy density from the deformation gradient (det F > 0)."""
+    tensors.jacobian(F)
+    return materials.ogden_energy_from_C(tensors.right_cauchy_green(F), params)
+
+
+def oracle_energy(F, oracle):
+    tensors.jacobian(F)
+    return materials.oracle_energy_from_C(tensors.right_cauchy_green(F), oracle)
+
+
+def oracle_stress(F, oracle):
+    tensors.jacobian(F)
+    return materials.oracle_stress_from_C(tensors.right_cauchy_green(F), oracle)
 
 
 def random_model(rng, mode="transverse", n_neurons=5, growth=False):

@@ -82,6 +82,41 @@ def fd_stress_tangent_mandel(stress, C, h=1e-6):
     return fd_hessian_mandel(stress, C, h)
 
 
+def tensor4_to_mandel(T):
+    """Map a minor-symmetric (...,3,3,3,3) tensor to its (...,6,6) matrix."""
+    T = np.asarray(T, dtype=float)
+    rows, cols = tensors.MANDEL_ROWS, tensors.MANDEL_COLS
+    w = tensors.MANDEL_WEIGHTS
+    M = T[..., rows[:, None], cols[:, None], rows[None, :], cols[None, :]]
+    return M * (w[:, None] * w[None, :])
+
+
+def mandel_to_tensor4(M):
+    """Inverse of :func:`tensor4_to_mandel` (minor symmetries restored)."""
+    M = np.asarray(M, dtype=float)
+    B = tensors.MANDEL_BASIS
+    return np.einsum("...ab,aij,bkl->...ijkl", M, B, B)
+
+
+def ogden_stress_principal(F, params):
+    """Ogden second Piola-Kirchhoff stress of one F, stretch by stretch.
+
+    T = sum_b (1/lam_b) dpsi/dlam_b N_b x N_b with the derivative of the
+    isochoric and volumetric parts written out per principal stretch.
+    """
+    lam2, N = np.linalg.eigh(F.T @ F)
+    lam = np.sqrt(lam2)
+    J = lam[0] * lam[1] * lam[2]
+    T = np.zeros((3, 3))
+    for b in range(3):
+        lam_dpsi = 0.5 * params.kappa * (J * J - 1.0)   # lam_b dpsi/dlam_b
+        for mu, alpha in zip(params.mu, params.alpha):
+            bar = [(lam[a] * J ** (-1.0 / 3.0)) ** alpha for a in range(3)]
+            lam_dpsi += mu * (bar[b] - sum(bar) / 3.0)
+        T += lam_dpsi / lam2[b] * np.outer(N[:, b], N[:, b])
+    return T
+
+
 def _dyad44(A, B):
     return np.einsum("...ij,...kl->...ijkl", A, B)
 
@@ -117,12 +152,12 @@ def invariant_hessians_tensor4(C, M=None):
                     + np.einsum("ik,...jl->...ijkl", I, M)
                     + np.einsum("il,...jk->...ijkl", I, M))
         stack = np.stack([H1, H2, H3, H1, H5, H3r], axis=-5)
-    return tensors.tensor4_to_mandel(stack)
+    return tensor4_to_mandel(stack)
 
 
 def nominal_stress_operator_einsum(F, T, tangent_mandel):
     """A_iJkL = F_iM F_kN C_MJNL + delta_ik T_JL by index contraction."""
-    Cfull = tensors.mandel_to_tensor4(tangent_mandel)
+    Cfull = mandel_to_tensor4(tangent_mandel)
     A = np.einsum("...im,...kn,...mjnl->...ijkl", F, F, Cfull, optimize=True)
     A += np.einsum("ik,...jl->...ijkl", np.eye(3), T)
     return A

@@ -178,8 +178,8 @@ def test_04_voxel_homogenization_reference_checks():
     sol = hom.VoxelHomogenizer(layered).solve(np.diag([lam_bar, 1.0, 1.0]),
                                               n_steps=2)
     _, _, p11 = oracles.laminate_uniaxial(
-        lambda F: materials.ogden_energy(F, materials.FIBER_STIFF),
-        lambda F: materials.ogden_energy(F, materials.MATRIX_RUBBER),
+        lambda F: helpers.ogden_energy(F, materials.FIBER_STIFF),
+        lambda F: helpers.ogden_energy(F, materials.MATRIX_RUBBER),
         0.5, lam_bar)
     assert sol.P_bar[0, 0] == pytest.approx(p11, rel=1e-3)
 

@@ -85,6 +85,10 @@ class TestConfig:
         "[network]\nanisotropy = cubic\n",
         "[oracle]\nkind = voxel\nfiber_axis = 1 0 0\n",
         "[oracle]\nsubsteps = 0\n",
+        "[geometry]\nresolution = 0\n",
+        "[oracle]\nkind = voxel\ngrid = 0\n",
+        "[network]\nn_neurons = 0\n",
+        "[training]\nrestarts = 0\n",
     ])
     def test_bad_files_rejected(self, tmp_path, text):
         p = tmp_path / "bad.ini"
@@ -195,6 +199,12 @@ class TestExitCodes:
         bad.write_text("[loop]\nwarp = 9\n")
         assert cli.main(["init-data", "--config", str(bad),
                          "--out", str(tmp_path / "kb.txt")]) == 4
+
+    def test_out_of_range_config_value(self, art, tmp_path):
+        bad = tmp_path / "bad.ini"
+        bad.write_text("[geometry]\nresolution = 0\n")
+        assert cli.main(["solve", "--config", str(bad),
+                         "--model", str(art / "model.json")]) == 4
 
     def test_budget_exhaustion(self, art, tmp_path, monkeypatch):
         def explode(*a, **k):

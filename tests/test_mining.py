@@ -282,6 +282,32 @@ def test_enrich_provenance_and_stresses():
         np.testing.assert_allclose(inv_rve, inv_mac, rtol=0, atol=1e-10)
 
 
+def test_rotating_the_macro_problem_with_its_fiber_keeps_the_mined_image():
+    # F -> R F R^T and a -> R a leave every invariant, hence every decision,
+    # unchanged; no distance of this seed lies within 1e-9 of either tolerance
+    rng = rng0(60)
+    ds = random_dataset(rng, 60)
+    paths = random_walk_paths(rng, 30, 5, spread=0.1)
+    times = np.linspace(0.0, 1.0, 6)
+    R = oracles.random_rotation(rng)
+    turned = np.einsum("ik,pskl,jl->psij", R, paths, R)
+    oracle = mining.AnalyticOracle()
+
+    detected = mining.detect_new_paths(ds, paths, times, E1, E3)
+    detected_r = mining.detect_new_paths(ds, turned, times, R @ E1, E3)
+    assert 0 < len(detected) < 30
+    assert ([(d.point_id, d.last_step) for d in detected_r]
+            == [(d.point_id, d.last_step) for d in detected])
+
+    new, n_cand = mining.enrich(ds, detected, oracle, E1, E3)
+    new_r, n_cand_r = mining.enrich(ds, detected_r, oracle, R @ E1, E3)
+    assert n_cand_r == n_cand and len(new) > 0
+    assert new_r.path_id.tolist() == new.path_id.tolist()
+    assert new_r.step.tolist() == new.step.tolist()
+    np.testing.assert_allclose(new_r.invariant_values(E3),
+                               new.invariant_values(E3), rtol=1e-12, atol=1e-12)
+
+
 def test_enrich_drops_duplicate_path_and_known_states():
     rng = rng0(46)
     ds = random_dataset(rng, 40)
@@ -383,8 +409,9 @@ def test_voxel_oracle_answers_single_states_and_batches_alike():
 
 
 def test_initial_dataset_is_filtered_and_keeps_one_identity():
-    raw = mining.initial_dataset(eps_filter=0.01, n_steps=6)
-    full = mining.initial_dataset(eps_filter=1e-12, n_steps=6)
+    stress = mining.AnalyticOracle().evaluate_states
+    raw = mining.initial_dataset(stress, eps_filter=0.01, n_steps=6)
+    full = mining.initial_dataset(stress, eps_filter=1e-12, n_steps=6)
     assert 0 < len(raw) < len(full)
     identity_rows = np.flatnonzero(
         np.all(np.abs(raw.F - np.eye(3)) < 1e-14, axis=(1, 2)))
@@ -507,6 +534,39 @@ def test_loop_raises_when_budget_exhausted(synthetic_truth):
     assert len(partial.iterations) == 1
     assert partial.iterations[0].new_tuples > 0
     assert len(partial.dataset) > len(synthetic_truth[1])
+
+
+def test_aborted_run_resumes_from_disk(synthetic_truth, tmp_path):
+    problem, oracle, cfg = _loop_setup(synthetic_truth)
+    with pytest.raises(MaxIterationsExceeded) as err:
+        mining.run_loop(problem, oracle, synthetic_truth[1], cfg,
+                        mining.LoopConfig(n_max=1, inner_repeats=2),
+                        out_dir=tmp_path / "aborted")
+    partial = err.value.result
+    kbase = data.load_kbase(tmp_path / "aborted" / "kbase.txt")
+    for name in ("F", "P", "iteration", "path_id", "step", "t"):
+        np.testing.assert_array_equal(getattr(kbase, name),
+                                      getattr(partial.dataset, name))
+    assert kbase.source == partial.dataset.source
+    model = surrogate.load_model(tmp_path / "aborted" / "model.json")
+    for name in ("gate_weights", "input_weights", "reciprocal_weights",
+                 "biases", "energy_offset"):
+        np.testing.assert_array_equal(getattr(model, name),
+                                      getattr(partial.model, name))
+    np.testing.assert_array_equal(model.bounds.lower, partial.model.bounds.lower)
+    np.testing.assert_array_equal(model.bounds.upper, partial.model.bounds.upper)
+
+    lc = mining.LoopConfig(n_max=6, inner_repeats=3)
+
+    def report(initial, out):
+        try:
+            mining.run_loop(problem, oracle, initial, cfg, lc, out_dir=out)
+        except MaxIterationsExceeded:
+            pass
+        return (out / "loop_report.json").read_bytes()
+
+    assert report(kbase, tmp_path / "disk") == report(partial.dataset,
+                                                      tmp_path / "memory")
 
 
 def test_loop_config_validation():

@@ -10,7 +10,7 @@ import pathlib
 
 import numpy as np
 
-from matmine import data, mining
+from matmine import data, homogenization, mining
 
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -49,3 +49,17 @@ def test_detection_and_admission_call_distinct_mask_through_the_module(monkeypat
     inv = ds.invariant_values((0.0, 0.0, 1.0))
     mining.filter_candidates(inv, inv[:5], mining.coordinate_ranges(inv), 0.01)
     assert calls
+
+
+def test_initial_dataset_drives_the_suite_through_the_module(monkeypatch):
+    # the benchmark's set-up layer is ``homogenization.drive_material_point``
+    calls = []
+    original = homogenization.drive_material_point
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(homogenization, "drive_material_point", counted)
+    mining.initial_dataset(mining.AnalyticOracle().evaluate_states, n_steps=1)
+    assert len(calls) == len(homogenization.initial_load_suite())

@@ -65,13 +65,17 @@ class TestSplit:
         assert len(tr) == 1 and len(te) == 0
 
 
+def _features(ds, bounds, M, targets):
+    C = tensors.right_cauchy_green(ds.F)
+    return training._build_features(C, M, tensors.invariants(C, M), bounds,
+                                    targets)
+
+
 class TestLoss:
     def _features_for(self, model, M, F):
         ds = make_dataset(F, surrogate.model_nominal_stress(model, F, M))
         targets = training.second_pk_targets(ds)
-        feats = training._build_features(ds, model.bounds, model.anisotropy,
-                                         (0.0, 0.0, 1.0), targets)
-        return ds, feats
+        return ds, _features(ds, model.bounds, M, targets)
 
     def test_zero_for_perfect_model(self):
         rng = rng0(22)
@@ -93,8 +97,7 @@ class TestLoss:
         F = np.stack([oracles.random_defgrad(rng) for _ in range(12)])
         ds, _ = self._features_for(model, M, F)
         targets = training.second_pk_targets(ds)
-        feats = training._build_features(ds, other.bounds, other.anisotropy,
-                                         (0.0, 0.0, 1.0), targets)
+        feats = _features(ds, other.bounds, M, targets)
         theta = np.concatenate([other.gate_weights, other.input_weights.ravel(),
                                 other.reciprocal_weights, other.biases])
         loss = training.stress_loss(theta, feats, other.n_neurons, other.n_base,
