@@ -4,7 +4,9 @@ The default values live in the dataclasses they configure; this module only
 renders them into a commented INI skeleton and parses user files back onto
 those dataclasses, so the file and the code cannot drift apart.  Unknown
 sections or keys are rejected rather than ignored, and so are counts below
-one (cell grid, substeps, mesh resolution, network width, restarts).
+one (cell grid, substeps, mesh resolution, network width, restarts,
+iteration cap, initial-suite steps), a negative step count and a training
+fraction outside (0, 1].
 
 ``python3 -m matmine.config`` prints the annotated default file.
 """
@@ -69,7 +71,8 @@ SPEC = {
         ("seed", _fmt(_TRAIN.seed), "base seed for splits and restarts"),
         ("train_fraction", _fmt(_TRAIN.train_fraction),
          "share of tuples used for fitting, rest is held out"),
-        ("max_iterations", _fmt(_TRAIN.max_iterations), "optimizer iteration cap"),
+        ("max_iterations", _fmt(_TRAIN.max_iterations),
+         "L-BFGS iteration cap per restart; a restart that converges stops sooner"),
         ("symmetry_tolerance", _fmt(_TRAIN.symmetry_tolerance),
          "max |P - P^T F^-T F^T| accepted when converting targets"),
     ],
@@ -191,9 +194,16 @@ def load_config(path=None, overrides=None):
         for section, key in (("oracle", "substeps"), ("oracle", "grid"),
                              ("network", "n_neurons"),
                              ("training", "restarts"),
+                             ("training", "max_iterations"),
+                             ("loop", "initial_steps"),
                              ("geometry", "resolution")):
             if parser[section].getint(key) < 1:
                 raise InvalidConfig(f"{key} must be at least 1")
+        if parser["geometry"].getint("n_steps") < 0:
+            raise InvalidConfig("n_steps must be at least 0 (0 keeps the "
+                                "geometry's builtin count)")
+        if not 0.0 < parser["training"].getfloat("train_fraction") <= 1.0:
+            raise InvalidConfig("train_fraction must lie in (0, 1]")
         train_cfg = training.TrainingConfig(
             n_neurons=parser["network"].getint("n_neurons"),
             restarts=parser["training"].getint("restarts"),

@@ -267,3 +267,21 @@ def laminate_uniaxial(energy1, energy2, fraction1, lam_bar, lam0=None):
         lam1 -= step
     lam2 = (lam_bar - f1 * lam1) / f2
     return lam1, lam2, p11(energy1, lam1)
+
+
+def lbfgs_two_loop(g, S, Y):
+    """Inverse-Hessian product H g by the L-BFGS two-loop recursion.
+
+    S and Y list the stored pairs oldest first; the initial matrix is the
+    usual s.y / y.y scaling of the newest pair (identity without pairs).
+    """
+    q = np.array(g, dtype=float)
+    alphas = []
+    for s, y in reversed(list(zip(S, Y))):
+        alpha = (s @ q) / (s @ y)
+        alphas.append(alpha)
+        q = q - alpha * y
+    r = q * ((S[-1] @ Y[-1]) / (Y[-1] @ Y[-1]) if len(S) else 1.0)
+    for (s, y), alpha in zip(zip(S, Y), reversed(alphas)):
+        r = r + s * (alpha - (y @ r) / (s @ y))
+    return r

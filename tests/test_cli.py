@@ -89,6 +89,11 @@ class TestConfig:
         "[oracle]\nkind = voxel\ngrid = 0\n",
         "[network]\nn_neurons = 0\n",
         "[training]\nrestarts = 0\n",
+        "[training]\nmax_iterations = 0\n",
+        "[training]\ntrain_fraction = 0\n",
+        "[training]\ntrain_fraction = 1.5\n",
+        "[loop]\ninitial_steps = 0\n",
+        "[geometry]\nn_steps = -1\n",
     ])
     def test_bad_files_rejected(self, tmp_path, text):
         p = tmp_path / "bad.ini"

@@ -10,7 +10,7 @@ import pathlib
 
 import numpy as np
 
-from matmine import data, homogenization, mining
+from matmine import data, homogenization, mining, training
 
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -63,3 +63,23 @@ def test_initial_dataset_drives_the_suite_through_the_module(monkeypatch):
     monkeypatch.setattr(homogenization, "drive_material_point", counted)
     mining.initial_dataset(mining.AnalyticOracle().evaluate_states, n_steps=1)
     assert len(calls) == len(homogenization.initial_load_suite())
+
+
+def test_training_calls_stress_loss_through_the_module(monkeypatch):
+    # the benchmark's fine hook ``training.stress_loss`` counts loss calls
+    calls = []
+    original = training.stress_loss
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(training, "stress_loss", counted)
+    rng = np.random.default_rng(0)
+    F = np.eye(3) + 0.05 * rng.normal(size=(12, 3, 3))
+    P = F @ (np.eye(3) + np.swapaxes(F, 1, 2) @ F)
+    ds = data.DataSet(F, P, ["init"] * 12, np.zeros(12, dtype=int),
+                      np.arange(12), np.zeros(12, dtype=int), np.zeros(12))
+    cfg = training.TrainingConfig(n_neurons=2, restarts=2, max_iterations=5)
+    _, report = training.train(ds, cfg)
+    assert len(calls) > max(r["n_iterations"] for r in report.restarts)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -130,6 +132,133 @@ class TestLoss:
                                             need_grad=False)) / (2 * h)
         assert np.allclose(grad, fd, atol=1e-4 * max(1.0, np.abs(fd).max()))
 
+    @pytest.mark.parametrize("growth", [False, True])
+    def test_stacked_rows_equal_single_calls(self, growth):
+        # one call on an (R, p) stack gives, row for row, the flat call on
+        # that row alone, bit for bit, and so does any sub-stack
+        rng = rng0(24)
+        model, M = helpers.random_model(rng)
+        F = np.stack([oracles.random_defgrad(rng) for _ in range(15)])
+        _, feats = self._features_for(model, M, F)
+        n, k_base = 3, 5
+        thetas = rng.normal(0.0, 0.7, (4, n + n * k_base + n + n))
+        losses, grads = training.stress_loss(thetas, feats, n, k_base, growth)
+        assert losses.shape == (4,) and grads.shape == thetas.shape
+        plain = training.stress_loss(thetas, feats, n, k_base, growth,
+                                     need_grad=False)
+        np.testing.assert_array_equal(plain, losses)
+        for i, theta in enumerate(thetas):
+            loss, grad = training.stress_loss(theta, feats, n, k_base, growth)
+            assert loss == losses[i]
+            np.testing.assert_array_equal(grad, grads[i])
+        sub_losses, sub_grads = training.stress_loss(thetas[[3, 1]], feats, n,
+                                                     k_base, growth)
+        np.testing.assert_array_equal(sub_losses, losses[[3, 1]])
+        np.testing.assert_array_equal(sub_grads, grads[[3, 1]])
+
+
+def _separable_quadratics(rng, R, p):
+    # restart r minimizes sum_j c[r, j] (x_j - x*[r, j])^2 / 2; the last
+    # coordinate carries the restart's index and has zero gradient, so the
+    # optimizer's calls show which restarts it evaluated
+    c = np.exp(rng.uniform(0.0, 1.0, (R, p)) * np.log([1.0, 1e2, 1e4])[:R, None])
+    x_star = rng.normal(0.0, 1.0, (R, p))
+    calls = []
+
+    def fun(X):
+        calls.append(X.copy())
+        r = X[:, -1].astype(int)
+        diff = X[:, :-1] - x_star[r]
+        f = 0.5 * np.sum(c[r] * diff * diff, axis=1)
+        return f, np.concatenate([c[r] * diff, np.zeros((len(X), 1))], axis=1)
+
+    x0 = np.concatenate([rng.normal(0.0, 3.0, (R, p)),
+                         np.arange(R, dtype=float)[:, None]], axis=1)
+    return fun, x0, x_star, calls
+
+
+class TestLockstepLBFGS:
+    def test_each_restart_reaches_its_own_minimizer(self):
+        fun, x0, x_star, calls = _separable_quadratics(rng0(40), 3, 8)
+        x, f, nit, converged = training.lbfgs(fun, x0, max_iterations=500)
+        assert converged.all()
+        np.testing.assert_allclose(x[:, :-1], x_star, atol=1e-6)
+        np.testing.assert_array_equal(x[:, -1], [0, 1, 2])
+        assert np.all(f < 1e-12)
+        # conditioning 1, 1e2, 1e4: each restart stops at its own count
+        assert nit[0] < nit[1] < nit[2]
+        # a converged restart is not evaluated again: its last evaluated
+        # point is where it stopped, while the others went on
+        for r in range(3):
+            points = [X[X[:, -1] == r] for X in calls]
+            last = max(i for i, P in enumerate(points) if len(P))
+            np.testing.assert_array_equal(points[last][0], x[r])
+            assert (last < len(calls) - 1) == (r < 2)
+
+    def test_restarts_do_not_see_each_other(self):
+        # the stack gives each restart exactly the iterates it gets alone
+        fun, x0, _, calls = _separable_quadratics(rng0(41), 3, 8)
+        x, f, nit, converged = training.lbfgs(fun, x0, max_iterations=500)
+        stacked = [np.concatenate([X[X[:, -1] == r] for X in calls])
+                   for r in range(3)]
+        for r in range(3):
+            del calls[:]
+            xa, fa, na, ca = training.lbfgs(fun, x0[r:r + 1], max_iterations=500)
+            np.testing.assert_array_equal(xa[0], x[r])
+            assert fa[0] == f[r] and na[0] == nit[r] and ca[0] == converged[r]
+            np.testing.assert_array_equal(np.concatenate(calls), stacked[r])
+
+    def test_non_finite_trial_backtracks_without_moving_others(self):
+        base, x0, _, _ = _separable_quadratics(rng0(42), 3, 8)
+        hits = []
+
+        def fun(X):
+            f, g = base(X)
+            # restart 1 overflows beyond a wall it must cross from its start
+            wall = (X[:, -1] == 1) & (np.abs(X[:, 0] - x0[1, 0]) > 0.1)
+            hits.append(wall.sum())
+            f[wall] = np.inf
+            g[wall] = np.nan
+            return f, g
+
+        x, f, nit, converged = training.lbfgs(fun, x0, max_iterations=200)
+        assert sum(hits) > 0 and np.isfinite(f).all()
+        assert abs(x[1, 0] - x0[1, 0]) <= 0.1
+        for r in (0, 2):
+            xa, fa, na, _ = training.lbfgs(fun, x0[r:r + 1], max_iterations=200)
+            np.testing.assert_array_equal(xa[0], x[r])
+            assert fa[0] == f[r] and na[0] == nit[r]
+            assert converged[r]
+
+    def test_compact_product_matches_two_loop_recursion(self):
+        # the history keeps the last 4 of 7 pairs of a convex quadratic for
+        # restart 0 and none for restart 1, whose product stays g itself
+        rng = rng0(44)
+        p, size = 8, 4
+        Q = rng.normal(size=(p, p))
+        H = Q @ Q.T + np.eye(p)
+        hist = training._History(2, p, size)
+        S, Y = [], []
+        for _ in range(7):
+            s = rng.normal(size=p)
+            hist.push(np.array([0]), s[None], (H @ s)[None])
+            S, Y = (S + [s])[-size:], (Y + [H @ s])[-size:]
+            g = rng.normal(size=(2, p))
+            Hg = hist.apply(slice(None), g)
+            np.testing.assert_allclose(Hg[0], oracles.lbfgs_two_loop(g[0], S, Y),
+                                       rtol=1e-12, atol=1e-12 * np.abs(Hg[0]).max())
+            np.testing.assert_array_equal(Hg[1], g[1])
+
+    def test_iteration_cap_and_initial_convergence(self):
+        fun, x0, x_star, _ = _separable_quadratics(rng0(43), 3, 8)
+        x, f, nit, converged = training.lbfgs(fun, x0, max_iterations=1)
+        np.testing.assert_array_equal(nit, [1, 1, 1])
+        assert not converged.any()
+        at_min = np.concatenate([x_star, x0[:, -1:]], axis=1)
+        x, f, nit, converged = training.lbfgs(fun, at_min, max_iterations=10)
+        assert converged.all() and not nit.any()
+        np.testing.assert_array_equal(x, at_min)
+
 
 class TestTrain:
     def test_empty_dataset_rejected(self):
@@ -182,6 +311,16 @@ class TestTrain:
         assert r1.train_loss == r2.train_loss
         assert [x["train_loss"] for x in r1.restarts] == \
                [x["train_loss"] for x in r2.restarts]
+
+    def test_first_restarts_do_not_depend_on_how_many_run(self):
+        rng = rng0(30)
+        teacher, M = helpers.random_model(rng, n_neurons=2)
+        ds = teacher_dataset(rng, teacher, M, m=50)
+        cfg = training.TrainingConfig(n_neurons=3, restarts=4, seed=5,
+                                      max_iterations=400)
+        _, four = training.train(ds, cfg)
+        _, two = training.train(ds, replace(cfg, restarts=2))
+        assert two.restarts == four.restarts[:2]
 
     def test_report_roundtrips_to_json(self, tmp_path):
         rng = rng0(29)
