@@ -383,8 +383,10 @@ def lbfgs(fun, x0, max_iterations):
     most ``_GTOL`` or a step lowers its value by at most ``_FTOL`` times
     max(|f|, |f_new|, 1); it stops unconverged after ``max_iterations``
     steps or when its line search fails.  A stopped restart is never
-    evaluated again, and each restart's arithmetic is the same whichever
-    others run beside it.
+    evaluated again.  Each restart's arithmetic is the same whichever others
+    run beside it provided ``fun`` returns C-ordered gradients: numpy sums
+    the rows of a Fortran-ordered stack in another order than those of a
+    row subset, which is C-ordered.
 
     Returns ``(x, f, n_iterations, converged)`` with one row or entry per
     restart.
@@ -420,6 +422,8 @@ def lbfgs(fun, x0, max_iterations):
         if failed.any():
             running[rows[failed]] = False
             keep = ~failed
+            if not keep.any():
+                continue
             sel = rows = rows[keep]
             xs, fs, gs = xs[keep], fs[keep], gs[keep]
             x_new, f_new, g_new = x_new[keep], f_new[keep], g_new[keep]
@@ -450,10 +454,11 @@ def train(dataset: DataSet, config: TrainingConfig, fiber_axis=(0.0, 0.0, 1.0)):
     ``fiber_axis`` is the preferred direction in the frame the data tuples
     live in (ignored in isotropic mode).  Every restart starts from its own
     seed spawned off ``config.seed``, and :func:`lbfgs` steps them all in
-    lockstep through one stacked loss; each restart's result is the same as
-    if it ran alone, so results are reproducible bit for bit for a fixed
-    configuration and the first R restarts do not depend on how many more
-    are asked for.
+    lockstep through one stacked loss.  Results are reproducible bit for
+    bit for a fixed configuration.  The first R >= 2 restarts match those of
+    a run with more restarts while every restart runs to ``max_iterations``;
+    otherwise they can differ in the last bits, because :func:`stress_loss`
+    returns its gradient in Fortran order (see :func:`lbfgs`).
     """
     t0 = time.perf_counter()
     m = len(dataset)

@@ -132,25 +132,18 @@ class TestLoss:
                                             need_grad=False)) / (2 * h)
         assert np.allclose(grad, fd, atol=1e-4 * max(1.0, np.abs(fd).max()))
 
-    @pytest.mark.parametrize("growth", [False, True])
-    def test_stacked_rows_equal_single_calls(self, growth):
-        # one call on an (R, p) stack gives, row for row, the flat call on
-        # that row alone, bit for bit, and so does any sub-stack
-        rng = rng0(24)
-        model, M = helpers.random_model(rng)
-        F = np.stack([oracles.random_defgrad(rng) for _ in range(15)])
-        _, feats = self._features_for(model, M, F)
-        n, k_base = 3, 5
-        thetas = rng.normal(0.0, 0.7, (4, n + n * k_base + n + n))
+        # an (R, p) stack gives, row for row, the flat call on that row
+        # alone, bit for bit, and so does any sub-stack
+        thetas = np.stack([theta, *rng.normal(0.0, 0.7, (3, len(theta)))])
         losses, grads = training.stress_loss(thetas, feats, n, k_base, growth)
         assert losses.shape == (4,) and grads.shape == thetas.shape
         plain = training.stress_loss(thetas, feats, n, k_base, growth,
                                      need_grad=False)
         np.testing.assert_array_equal(plain, losses)
-        for i, theta in enumerate(thetas):
-            loss, grad = training.stress_loss(theta, feats, n, k_base, growth)
-            assert loss == losses[i]
-            np.testing.assert_array_equal(grad, grads[i])
+        for i, row in enumerate(thetas):
+            row_loss, row_grad = training.stress_loss(row, feats, n, k_base, growth)
+            assert row_loss == losses[i]
+            np.testing.assert_array_equal(row_grad, grads[i])
         sub_losses, sub_grads = training.stress_loss(thetas[[3, 1]], feats, n,
                                                      k_base, growth)
         np.testing.assert_array_equal(sub_losses, losses[[3, 1]])
@@ -248,6 +241,21 @@ class TestLockstepLBFGS:
             np.testing.assert_allclose(Hg[0], oracles.lbfgs_two_loop(g[0], S, Y),
                                        rtol=1e-12, atol=1e-12 * np.abs(Hg[0]).max())
             np.testing.assert_array_equal(Hg[1], g[1])
+
+    def test_lone_restart_whose_search_fails_stops_where_it_started(self):
+        # every trial point is non-finite; only the start is evaluated finite
+        base, x0, _, calls = _separable_quadratics(rng0(45), 1, 8)
+
+        def fun(X):
+            f, g = base(X)
+            if len(calls) > 1:
+                f[:], g[:] = np.inf, np.nan
+            return f, g
+
+        x, f, nit, converged = training.lbfgs(fun, x0, max_iterations=10)
+        assert not converged[0] and nit[0] == 0
+        np.testing.assert_array_equal(x, x0)
+        assert f[0] == base(x0)[0][0]
 
     def test_iteration_cap_and_initial_convergence(self):
         fun, x0, x_star, _ = _separable_quadratics(rng0(43), 3, 8)
