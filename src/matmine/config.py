@@ -14,6 +14,7 @@ fraction outside (0, 1].
 from __future__ import annotations
 
 import configparser
+import functools
 import io
 from dataclasses import dataclass, replace
 
@@ -260,16 +261,17 @@ def make_initial_dataset(rc: RunConfig, oracle):
     return mining.initial_dataset(eps_filter=rc.loop.eps_filter,
                                   n_steps=rc.initial_steps,
                                   rve_fiber_axis=rc.loop.rve_fiber_axis,
-                                  stress=oracle.evaluate_states)
+                                  stress=functools.partial(
+                                      oracle.evaluate_path, warm_start=False))
 
 
 def make_initial_stress(rc: RunConfig):
     """Pointwise stress map of a fresh configured oracle.
 
-    This is ``make_oracle(rc).evaluate_states``; prefer
-    :func:`make_initial_dataset` with the loop's own oracle.
+    This is ``make_oracle(rc).evaluate_path`` with ``warm_start=False``;
+    prefer :func:`make_initial_dataset` with the loop's own oracle.
     """
-    return make_oracle(rc).evaluate_states
+    return functools.partial(make_oracle(rc).evaluate_path, warm_start=False)
 
 
 def make_problem(rc: RunConfig):

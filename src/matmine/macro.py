@@ -191,7 +191,8 @@ class TractionRamp:
     """Dead-load nominal traction on a named face set, ramped linearly.
 
     The traction vector keeps direction and reference area (first
-    Piola-Kirchhoff sense), so the consistent nodal loads are assembled once.
+    Piola-Kirchhoff sense); ``nodal_forces`` assembles the consistent nodal
+    loads anew on every call and scales them by ``t``.
     """
 
     face_set: str

@@ -7,7 +7,9 @@ dataset yet.  Detected histories are rotated into the microscale frame,
 deduplicated and handed to the oracle; the answers enlarge the dataset for
 the next iteration.  The loop ends when a completed macro solve contains
 nothing new.  The starting dataset is the initial load suite, driven through
-the same oracle's pointwise stress and filtered alike.
+the same oracle and filtered alike.  Every oracle answers through one call,
+``evaluate_path(F, warm_start)``: warm along a mined history, cold for the
+independent states of the initial suite and of validation.
 """
 
 from __future__ import annotations
@@ -203,10 +205,9 @@ class AnalyticOracle:
     def __init__(self, params: materials.OracleParameters = None):
         self.params = params if params is not None else materials.OracleParameters()
 
-    def evaluate_path(self, F_series):
-        return materials.oracle_nominal_stress(F_series, self.params)
-
-    evaluate_states = evaluate_path
+    def evaluate_path(self, F, warm_start=True):
+        del warm_start  # pointwise
+        return materials.oracle_nominal_stress(F, self.params)
 
 
 class VoxelOracle:
@@ -219,23 +220,22 @@ class VoxelOracle:
         # a solve only reads the homogenizer, so the enrich threads share it
         self.homogenizer = homogenization.VoxelHomogenizer(rve)
 
-    def evaluate_path(self, F_series):
-        F_series = np.asarray(F_series, dtype=float)
-        out = np.empty_like(F_series)
-        u = None
-        for k, F in enumerate(F_series):
-            sol = self.homogenizer.solve(F, n_steps=self.substeps, u_tilde=u)
-            u = sol.u_tilde
-            out[k] = sol.P_bar
-        return out
+    def evaluate_path(self, F, warm_start=True):
+        """Cell-averaged nominal stresses of a (..., 3, 3) stack.
 
-    def evaluate_states(self, F_batch):
-        """Independent cell solves of a (..., 3, 3) batch, same shape out."""
-        F_batch = np.asarray(F_batch, dtype=float)
-        out = np.empty_like(F_batch)
-        for idx in np.ndindex(F_batch.shape[:-2]):
-            out[idx] = self.homogenizer.solve(
-                F_batch[idx], n_steps=max(2, self.substeps)).P_bar
+        Warm, the states are one history: each solve starts from the last
+        one's fluctuation and ramps in ``substeps`` increments.  Cold, each
+        starts from the undeformed cell, in ``max(2, substeps)`` increments.
+        """
+        F = np.asarray(F, dtype=float)
+        out = np.empty_like(F)
+        n_steps = self.substeps if warm_start else max(2, self.substeps)
+        u = None
+        for idx in np.ndindex(F.shape[:-2]):
+            sol = self.homogenizer.solve(F[idx], n_steps=n_steps, u_tilde=u)
+            if warm_start:
+                u = sol.u_tilde
+            out[idx] = sol.P_bar
         return out
 
 
@@ -248,10 +248,9 @@ class ModelOracle:
         self.model = model
         self.M = tensors.structural_tensor(fiber_axis)
 
-    def evaluate_path(self, F_series):
-        return surrogate.model_nominal_stress(self.model, F_series, self.M)
-
-    evaluate_states = evaluate_path
+    def evaluate_path(self, F, warm_start=True):
+        del warm_start  # pointwise
+        return surrogate.model_nominal_stress(self.model, F, self.M)
 
 
 def initial_dataset(stress, eps_filter=0.01, n_steps=12,
@@ -259,10 +258,10 @@ def initial_dataset(stress, eps_filter=0.01, n_steps=12,
     """Drive the initial load suite and dedup it into the starting dataset.
 
     ``stress`` is the pointwise nominal stress map the material-point driver
-    follows, normally an oracle's ``evaluate_states``.  The raw suite shares
-    its undeformed state across all paths and its gentler load levels crowd
-    together, so the same greedy filter used for mined data thins it here;
-    ranges come from the raw suite itself.
+    follows, normally an oracle's ``evaluate_path`` with ``warm_start=False``.
+    The raw suite shares its undeformed state across all paths and its
+    gentler load levels crowd together, so the same greedy filter used for
+    mined data thins it here; ranges come from the raw suite itself.
     """
     records = []
     for pid, case in enumerate(homogenization.initial_load_suite()):
@@ -274,12 +273,6 @@ def initial_dataset(stress, eps_filter=0.01, n_steps=12,
     kept = filter_candidates(inv, np.zeros((0, inv.shape[1])),
                              coordinate_ranges(inv), eps_filter)
     return raw.subset(kept)
-
-
-def _evaluate_series(oracle, F_series):
-    """Oracle along one history, with the undeformed start prepended."""
-    F_path = np.concatenate([np.eye(3)[None], F_series])
-    return oracle.evaluate_path(F_path)[1:]
 
 
 def enrich(dataset: data.DataSet, detected, oracle, macro_fiber_axis,
@@ -336,8 +329,10 @@ def enrich(dataset: data.DataSet, detected, oracle, macro_fiber_axis,
 
 
 def _try_series(oracle, F_series):
+    """Oracle along one history from the undeformed start; None if it raises."""
+    F_path = np.concatenate([np.eye(3)[None], F_series])
     try:
-        return _evaluate_series(oracle, F_series)
+        return oracle.evaluate_path(F_path)[1:]
     except MatmineError as exc:
         log.warning("oracle failed on a mined history, skipping it: %s", exc)
         return None
@@ -543,7 +538,7 @@ def validate_coverage(model: surrogate.SurrogateModel, dataset: data.DataSet,
     complete = not uncovered.any()
     F_probe = F_rve if complete else F_rve[uncovered]
     M = tensors.structural_tensor(rve_fiber_axis)
-    P_oracle = oracle.evaluate_states(F_probe)
+    P_oracle = oracle.evaluate_path(F_probe, warm_start=False)
     P_model = surrogate.model_nominal_stress(model, F_probe, M)
     norm_oracle = np.linalg.norm(P_oracle.reshape(len(F_probe), -1), axis=1)
     norm_model = np.linalg.norm(P_model.reshape(len(F_probe), -1), axis=1)

@@ -135,10 +135,9 @@ class SurrogateModel:
                                self.reciprocal_weights[:, None]], axis=1)
 
 
-def invariant_inputs(C, model_or_mode, M=None):
-    """Raw invariant coordinates for a model (or mode string)."""
-    mode = getattr(model_or_mode, "anisotropy", model_or_mode)
-    if mode == "transverse":
+def invariant_inputs(C, model, M=None):
+    """Raw invariant coordinates the model's neurons read."""
+    if model.anisotropy == "transverse":
         if M is None:
             raise ValueError("transverse mode needs a structural tensor")
         return tensors.invariants(C, M)

@@ -382,11 +382,11 @@ def lbfgs(fun, x0, max_iterations):
     restart stops, converged, once its largest gradient component is at
     most ``_GTOL`` or a step lowers its value by at most ``_FTOL`` times
     max(|f|, |f_new|, 1); it stops unconverged after ``max_iterations``
-    steps or when its line search fails.  A stopped restart is never
-    evaluated again.  Each restart's arithmetic is the same whichever others
-    run beside it provided ``fun`` returns C-ordered gradients: numpy sums
-    the rows of a Fortran-ordered stack in another order than those of a
-    row subset, which is C-ordered.
+    steps, when its line search fails, or when its accepted step leaves x
+    unchanged.  A stopped restart is never evaluated again.  Each restart's
+    arithmetic is the same whichever others run beside it provided ``fun``
+    returns C-ordered gradients: numpy sums the rows of a Fortran-ordered
+    stack in another order than those of a row subset, which is C-ordered.
 
     Returns ``(x, f, n_iterations, converged)`` with one row or entry per
     restart.
@@ -431,10 +431,12 @@ def lbfgs(fun, x0, max_iterations):
         done = ((np.abs(g_new).max(axis=1) <= _GTOL)
                 | (fs - f_new <= _FTOL * np.maximum(
                     np.maximum(np.abs(fs), np.abs(f_new)), 1.0)))
+        # a step shrunk below x's resolution passes the Armijo test with equality
+        stuck = (x_new == xs).all(axis=1)
         x[sel], f[sel], g[sel] = x_new, f_new, g_new
         nit[sel] += 1
-        converged[sel] = done
-        running[sel] = ~done & (nit[sel] < max_iterations)
+        converged[sel] = done & ~stuck
+        running[sel] = ~(done | stuck) & (nit[sel] < max_iterations)
     return x, f, nit, converged
 
 

@@ -1,5 +1,7 @@
 """Mixed-control point driver and the periodic voxel cell solver."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -107,8 +109,9 @@ def test_initial_data_contains_identity_rows_and_oracle_stresses():
     oracle = materials.OracleParameters()
     # an axis off every symmetry plane of the suite, so only the undeformed
     # state the 18 paths share is filtered, down to one row
-    ds = mining.initial_dataset(mining.AnalyticOracle(oracle).evaluate_states,
-                                eps_filter=1e-12, n_steps=3,
+    stress = functools.partial(mining.AnalyticOracle(oracle).evaluate_path,
+                               warm_start=False)
+    ds = mining.initial_dataset(stress, eps_filter=1e-12, n_steps=3,
                                 rve_fiber_axis=(0.2, 0.3, 0.9))
     assert len(ds) == 18 * 3 + 1
     start = ds.step == 0

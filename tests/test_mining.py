@@ -1,3 +1,4 @@
+import functools
 import json
 import sys
 from types import SimpleNamespace
@@ -383,7 +384,7 @@ def test_voxel_oracle_builds_its_cell_once(monkeypatch):
     F = np.array([[1.08, 0.03, 0.0], [0.0, 0.96, 0.02], [0.01, 0.0, 0.98]])
     oracle.evaluate_path([np.eye(3), F])
     oracle.evaluate_path([np.eye(3), F.T])
-    oracle.evaluate_states(np.stack([F, F.T]))
+    oracle.evaluate_path(np.stack([F, F.T]), warm_start=False)
     assert len(built) == 1
 
 
@@ -399,17 +400,30 @@ def test_oracles_reject_an_inverted_state(oracle):
 def test_voxel_oracle_answers_single_states_and_batches_alike():
     oracle = mining.VoxelOracle(homogenization.fiber_rve(3, 0.25, seed=5))
     F = np.array([[1.08, 0.03, 0.0], [0.0, 0.96, 0.02], [0.01, 0.0, 0.98]])
-    single = oracle.evaluate_states(F)
-    batched = oracle.evaluate_states(F[None])
+    single = oracle.evaluate_path(F, warm_start=False)
+    batched = oracle.evaluate_path(F[None], warm_start=False)
     assert single.shape == (3, 3) and batched.shape == (1, 3, 3)
     np.testing.assert_array_equal(single, batched[0])
+
+
+def test_voxel_oracle_warm_history_starts_like_a_cold_state():
+    # with the default two substeps, the first state of a history and a cold
+    # state are both one two-increment solve from the undeformed cell
+    oracle = mining.VoxelOracle(homogenization.fiber_rve(2, 0.25, seed=5))
+    assert oracle.substeps == 2
+    F = np.array([[1.08, 0.03, 0.0], [0.0, 0.96, 0.02], [0.01, 0.0, 0.98]])
+    history = np.stack([F, F @ F])
+    warm = oracle.evaluate_path(history)
+    cold = oracle.evaluate_path(history, warm_start=False)
+    np.testing.assert_array_equal(warm[0], cold[0])
 
 
 # --- initial dataset -------------------------------------------------------------
 
 
 def test_initial_dataset_is_filtered_and_keeps_one_identity():
-    stress = mining.AnalyticOracle().evaluate_states
+    stress = functools.partial(mining.AnalyticOracle().evaluate_path,
+                               warm_start=False)
     raw = mining.initial_dataset(stress, eps_filter=0.01, n_steps=6)
     full = mining.initial_dataset(stress, eps_filter=1e-12, n_steps=6)
     assert 0 < len(raw) < len(full)

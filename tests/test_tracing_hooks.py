@@ -5,12 +5,15 @@ by replacing ``owner.__dict__[attr]``, so a renamed or moved function would
 only surface in a traced benchmark run; this test catches it first.
 """
 
+import functools
 import importlib.util
+import logging
 import pathlib
 
 import numpy as np
 
-from matmine import data, homogenization, mining, training
+from matmine import config, data, homogenization, mining, training
+from matmine.errors import MatmineError
 
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -61,8 +64,68 @@ def test_initial_dataset_drives_the_suite_through_the_module(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(homogenization, "drive_material_point", counted)
-    mining.initial_dataset(mining.AnalyticOracle().evaluate_states, n_steps=1)
+    mining.initial_dataset(functools.partial(mining.AnalyticOracle().evaluate_path,
+                                             warm_start=False), n_steps=1)
     assert len(calls) == len(homogenization.initial_load_suite())
+
+
+def _detected_histories(rng, n_paths):
+    F = np.eye(3) + 0.02 * rng.normal(size=(20, 3, 3))
+    ds = data.DataSet(F, np.zeros_like(F), ["init"] * 20, np.zeros(20, dtype=int),
+                      np.arange(20), np.zeros(20, dtype=int), np.zeros(20))
+    times = np.linspace(0.0, 1.0, 4)
+    detected = []
+    for p in range(n_paths):
+        steps = np.cumsum(0.1 * rng.normal(size=(3, 3, 3)), axis=0)
+        path = np.concatenate([np.eye(3)[None], np.eye(3) + steps])
+        detected.append(mining.DetectedPath(p, 3, times, path))
+    return ds, detected
+
+
+def test_enrich_calls_the_oracle_class_once_per_history(monkeypatch):
+    # the benchmark's coarse hook wraps ``type(oracle).evaluate_path`` and
+    # reads a history's state count as the length of its first positional
+    # argument less the undeformed state enrich prepends
+    calls = []
+    original = mining.AnalyticOracle.evaluate_path
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(mining.AnalyticOracle, "evaluate_path", counted)
+    ds, detected = _detected_histories(np.random.default_rng(1), 4)
+    new, _ = mining.enrich(ds, detected, mining.AnalyticOracle(),
+                           (1.0, 0.0, 0.0), (0.0, 0.0, 1.0))
+    histories = sorted(set(new.path_id.tolist()))
+    assert len(histories) > 1 and len(calls) == len(histories)
+    for args, pid in zip(calls, histories):
+        np.testing.assert_array_equal(
+            args[0], np.concatenate([np.eye(3)[None], new.F[new.path_id == pid]]))
+
+
+def test_a_raising_oracle_logs_oracle_failed(caplog):
+    # the benchmark counts skipped histories by this warning's prefix
+    class Raising:
+        def evaluate_path(self, F, warm_start=True):
+            raise MatmineError("synthetic failure")
+
+    ds, detected = _detected_histories(np.random.default_rng(2), 2)
+    with caplog.at_level(logging.WARNING, logger="matmine.mining"):
+        new, _ = mining.enrich(ds, detected, Raising(),
+                               (1.0, 0.0, 0.0), (0.0, 0.0, 1.0))
+    assert len(new) == 0
+    skipped = [r for r in caplog.records if r.msg.startswith("oracle failed")]
+    assert len(skipped) == 2
+
+
+def test_initial_stress_is_the_cold_oracle_call():
+    # the benchmark builds its set-up suite with ``config.make_initial_stress``
+    rc = config.load_config(None)
+    F = np.eye(3) + 0.05 * np.random.default_rng(3).normal(size=(4, 3, 3))
+    np.testing.assert_array_equal(
+        config.make_initial_stress(rc)(F),
+        config.make_oracle(rc).evaluate_path(F, warm_start=False))
 
 
 def test_training_calls_stress_loss_through_the_module(monkeypatch):

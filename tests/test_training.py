@@ -257,6 +257,21 @@ class TestLockstepLBFGS:
         np.testing.assert_array_equal(x, x0)
         assert f[0] == base(x0)[0][0]
 
+    def test_lone_restart_whose_step_cannot_move_is_not_converged(self):
+        # finite only at the start: the search shrinks its step until the
+        # trial point is the start itself, which passes the Armijo test
+        base, x0, _, _ = _separable_quadratics(rng0(46), 1, 8)
+
+        def fun(X):
+            f, g = base(X)
+            away = ~(X == x0).all(axis=1)
+            f[away], g[away] = np.inf, np.nan
+            return f, g
+
+        x, f, nit, converged = training.lbfgs(fun, x0, max_iterations=10)
+        assert not converged[0] and nit[0] == 1
+        np.testing.assert_array_equal(x, x0)
+
     def test_iteration_cap_and_initial_convergence(self):
         fun, x0, x_star, _ = _separable_quadratics(rng0(43), 3, 8)
         x, f, nit, converged = training.lbfgs(fun, x0, max_iterations=1)
