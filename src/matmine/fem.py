@@ -174,13 +174,17 @@ class HexGrid:
     """One hexahedral mesh: shape gradients, weights and stiffness layout.
 
     ``coords`` holds the reference node coordinates per element (E, 8, 3)
-    and ``conn`` the global node ids (E, 8).
+    and ``conn`` the global node ids (E, 8).  ``permc_spec`` is the column
+    ordering SuperLU factorises the stiffness with: COLAMD suits any
+    pattern, and ``"MMD_AT_PLUS_A"`` (minimum degree on K^T + K) gives less
+    fill on a structurally symmetric one such as the periodic cell's.
     """
 
-    def __init__(self, coords, conn, n_nodes):
+    def __init__(self, coords, conn, n_nodes, permc_spec="COLAMD"):
         self.coords = np.asarray(coords, dtype=float)
         self.conn = np.asarray(conn)
         self.n_nodes = n_nodes
+        self.permc_spec = permc_spec
         self.dNdX, self.wdet = element_gradients(self.coords)
         self.pattern = StiffnessPattern(self.conn, n_nodes)
 
@@ -219,7 +223,8 @@ class HexGrid:
             A = nominal_stress_operator(F, T, tangent(C))
             K = tangent_matrix(A, self.dNdX, self.wdet, self.pattern)
             du = np.zeros(r.size)
-            du[free] = spla.spsolve(K[free][:, free].tocsc(), -r[free])
+            du[free] = spla.spsolve(K[free][:, free].tocsc(), -r[free],
+                                    permc_spec=self.permc_spec)
             if not np.all(np.isfinite(du)):
                 raise NewtonDivergence("linear solve produced a non-finite update")
             u = u + du.reshape(-1, 3)

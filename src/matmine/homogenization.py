@@ -276,7 +276,9 @@ class VoxelHomogenizer:
 
     The total deformation is the macroscopic affine map plus a periodic
     fluctuation; sharing wrapped node ids enforces periodicity exactly and
-    one node is pinned to remove the rigid translation.  A solve only reads
+    one node is pinned to remove the rigid translation.  The reduced cell
+    stiffness is structurally symmetric, so its sparse LU takes a symmetric
+    fill-reducing ordering (minimum degree on K^T + K).  A solve only reads
     the homogenizer, so concurrent solves may share one.
     """
 
@@ -285,7 +287,8 @@ class VoxelHomogenizer:
         self.max_iterations = max_iterations
         coords, conn = _voxel_topology(rve)
         self.n_nodes = rve.n ** 3
-        self.grid = fem.HexGrid(coords, conn, self.n_nodes)
+        self.grid = fem.HexGrid(coords, conn, self.n_nodes,
+                                permc_spec="MMD_AT_PLUS_A")
         phase_qp = np.repeat(rve.phase.reshape(-1), 8).reshape(-1, 8)
         self.phase_masks = [(params, phase_qp == pid)
                             for pid, params in enumerate(rve.phases)
@@ -324,28 +327,46 @@ class VoxelHomogenizer:
             F_qp=F, P_qp=P, psi_qp=psi,
             wdet=wdet, u_tilde=u_tilde, iterations=iterations)
 
-    def solve(self, F_bar, n_steps=1, u_tilde=None):
-        """Equilibrate the cell at F_bar, ramping in ``n_steps`` >= 1 increments."""
+    def solve(self, F_bar, n_steps=1, start=None):
+        """Equilibrate the cell at F_bar in ``n_steps`` >= 1 increments.
+
+        The increments ramp the macroscopic deformation linearly from
+        ``start``, a converged :class:`VoxelSolution` whose fluctuation is
+        the first Newton iterate, or from the undeformed cell when it is
+        None; the last increment is F_bar itself.  ``iterations`` counts the
+        Newton updates of all increments.
+        """
         F_bar = np.asarray(F_bar, dtype=float)
-        if u_tilde is None:
-            u_tilde = np.zeros((self.n_nodes, 3))
+        _check_steps(n_steps)
+        if start is None:
+            F_0, u_tilde = np.eye(3), np.zeros((self.n_nodes, 3))
+        else:
+            F_0, u_tilde = start.F_bar, start.u_tilde
         iterations = 0
         for k in range(1, n_steps + 1):
-            F_k = np.eye(3) + (k / n_steps) * (F_bar - np.eye(3))
+            F_k = F_bar if k == n_steps else F_0 + (k / n_steps) * (F_bar - F_0)
             u_tilde, F, _, P, residuals = self._newton(F_k, u_tilde)
             iterations += len(residuals) - 1
         return self._package(F_bar, u_tilde, F, P, iterations)
 
     def path(self, F_bar, n_steps):
-        """Solutions at every increment of a ramp to F_bar (incl. start)."""
+        """Solutions at F_k = I + (k/n)(F_bar - I), k = 0..n, in turn.
+
+        Each is one increment of :meth:`solve` from the one before.
+        """
         F_bar = np.asarray(F_bar, dtype=float)
-        u_tilde = np.zeros((self.n_nodes, 3))
-        out = []
+        _check_steps(n_steps)
+        out, sol = [], None
         for k in range(n_steps + 1):
             F_k = np.eye(3) + (k / n_steps) * (F_bar - np.eye(3))
-            u_tilde, F, _, P, residuals = self._newton(F_k, u_tilde)
-            out.append(self._package(F_k, u_tilde, F, P, len(residuals) - 1))
+            sol = self.solve(F_k, 1, start=sol)
+            out.append(sol)
         return out
+
+
+def _check_steps(n_steps):
+    if n_steps < 1:
+        raise ValueError(f"a cell solve needs n_steps >= 1, got {n_steps}")
 
 
 def _ogden_tangent(C, params):

@@ -113,7 +113,14 @@ def ogden_stress_from_C(C, params: OgdenParameters):
     lam = np.sqrt(lam2)
     J = lam[..., 0] * lam[..., 1] * lam[..., 2]
     coeff = _ogden_coefficients(lam2, lam, J, params)
-    return np.einsum("...b,...ib,...jb->...ij", coeff, vecs, vecs)
+    # sum_b coeff_b v_b v_b^T, accumulated from zero in the order and with
+    # the products the three-operand einsum forms, so its result is
+    # bitwise the einsum's at a third of the cost
+    T = 0.0
+    for b in range(3):
+        v = vecs[..., b]
+        T = T + (coeff[..., b, None, None] * v[..., :, None]) * v[..., None, :]
+    return T
 
 
 @dataclass(frozen=True)

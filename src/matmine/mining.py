@@ -211,7 +211,7 @@ class AnalyticOracle:
 
 
 class VoxelOracle:
-    """Periodic voxel cell solves, warm started along each history."""
+    """Periodic voxel cell solves, each state of a history ramped from the last."""
 
     name = "voxel"
 
@@ -223,18 +223,19 @@ class VoxelOracle:
     def evaluate_path(self, F, warm_start=True):
         """Cell-averaged nominal stresses of a (..., 3, 3) stack.
 
-        Warm, the states are one history: each solve starts from the last
-        one's fluctuation and ramps in ``substeps`` increments.  Cold, each
-        starts from the undeformed cell, in ``max(2, substeps)`` increments.
+        Warm, the states are one history: each solve ramps from the last
+        converged state, its deformation and fluctuation, in ``substeps``
+        increments.  Cold, each ramps from the undeformed cell, in
+        ``max(2, substeps)`` increments.  The first state of a history is
+        solved as a cold one with ``substeps`` increments.
         """
         F = np.asarray(F, dtype=float)
         out = np.empty_like(F)
         n_steps = self.substeps if warm_start else max(2, self.substeps)
-        u = None
+        sol = None
         for idx in np.ndindex(F.shape[:-2]):
-            sol = self.homogenizer.solve(F[idx], n_steps=n_steps, u_tilde=u)
-            if warm_start:
-                u = sol.u_tilde
+            sol = self.homogenizer.solve(F[idx], n_steps=n_steps,
+                                         start=sol if warm_start else None)
             out[idx] = sol.P_bar
         return out
 

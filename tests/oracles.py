@@ -9,7 +9,7 @@ iteration written directly against the energy functions.
 import numpy as np
 import scipy.sparse as sp
 
-from matmine import tensors
+from matmine import materials, tensors
 
 SQRT2 = np.sqrt(2.0)
 
@@ -115,6 +115,19 @@ def ogden_stress_principal(F, params):
             lam_dpsi += mu * (bar[b] - sum(bar) / 3.0)
         T += lam_dpsi / lam2[b] * np.outer(N[:, b], N[:, b])
     return T
+
+
+def ogden_stress_einsum(C, params):
+    """Ogden T(C) with its spectral sum as one three-operand einsum.
+
+    ``materials.ogden_stress_from_C`` forms the sum term by term; this is
+    the form its result must equal bit for bit.
+    """
+    lam2, vecs = np.linalg.eigh(np.asarray(C, dtype=float))
+    lam = np.sqrt(lam2)
+    J = lam[..., 0] * lam[..., 1] * lam[..., 2]
+    coeff = materials._ogden_coefficients(lam2, lam, J, params)
+    return np.einsum("...b,...ib,...jb->...ij", coeff, vecs, vecs)
 
 
 def _dyad44(A, B):

@@ -8,7 +8,7 @@ import pytest
 import helpers
 import oracles
 from matmine import homogenization as hom
-from matmine import materials, mining, tensors
+from matmine import fem, materials, mining, tensors
 from matmine.errors import ZeroMean
 
 
@@ -192,6 +192,76 @@ def test_energy_average_integrates_work_along_path():
     F_bar[0, 1] = 0.05
     sols = solver.path(F_bar, n_steps=8)
     assert hom.path_energy_mismatch(sols) < 1e-2
+
+
+def _path_by_hand(solver, F_bar, n_steps):
+    """The ramp ``VoxelHomogenizer.path`` ran as its own loop."""
+    u_tilde = np.zeros((solver.n_nodes, 3))
+    out = []
+    for k in range(n_steps + 1):
+        F_k = np.eye(3) + (k / n_steps) * (F_bar - np.eye(3))
+        u_tilde, F, _, P, residuals = solver._newton(F_k, u_tilde)
+        out.append(solver._package(F_k, u_tilde, F, P, len(residuals) - 1))
+    return out
+
+
+def test_path_is_a_chain_of_one_increment_solves():
+    solver = hom.VoxelHomogenizer(hom.fiber_rve(3, 0.25, seed=7))
+    F_bar = np.eye(3)
+    F_bar[2, 2] = 1.15
+    F_bar[0, 1] = 0.05
+    for got, ref in zip(solver.path(F_bar, n_steps=3),
+                        _path_by_hand(solver, F_bar, 3), strict=True):
+        for name in ("F_bar", "P_bar", "F_qp", "P_qp", "psi_qp", "u_tilde"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(ref, name))
+        assert got.psi_bar == ref.psi_bar
+        assert got.iterations == ref.iterations
+
+
+@pytest.mark.parametrize("n_steps", [0, -1])
+@pytest.mark.parametrize("method", ["solve", "path"])
+def test_cell_solves_need_at_least_one_increment(method, n_steps):
+    solver = hom.VoxelHomogenizer(hom.homogeneous_rve(2))
+    with pytest.raises(ValueError, match="n_steps"):
+        getattr(solver, method)(np.diag([1.1, 1.0, 1.0]), n_steps)
+
+
+def _stretch_history():
+    F_1 = np.array([[1.06, 0.02, 0.0], [0.0, 0.97, 0.01], [0.01, 0.0, 1.09]])
+    return F_1, np.eye(3) + 1.5 * (F_1 - np.eye(3))
+
+
+def test_warm_solve_ramps_from_the_previous_state():
+    solver = hom.VoxelHomogenizer(hom.fiber_rve(4, 0.3, seed=2))
+    F_1, F_2 = _stretch_history()
+    first = solver.solve(F_1, n_steps=2)
+    warm = solver.solve(F_2, n_steps=2, start=first)
+    cold = solver.solve(F_2, n_steps=2)
+    np.testing.assert_array_equal(warm.F_bar, F_2)
+    np.testing.assert_allclose(warm.P_bar, cold.P_bar,
+                               rtol=1e-8, atol=1e-8 * np.abs(cold.P_bar).max())
+    assert warm.iterations <= cold.iterations
+    # ramped from itself, a converged state needs no update
+    assert solver.solve(F_1, n_steps=2, start=first).iterations == 0
+    # the voxel oracle hands each state of a history the one before
+    oracle = mining.VoxelOracle(solver.rve)
+    np.testing.assert_array_equal(oracle.evaluate_path(np.stack([F_1, F_2]))[1],
+                                  warm.P_bar)
+
+
+def test_cell_ordering_leaves_the_solution_unchanged():
+    solver = hom.VoxelHomogenizer(hom.fiber_rve(4, 0.3, seed=2))
+    assert solver.grid.permc_spec == "MMD_AT_PLUS_A"
+    F_1, _ = _stretch_history()
+    symmetric = solver.solve(F_1, n_steps=2)
+    solver.grid = fem.HexGrid(solver.grid.coords, solver.grid.conn,
+                              solver.n_nodes)
+    assert solver.grid.permc_spec == "COLAMD"
+    colamd = solver.solve(F_1, n_steps=2)
+    np.testing.assert_allclose(symmetric.P_bar, colamd.P_bar, rtol=1e-10,
+                               atol=1e-10 * np.abs(colamd.P_bar).max())
+    np.testing.assert_allclose(symmetric.u_tilde, colamd.u_tilde, rtol=0.0,
+                               atol=1e-10 * np.abs(colamd.u_tilde).max())
 
 
 # --- scatter statistic -------------------------------------------------------

@@ -75,6 +75,25 @@ class TestOgden:
         T_batch = materials.ogden_stress_from_C(tensors.right_cauchy_green(F), p)
         assert np.allclose(T_scalar, T_batch, atol=100.0 * gap * 1e3)
 
+    @pytest.mark.parametrize("params", [materials.MATRIX_RUBBER,
+                                        materials.FIBER_STIFF],
+                             ids=["matrix", "fiber"])
+    def test_spectral_sum_is_bitwise_the_einsum(self, params):
+        rng = rng0(13)
+        F = np.stack([oracles.random_defgrad(rng) for _ in range(64)])
+        Q = oracles.random_rotation(rng)
+        double = np.diag([1.44, 1.44, 0.81])
+        # a batch, one unbatched C, the identity and a double eigenvalue,
+        # axis-aligned and turned
+        cases = [tensors.right_cauchy_green(F), tensors.right_cauchy_green(F[0]),
+                 np.eye(3), double, Q @ double @ Q.T]
+        for C in cases:
+            T = materials.ogden_stress_from_C(C, params)
+            ref = oracles.ogden_stress_einsum(C, params)
+            assert T.shape == ref.shape
+            # equal bytes, signed zeros included
+            assert np.array_equal(T, ref) and T.tobytes() == ref.tobytes()
+
     def test_pure_dilation_is_volumetric_only(self):
         p = materials.MATRIX_RUBBER
         lam = 1.2

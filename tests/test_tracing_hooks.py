@@ -11,8 +11,9 @@ import logging
 import pathlib
 
 import numpy as np
+import scipy.sparse.linalg
 
-from matmine import config, data, homogenization, mining, training
+from matmine import config, data, homogenization, materials, mining, training
 from matmine.errors import MatmineError
 
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -117,6 +118,30 @@ def test_a_raising_oracle_logs_oracle_failed(caplog):
     assert len(new) == 0
     skipped = [r for r in caplog.records if r.msg.startswith("oracle failed")]
     assert len(skipped) == 2
+
+
+def test_cell_newton_updates_call_the_fd_tangent_and_spsolve_through_the_modules(
+        monkeypatch):
+    # ``voxel-enrich`` fails a traced run when ``materials.stress_tangent_fd``
+    # or the cell's ``scipy.sparse.linalg.spsolve`` records no calls
+    calls = {"tangent": 0, "spsolve": 0}
+
+    def counted(key, original):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(materials, "stress_tangent_fd",
+                        counted("tangent", materials.stress_tangent_fd))
+    monkeypatch.setattr(scipy.sparse.linalg, "spsolve",
+                        counted("spsolve", scipy.sparse.linalg.spsolve))
+    solver = homogenization.VoxelHomogenizer(homogenization.fiber_rve(2, 0.5, seed=1))
+    assert len(solver.phase_masks) == 2
+    sol = solver.solve(np.diag([1.05, 1.0, 0.98]))
+    assert sol.iterations > 0
+    assert calls["spsolve"] == sol.iterations
+    assert calls["tangent"] == 2 * sol.iterations
 
 
 def test_initial_stress_is_the_cold_oracle_call():
