@@ -44,6 +44,19 @@ def _shape_gradients_local(points):
 SHAPE_GRADS_LOCAL = _shape_gradients_local(GAUSS_POINTS)
 
 
+def grid_corners(divisions):
+    """Integer lattice corners (E, 8, 3) of a structured brick grid.
+
+    Elements run over (i, j, k) with k fastest, corners in :data:`CORNERS`
+    order; callers number the lattice points with ``np.ravel_multi_index``,
+    the periodic cell in its ``"wrap"`` mode.
+    """
+    nx, ny, nz = divisions
+    base = np.stack(np.meshgrid(np.arange(nx), np.arange(ny), np.arange(nz),
+                                indexing="ij"), axis=-1).reshape(-1, 3)
+    return base[:, None, :] + ((CORNERS + 1.0) / 2.0).astype(int)
+
+
 def element_gradients(coords):
     """Reference shape gradients and weighted volumes per quadrature point.
 
@@ -174,17 +187,17 @@ class HexGrid:
     """One hexahedral mesh: shape gradients, weights and stiffness layout.
 
     ``coords`` holds the reference node coordinates per element (E, 8, 3)
-    and ``conn`` the global node ids (E, 8).  ``permc_spec`` is the column
-    ordering SuperLU factorises the stiffness with: COLAMD suits any
-    pattern, and ``"MMD_AT_PLUS_A"`` (minimum degree on K^T + K) gives less
-    fill on a structurally symmetric one such as the periodic cell's.
+    and ``conn`` the global node ids (E, 8).  Every stiffness on such a mesh
+    is structurally symmetric, so SuperLU factorises it with the symmetric
+    fill-reducing ordering ``"MMD_AT_PLUS_A"`` (minimum degree on K^T + K),
+    which fills less than its default COLAMD on the macro meshes and on the
+    periodic cell alike.
     """
 
-    def __init__(self, coords, conn, n_nodes, permc_spec="COLAMD"):
+    def __init__(self, coords, conn, n_nodes):
         self.coords = np.asarray(coords, dtype=float)
         self.conn = np.asarray(conn)
         self.n_nodes = n_nodes
-        self.permc_spec = permc_spec
         self.dNdX, self.wdet = element_gradients(self.coords)
         self.pattern = StiffnessPattern(self.conn, n_nodes)
 
@@ -224,7 +237,7 @@ class HexGrid:
             K = tangent_matrix(A, self.dNdX, self.wdet, self.pattern)
             du = np.zeros(r.size)
             du[free] = spla.spsolve(K[free][:, free].tocsc(), -r[free],
-                                    permc_spec=self.permc_spec)
+                                    "MMD_AT_PLUS_A")
             if not np.all(np.isfinite(du)):
                 raise NewtonDivergence("linear solve produced a non-finite update")
             u = u + du.reshape(-1, 3)

@@ -244,16 +244,9 @@ def fiber_rve(n, volume_fraction, seed, phases=None, edge=1.0):
 def _voxel_topology(rve: VoxelRVE):
     """Node coordinates (unwrapped, per element) and wrapped connectivity."""
     n = rve.n
-    h = rve.edge / n
-    base = np.stack(np.meshgrid(np.arange(n), np.arange(n), np.arange(n),
-                                indexing="ij"), axis=-1).reshape(-1, 3)
-    # local corner offsets in the same order as fem.CORNERS
-    offs = ((fem.CORNERS + 1.0) / 2.0).astype(int)
-    corner_idx = base[:, None, :] + offs[None, :, :]
-    coords = corner_idx * h
-    wrapped = corner_idx % n
-    conn = (wrapped[..., 0] * n + wrapped[..., 1]) * n + wrapped[..., 2]
-    return coords.astype(float), conn
+    corners = fem.grid_corners((n, n, n))
+    conn = np.ravel_multi_index(np.moveaxis(corners, -1, 0), (n, n, n), mode="wrap")
+    return (corners * (rve.edge / n)).astype(float), conn
 
 
 @dataclass
@@ -276,10 +269,11 @@ class VoxelHomogenizer:
 
     The total deformation is the macroscopic affine map plus a periodic
     fluctuation; sharing wrapped node ids enforces periodicity exactly and
-    one node is pinned to remove the rigid translation.  The reduced cell
-    stiffness is structurally symmetric, so its sparse LU takes a symmetric
-    fill-reducing ordering (minimum degree on K^T + K).  A solve only reads
-    the homogenizer, so concurrent solves may share one.
+    one node is pinned to remove the rigid translation.  The cell is a
+    :func:`fem.grid_corners` lattice with its node ids wrapped, and its
+    :class:`fem.HexGrid` factorises the reduced stiffness with the same
+    symmetric ordering as the macro solve.  A solve only reads the
+    homogenizer, so concurrent solves may share one.
     """
 
     def __init__(self, rve: VoxelRVE, rel_tol=1e-9, max_iterations=25):
@@ -287,8 +281,7 @@ class VoxelHomogenizer:
         self.max_iterations = max_iterations
         coords, conn = _voxel_topology(rve)
         self.n_nodes = rve.n ** 3
-        self.grid = fem.HexGrid(coords, conn, self.n_nodes,
-                                permc_spec="MMD_AT_PLUS_A")
+        self.grid = fem.HexGrid(coords, conn, self.n_nodes)
         phase_qp = np.repeat(rve.phase.reshape(-1), 8).reshape(-1, 8)
         self.phase_masks = [(params, phase_qp == pid)
                             for pid, params in enumerate(rve.phases)

@@ -60,25 +60,6 @@ class MacroMesh:
         return self.nodes[self.conn]
 
 
-def _structured_hex_connectivity(divisions):
-    nx, ny, nz = divisions
-
-    def nid(i, j, k):
-        return (i * (ny + 1) + j) * (nz + 1) + k
-
-    conn = np.empty((nx * ny * nz, 8), dtype=int)
-    e = 0
-    for i in range(nx):
-        for j in range(ny):
-            for k in range(nz):
-                conn[e] = [nid(i, j, k), nid(i + 1, j, k),
-                           nid(i + 1, j + 1, k), nid(i, j + 1, k),
-                           nid(i, j, k + 1), nid(i + 1, j, k + 1),
-                           nid(i + 1, j + 1, k + 1), nid(i, j + 1, k + 1)]
-                e += 1
-    return conn
-
-
 def boundary_faces(conn):
     """Element faces that occur exactly once, with original node order."""
     quads = conn[:, _HEX_FACES].reshape(-1, 4)
@@ -118,7 +99,8 @@ def box_mesh(lengths, divisions, carve=None, warp=None):
         np.linspace(0.0, 1.0, ny + 1),
         np.linspace(0.0, 1.0, nz + 1), indexing="ij"), axis=-1).reshape(-1, 3)
     nodes = warp(grid) if warp is not None else grid * np.asarray(lengths)
-    conn = _structured_hex_connectivity(divisions)
+    conn = np.ravel_multi_index(np.moveaxis(fem.grid_corners(divisions), -1, 0),
+                                (nx + 1, ny + 1, nz + 1))
     if carve is not None:
         centroids = nodes[conn].mean(axis=1)
         conn = conn[carve(centroids)]
@@ -378,9 +360,11 @@ def solve_macro(mesh: MacroMesh, bcs, law, n_steps=10, rel_tol=1e-8,
 
     ``law`` is the constitutive (stress, tangent) pair, normally
     :func:`surrogate_law`.  The load program is ramped in ``n_steps``
-    increments; a diverged increment is retried at half size up to
-    ``max_cutbacks`` times.  Failure on the very first increment raises
-    :class:`FirstStepDivergence`; later failures return the partial history
+    increments.  A diverged increment is retried at half size, and every
+    later increment keeps the halved size; ``max_cutbacks`` bounds the
+    halvings of the whole solve, not of one increment.  The divergence that
+    exceeds it ends the solve: before any increment converged it raises
+    :class:`FirstStepDivergence`, later it returns the partial history
     reached so far.  The returned state stores per-point deformation
     gradients per converged step (the mining loop's raw material) starting
     with the undeformed step at t = 0.

@@ -67,19 +67,22 @@ FIBER_STIFF = OgdenParameters(mu=(1000.0,), alpha=(2.0,),
                               kappa=bulk_from_shear(1000.0, 0.40))
 
 
-def _ogden_split(C):
-    """Squared principal stretches, stretches and J from C, batched."""
-    lam2 = np.linalg.eigvalsh(np.asarray(C, dtype=float))
+def _principal_stretches(C):
+    """Squared principal stretches, principal directions, stretches and J.
+
+    One ``eigh`` of C, batched; a non-positive eigenvalue raises.
+    """
+    lam2, vecs = np.linalg.eigh(np.asarray(C, dtype=float))
     if np.any(lam2[..., 0] <= 0.0):
         raise NonPositiveJacobian("C has a non-positive eigenvalue")
     lam = np.sqrt(lam2)
     J = lam[..., 0] * lam[..., 1] * lam[..., 2]
-    return lam2, lam, J
+    return lam2, vecs, lam, J
 
 
 def ogden_energy_from_C(C, params: OgdenParameters):
     """Strain energy density as a function of C, batched over leading dims."""
-    _, lam, J = _ogden_split(C)
+    _, _, lam, J = _principal_stretches(C)
     lam_iso = lam * J[..., None] ** (-1.0 / 3.0)
     dev = 0.0
     for m, a in zip(params.mu, params.alpha):
@@ -106,12 +109,7 @@ def _ogden_coefficients(lam2, lam, J, params):
 
 def ogden_stress_from_C(C, params: OgdenParameters):
     """Second Piola-Kirchhoff stress T(C), batched over leading dims."""
-    C = np.asarray(C, dtype=float)
-    lam2, vecs = np.linalg.eigh(C)
-    if np.any(lam2[..., 0] <= 0.0):
-        raise NonPositiveJacobian("C has a non-positive eigenvalue")
-    lam = np.sqrt(lam2)
-    J = lam[..., 0] * lam[..., 1] * lam[..., 2]
+    lam2, vecs, lam, J = _principal_stretches(C)
     coeff = _ogden_coefficients(lam2, lam, J, params)
     # sum_b coeff_b v_b v_b^T, accumulated from zero in the order and with
     # the products the three-operand einsum forms, so its result is

@@ -10,7 +10,8 @@ training data's bounds.  The reciprocal of the determinant invariant is
 carried as an independent extra coordinate so compression states can steer
 the energy growth.  Stress and tangent follow from the chain rule through
 the invariant gradients and hessians, which keeps the model objective and
-materially symmetric by construction.
+materially symmetric by construction; both share one first-derivative pass,
+and :func:`sigmoid` is the one logistic function training uses as well.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import json
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import expit
 
 from . import data, tensors
 from .errors import FormatVersionMismatch
@@ -34,6 +34,15 @@ DET_SLOT = 2
 
 def softplus(x):
     return np.logaddexp(0.0, x)
+
+
+def sigmoid(x):
+    """Logistic function, the derivative of softplus, as 0.5 + 0.5 tanh(x/2)."""
+    out = np.multiply(x, 0.5)
+    np.tanh(out, out=out)
+    out *= 0.5
+    out += 0.5
+    return out
 
 
 @dataclass(frozen=True)
@@ -145,38 +154,40 @@ def invariant_inputs(C, model, M=None):
 
 
 def _neuron_state(model, C, M):
-    values = invariant_inputs(C, model, M)
-    normalized = model.bounds.normalize(values)
-    z = np.einsum("...k,ak->...a", normalized, model.stacked_weights) + model.biases
-    return normalized, z
+    """Neuron inputs z (..., N) at right Cauchy-Green tensors C."""
+    normalized = model.bounds.normalize(invariant_inputs(C, model, M))
+    return np.einsum("...k,ak->...a", normalized, model.stacked_weights) + model.biases
+
+
+def _first_derivatives(model, C, M):
+    """(sig, wraw, g1, G, M_arg): neuron activations, weights on the raw
+    invariants (normalization slope folded in), dpsi/dI_k, dI_k/dC and the
+    structural tensor the invariants take."""
+    sig = sigmoid(_neuron_state(model, C, M))
+    wraw = model.stacked_weights * model.bounds.slope
+    g1 = (model.gate_weights * sig) @ wraw
+    M_arg = M if model.anisotropy == "transverse" else None
+    G = tensors.invariant_gradients(C, M_arg)
+    return sig, wraw, g1, G, M_arg
 
 
 def model_energy(model: SurrogateModel, C, M=None):
     """Predicted strain energy density, batched over leading dims of C."""
-    _, z = _neuron_state(model, C, M)
+    z = _neuron_state(model, C, M)
     return model.energy_offset + np.einsum("a,...a->...", model.gate_weights,
                                            softplus(z))
 
 
 def model_stress(model: SurrogateModel, C, M=None):
     """Second Piola-Kirchhoff stress T = 2 dpsi/dC, batched."""
-    _, z = _neuron_state(model, C, M)
-    wfull = model.stacked_weights
-    # dpsi/d(normalized invariant k)
-    g1 = np.einsum("a,...a,ak->...k", model.gate_weights, expit(z), wfull)
-    G = tensors.invariant_gradients(C, M if model.anisotropy == "transverse" else None)
-    return 2.0 * np.einsum("...k,k,...kij->...ij", g1, model.bounds.slope, G)
+    _, _, g1, G, _ = _first_derivatives(model, C, M)
+    return 2.0 * np.einsum("...k,...kij->...ij", g1, G)
 
 
 def model_tangent(model: SurrogateModel, C, M=None):
     """Material tangent 4 d^2psi/dCdC as (...,6,6) Mandel matrices."""
-    _, z = _neuron_state(model, C, M)
-    # weights on the raw invariants: the normalization slope folded in
-    wraw = model.stacked_weights * model.bounds.slope
-    sig = expit(z)
-    g1 = (model.gate_weights * sig) @ wraw
-    M_arg = M if model.anisotropy == "transverse" else None
-    Gm = tensors.sym_to_mandel(tensors.invariant_gradients(C, M_arg))
+    sig, wraw, g1, G, M_arg = _first_derivatives(model, C, M)
+    Gm = tensors.sym_to_mandel(G)
     H = tensors.invariant_hessians(C, M_arg)
     # per-neuron Mandel gradient of the neuron input: V_a = sum_k w_ak G_k
     V = np.einsum("ak,...kb->...ab", wraw, Gm, optimize=True)

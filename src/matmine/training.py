@@ -11,7 +11,8 @@ fails; the best feasible restart by training loss wins.
 The volumetric-growth constraint (positive gate weights, at least one
 positive weight on the determinant invariant and on its reciprocal) is
 enforced by softplus reparameterization of the constrained entries, so every
-restart is structurally feasible."""
+restart is structurally feasible.  ``softplus`` and ``sigmoid`` are the
+surrogate's own, so the fit and the deployed model share their arithmetic."""
 
 from __future__ import annotations
 
@@ -26,7 +27,8 @@ from . import tensors
 from .data import DataSet, atomic_write
 from .errors import AsymmetricStressTarget, EmptyDataSet, NoFeasibleRestart
 from .surrogate import (DET_SLOT, NormalizationBounds, SurrogateModel,
-                        check_growth_condition, fix_energy_offset, softplus)
+                        check_growth_condition, fix_energy_offset, sigmoid,
+                        softplus)
 
 # plain (unweighted) component order (11, 22, 33, 23, 13, 12)
 _ROWS = tensors.MANDEL_ROWS
@@ -127,15 +129,6 @@ def _build_features(C, M, raw, bounds, targets):
                      np.ascontiguousarray(Tc.T))
 
 
-def _sigmoid(x):
-    # scipy.special.expit costs several times more on these small arrays
-    out = np.multiply(x, 0.5)
-    np.tanh(out, out=out)
-    out *= 0.5
-    out += 0.5
-    return out
-
-
 @functools.lru_cache(maxsize=None)
 def _layout(n, k_base):
     """Index maps between theta and the gates plus weight matrix [w | wrec | b].
@@ -175,7 +168,7 @@ def _decode(theta, n, k_base, growth):
     natural = softplus(raw)
     A[:, 0, DET_SLOT] = natural[:, n]
     A[:, 0, k_base] = natural[:, n + 1]
-    return natural[:, :n], A, _sigmoid(raw)
+    return natural[:, :n], A, sigmoid(raw)
 
 
 def _stacked_loss(theta, feats: _Features, n, k_base, growth, need_grad):
@@ -186,7 +179,7 @@ def _stacked_loss(theta, feats: _Features, n, k_base, growth, need_grad):
     W, A, chain = _decode(theta, n, k_base, growth)
     k = k_base + 1
     wt = A[:, :, :k]                                     # (R, n, k)
-    sig = _sigmoid(A @ feats.inputs.T)                   # (R, n, m)
+    sig = sigmoid(A @ feats.inputs.T)                   # (R, n, m)
     g1 = np.swapaxes(wt, 1, 2) @ (sig * W[:, :, None])   # (R, k, m)
     r = np.einsum("rkm,kcm->rcm", g1, feats.grads) - feats.targets
     norms = np.sqrt(np.einsum("rcm,rcm->rm", r, r))      # (R, m)

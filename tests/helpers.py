@@ -1,6 +1,7 @@
 """Shared test factories (kept apart from the independent oracles)."""
 
 import numpy as np
+import scipy.sparse.linalg
 
 from matmine import materials, surrogate, tensors
 
@@ -66,3 +67,30 @@ def random_model(rng, mode="transverse", n_neurons=5, growth=False):
         growth_mode=growth,
     )
     return surrogate.fix_energy_offset(model), M
+
+
+def one_neuron_model(growth_mode=False):
+    """Isotropic one-neuron network, stress free at the identity by construction."""
+    bounds = surrogate.NormalizationBounds((2.0, 2.0, 0.0, 0.0),
+                                           (4.0, 4.0, 2.0, 2.0))
+    model = surrogate.SurrogateModel(
+        anisotropy="isotropic", gate_weights=[120.0],
+        input_weights=[[1.0, 1.0, 1.0]], reciprocal_weights=[4.0],
+        biases=[0.0], energy_offset=0.0, bounds=bounds, growth_mode=growth_mode)
+    return surrogate.fix_energy_offset(model)
+
+
+def force_colamd(monkeypatch):
+    """Make every ``spsolve`` through the module use SuperLU's COLAMD ordering.
+
+    Returns the list the wrapper appends one entry to per call.
+    """
+    calls = []
+    spsolve = scipy.sparse.linalg.spsolve
+
+    def colamd(A, b, *args, **kwargs):
+        calls.append(1)
+        return spsolve(A, b, permc_spec="COLAMD")
+
+    monkeypatch.setattr(scipy.sparse.linalg, "spsolve", colamd)
+    return calls

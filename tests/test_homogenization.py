@@ -8,7 +8,7 @@ import pytest
 import helpers
 import oracles
 from matmine import homogenization as hom
-from matmine import fem, materials, mining, tensors
+from matmine import materials, mining, tensors
 from matmine.errors import ZeroMean
 
 
@@ -249,15 +249,13 @@ def test_warm_solve_ramps_from_the_previous_state():
                                   warm.P_bar)
 
 
-def test_cell_ordering_leaves_the_solution_unchanged():
+def test_cell_ordering_leaves_the_solution_unchanged(monkeypatch):
     solver = hom.VoxelHomogenizer(hom.fiber_rve(4, 0.3, seed=2))
-    assert solver.grid.permc_spec == "MMD_AT_PLUS_A"
     F_1, _ = _stretch_history()
     symmetric = solver.solve(F_1, n_steps=2)
-    solver.grid = fem.HexGrid(solver.grid.coords, solver.grid.conn,
-                              solver.n_nodes)
-    assert solver.grid.permc_spec == "COLAMD"
+    calls = helpers.force_colamd(monkeypatch)
     colamd = solver.solve(F_1, n_steps=2)
+    assert len(calls) == colamd.iterations > 0
     np.testing.assert_allclose(symmetric.P_bar, colamd.P_bar, rtol=1e-10,
                                atol=1e-10 * np.abs(colamd.P_bar).max())
     np.testing.assert_allclose(symmetric.u_tilde, colamd.u_tilde, rtol=0.0,

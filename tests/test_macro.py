@@ -1,11 +1,13 @@
 """Meshes, boundary conditions and the macroscopic Newton solver."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from matmine import fem, homogenization as hom
 from matmine import macro, surrogate
-from matmine.errors import FirstStepDivergence, UnknownGeometry
+from matmine.errors import FirstStepDivergence, NewtonDivergence, UnknownGeometry
 
 import helpers
 from helpers import SVK
@@ -182,14 +184,54 @@ def test_first_step_divergence_and_partial_state():
     assert 0.0 < state.t_end < 1.0
 
 
+def _diverging_on(monkeypatch, attempts):
+    """Make the listed Newton attempts of a solve (counted from 0) diverge."""
+    newton = fem.HexGrid.newton
+    count = itertools.count()
+
+    def flaky(self, *args, **kwargs):
+        if next(count) in attempts:
+            raise NewtonDivergence("injected")
+        return newton(self, *args, **kwargs)
+
+    monkeypatch.setattr(fem.HexGrid, "newton", flaky)
+
+
+def _stretch_box():
+    mesh = macro.box_mesh((1.0, 1.0, 1.0), (2, 2, 2))
+    return mesh, (macro.DisplacementRamp("x1min", (0.0, 0.0, 0.0)),
+                  macro.DisplacementRamp("x1max", (0.1, 0.0, 0.0)))
+
+
+def test_a_cutback_halves_every_later_increment(monkeypatch):
+    _diverging_on(monkeypatch, {1})
+    state = macro.solve_macro(*_stretch_box(), SVK, n_steps=4, max_cutbacks=1)
+    assert state.completed
+    assert np.diff([rec.t for rec in state.steps]).tolist() == [0.25] + [0.125] * 6
+
+
+def test_the_cutback_budget_covers_the_whole_solve(monkeypatch):
+    # attempt 1 (t = 0.5) diverges and is retried at t = 0.375; attempt 3
+    # (t = 0.5 again) is the second divergence of the solve
+    _diverging_on(monkeypatch, {1, 3})
+    state = macro.solve_macro(*_stretch_box(), SVK, n_steps=4, max_cutbacks=1)
+    assert not state.completed
+    assert [rec.t for rec in state.steps] == [0.0, 0.25, 0.375]
+
+
+def test_macro_ordering_leaves_the_solution_unchanged(monkeypatch):
+    mesh, bcs = _stretch_box()
+    symmetric = macro.solve_macro(mesh, bcs, SVK, n_steps=2)
+    calls = helpers.force_colamd(monkeypatch)
+    colamd = macro.solve_macro(mesh, bcs, SVK, n_steps=2)
+    assert len(calls) == sum(rec.iterations for rec in colamd.steps) > 0
+    u_sym, u_col = symmetric.steps[-1].u, colamd.steps[-1].u
+    np.testing.assert_allclose(u_sym, u_col, rtol=0.0,
+                               atol=1e-10 * np.abs(u_col).max())
+
+
 def test_surrogate_model_drives_the_solver():
-    bounds = surrogate.NormalizationBounds((2.0, 2.0, 0.0, 0.0),
-                                           (4.0, 4.0, 2.0, 2.0))
-    model = surrogate.SurrogateModel(
-        anisotropy="isotropic", gate_weights=[120.0],
-        input_weights=[[1.0, 1.0, 1.0]], reciprocal_weights=[4.0],
-        biases=[0.0], energy_offset=0.0, bounds=bounds, growth_mode=False)
-    model = surrogate.fix_energy_offset(model)
+    model = helpers.one_neuron_model()
     # by construction this network is exactly stress free at the identity
     np.testing.assert_array_equal(
         surrogate.model_stress(model, np.eye(3)), np.zeros((3, 3)))

@@ -1,6 +1,7 @@
 import functools
 import json
 import sys
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -441,16 +442,6 @@ def test_initial_dataset_is_filtered_and_keeps_one_identity():
 # --- the closed loop -------------------------------------------------------------
 
 
-def _truth_model():
-    bounds = surrogate.NormalizationBounds((2.0, 2.0, 0.0, 0.0),
-                                           (4.0, 4.0, 2.0, 2.0))
-    model = surrogate.SurrogateModel(
-        anisotropy="isotropic", gate_weights=[120.0],
-        input_weights=[[1.0, 1.0, 1.0]], reciprocal_weights=[4.0],
-        biases=[0.0], energy_offset=0.0, bounds=bounds, growth_mode=True)
-    return surrogate.fix_energy_offset(model)
-
-
 def _bar_problem(stretch, n_steps):
     mesh = macro.box_mesh((2.0, 1.0, 1.0), (4, 2, 2))
     origin = np.where(np.linalg.norm(mesh.nodes, axis=1) < 1e-9)[0]
@@ -472,7 +463,7 @@ def _bar_problem(stretch, n_steps):
 
 @pytest.fixture(scope="module")
 def synthetic_truth():
-    truth = _truth_model()
+    truth = helpers.one_neuron_model(growth_mode=True)
     stress = lambda F: surrogate.model_nominal_stress(truth, F)
     initial = mining.initial_dataset(n_steps=8, stress=stress)
     return truth, initial
@@ -524,6 +515,17 @@ def test_loop_closes_on_synthetic_truth(synthetic_truth, tmp_path):
                                      initial.invariant_values(E3),
                                      ranges, lc.eps_filter)
         assert fresh.all()
+    # the artifacts replay the final model: retraining the stored base with
+    # the reported seed gives model.json back, and the final solve finds
+    # nothing the stored base lacks
+    replay = training.train(reloaded, replace(cfg, seed=doc["final_training_seed"]),
+                            fiber_axis=lc.rve_fiber_axis)[0]
+    surrogate.save_model(replay, tmp_path / "replay.json")
+    assert ((tmp_path / "replay.json").read_bytes()
+            == (tmp_path / "run" / "model.json").read_bytes())
+    paths, times = macro.collect_deformations(result.final_state)
+    assert mining.detect_new_paths(reloaded, paths, times, problem.fiber_axis,
+                                   lc.rve_fiber_axis, lc.eps_detect) == []
 
 
 def test_loop_is_deterministic(synthetic_truth, tmp_path):

@@ -13,8 +13,11 @@ import pathlib
 import numpy as np
 import scipy.sparse.linalg
 
-from matmine import config, data, homogenization, materials, mining, training
+from matmine import (config, data, homogenization, macro, materials, mining,
+                     surrogate, tensors, training)
 from matmine.errors import MatmineError
+
+import helpers
 
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -142,6 +145,37 @@ def test_cell_newton_updates_call_the_fd_tangent_and_spsolve_through_the_modules
     assert sol.iterations > 0
     assert calls["spsolve"] == sol.iterations
     assert calls["tangent"] == 2 * sol.iterations
+
+
+def test_macro_newton_calls_the_surrogate_layers_through_the_modules(monkeypatch):
+    # ``cuboid-cold`` fails a traced run when ``surrogate.model_stress``,
+    # ``surrogate.model_tangent`` or ``tensors.invariant_hessians`` records
+    # no calls
+    calls = {"model_stress": 0, "model_tangent": 0, "invariant_hessians": 0}
+
+    def counted(owner, attr):
+        original = getattr(owner, attr)
+
+        def wrapper(*args, **kwargs):
+            calls[attr] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, attr, wrapper)
+
+    counted(surrogate, "model_stress")
+    counted(surrogate, "model_tangent")
+    counted(tensors, "invariant_hessians")
+    mesh = macro.box_mesh((1.0, 1.0, 1.0), (2, 2, 2))
+    bcs = (macro.DisplacementRamp("x1min", (0.0, 0.0, 0.0)),
+           macro.DisplacementRamp("x1max", (0.05, 0.0, 0.0)))
+    state = macro.solve_macro(mesh, bcs,
+                              macro.surrogate_law(helpers.one_neuron_model(),
+                                                  (0.0, 0.0, 1.0)),
+                              n_steps=2, shear_scale=60.0)
+    updates = sum(rec.iterations for rec in state.steps)
+    assert state.completed and updates > 0
+    assert calls["model_tangent"] == updates
+    assert calls["invariant_hessians"] >= updates
+    assert calls["model_stress"] > updates
 
 
 def test_initial_stress_is_the_cold_oracle_call():
