@@ -15,6 +15,7 @@ independent states of the initial suite and of validation.
 from __future__ import annotations
 
 import concurrent.futures
+import itertools
 import json
 import logging
 import os
@@ -38,6 +39,71 @@ def coordinate_ranges(values):
     """Per-coordinate spread of a set of vectors, for range normalization."""
     values = np.asarray(values, dtype=float)
     return values.max(axis=0) - values.min(axis=0)
+
+
+def _positive(ranges):
+    """Ranges with zero (or NaN) spreads replaced by 1, the metric's divisor."""
+    ranges = np.asarray(ranges, dtype=float)
+    return np.where(ranges > 0.0, ranges, 1.0)
+
+
+def _far(a, b, ranges, tol):
+    """The metric's exact verdict: True where rows of ``a`` and ``b`` are
+    farther apart than ``tol``, broadcast over the leading axes."""
+    return (np.abs(a - b) / ranges).max(axis=-1) > tol
+
+
+class _ScaledTree:
+    """kd-tree of ``rows`` in the scaled coordinates ``(x - lo) / ranges``.
+
+    ``lo`` is the per-coordinate minimum of ``rows`` (0 where that is not
+    finite) and ``ranges`` are positive.  ``reach`` holds every row that
+    will be looked up, so that ``margin = 64 eps S`` takes ``S >= 1`` over
+    the scaled magnitudes of both sides (see :func:`distinct_mask`).  Rows
+    with an inf or NaN after scaling stay out of the tree: ``in_tree`` and
+    ``out_tree`` index the two kinds.
+    """
+
+    def __init__(self, rows, ranges, reach):
+        self.rows, self.ranges = rows, ranges
+        lo = rows.min(axis=0, initial=np.inf)
+        lo[~np.isfinite(lo)] = 0.0
+        self.lo = lo
+        scaled = self.scale(rows)
+        finite = np.isfinite(scaled).all(axis=1)
+        self.in_tree, self.out_tree = np.flatnonzero(finite), np.flatnonzero(~finite)
+        scaled = scaled[finite]
+        reach = self.scale(reach)
+        reach = reach[np.isfinite(reach).all(axis=1)]
+        self.margin = 64.0 * np.finfo(float).eps * max(
+            1.0, np.abs(scaled).max(initial=0.0), np.abs(reach).max(initial=0.0))
+        self.tree = cKDTree(scaled)
+
+    def scale(self, x):
+        return (x - self.lo) / self.ranges
+
+    def close_pairs(self, queries, tol):
+        """Index pairs (query, row) that are not farther apart than ``tol``.
+
+        The tree proposes every finite pair within ``tol + margin``; those
+        proposals, and every pair with a non-finite side, are settled by the
+        exact expression.  A pair may be listed twice.
+        """
+        q = self.scale(queries)
+        finite = np.isfinite(q).all(axis=1)
+        ok, odd = np.flatnonzero(finite), np.flatnonzero(~finite)
+        balls = self.tree.query_ball_point(q[ok], tol + self.margin, p=np.inf)
+        counts = [len(ball) for ball in balls]
+        hits = np.fromiter(itertools.chain.from_iterable(balls), dtype=np.intp,
+                           count=sum(counts))
+        qi = np.concatenate([np.repeat(ok, counts),
+                             np.repeat(odd, len(self.rows)),
+                             np.repeat(np.arange(len(queries)), len(self.out_tree))])
+        rj = np.concatenate([self.in_tree[hits],
+                             np.tile(np.arange(len(self.rows)), len(odd)),
+                             np.tile(self.out_tree, len(queries))])
+        close = ~_far(queries[qi], self.rows[rj], self.ranges, tol)
+        return qi[close], rj[close]
 
 
 def distinct_mask(candidates, existing, ranges, tol):
@@ -69,40 +135,34 @@ def distinct_mask(candidates, existing, ranges, tol):
     search and are compared exactly with every row of the other side; a NaN
     distance never exceeds ``tol``, so a NaN candidate is not distinct.  The
     answers are thus bit for bit those of the dense pairwise scan.
+
+    The sequential passes of :func:`filter_candidates` and
+    :func:`detect_new_paths` call this once, for their static pass, and
+    settle the rest on one more tree built the same way.
     """
     candidates = np.atleast_2d(np.asarray(candidates, dtype=float))
     existing = np.asarray(existing, dtype=float)
     if existing.size == 0:
         return np.ones(len(candidates), dtype=bool)
     existing = np.atleast_2d(existing)
-    ranges = np.asarray(ranges, dtype=float)
-    ranges = np.where(ranges > 0.0, ranges, 1.0)
+    ranges = _positive(ranges)
 
-    def far(c, rows):
-        return (np.abs(c - rows) / ranges).max(axis=-1) > tol
-
-    lo = existing.min(axis=0)
-    lo[~np.isfinite(lo)] = 0.0
-    scaled = (existing - lo) / ranges
-    query = (candidates - lo) / ranges
-    in_tree = np.isfinite(scaled).all(axis=1)
+    near = _ScaledTree(existing, ranges, candidates)
+    query = near.scale(candidates)
     queried = np.isfinite(query).all(axis=1)
     query[~queried] = 0.0  # settled exactly below
-    rows, scaled = existing[in_tree], scaled[in_tree]
-
-    margin = 64.0 * np.finfo(float).eps * max(
-        1.0, np.abs(scaled).max(initial=0.0), np.abs(query).max(initial=0.0))
-    tree = cKDTree(scaled)
-    d, _ = tree.query(query, p=np.inf, distance_upper_bound=tol + margin)
-    out = d > tol - margin
+    rows = existing[near.in_tree]
+    reach = tol + near.margin
+    d, _ = near.tree.query(query, p=np.inf, distance_upper_bound=reach)
+    out = d > tol - near.margin
     band = np.flatnonzero(out & (d < np.inf))
-    for i, ball in zip(band, tree.query_ball_point(query[band], tol + margin,
-                                                    p=np.inf)):
-        out[i] = far(candidates[i], rows[ball]).all()
-    for row in existing[~in_tree]:
-        out &= far(candidates, row)
+    for i, ball in zip(band, near.tree.query_ball_point(query[band], reach,
+                                                         p=np.inf)):
+        out[i] = _far(candidates[i], rows[ball], ranges, tol).all()
+    for row in existing[near.out_tree]:
+        out &= _far(candidates, row, ranges, tol)
     for i in np.flatnonzero(~queried):
-        out[i] = far(candidates[i], existing).all()
+        out[i] = _far(candidates[i], existing, ranges, tol).all()
     return out
 
 
@@ -112,16 +172,25 @@ def filter_candidates(candidates, existing, ranges, tol):
     A row is admitted when it is distinct from the existing set and from
     every row admitted before it, so the output set has no internal pair
     within ``tol`` either.  One static :func:`distinct_mask` pass settles
-    the existing set for all rows at once; only the rows it admits are then
-    checked, in order, against the rows admitted so far.
+    the existing set for all rows at once.  The rows it admits go into one
+    kd-tree, built like :func:`distinct_mask`'s, which yields each row's
+    exact within-``tol`` neighbours once; the greedy pass then admits rows
+    in index order unless an admitted row has marked them.
     """
     candidates = np.atleast_2d(np.asarray(candidates, dtype=float))
+    static = np.flatnonzero(distinct_mask(candidates, existing, ranges, tol))
+    rows = candidates[static]
+    i, j = _ScaledTree(rows, _positive(ranges), rows).close_pairs(rows, tol)
+    later = i < j
+    order = np.argsort(i[later], kind="stable")
+    i, j = i[later][order], j[later][order]
+    bounds = np.searchsorted(i, np.arange(len(rows) + 1))
+    marked = np.zeros(len(rows), dtype=bool)
     kept = []
-    for idx in np.flatnonzero(distinct_mask(candidates, existing, ranges, tol)):
-        if kept and not distinct_mask(candidates[idx], candidates[kept],
-                                      ranges, tol)[0]:
-            continue
-        kept.append(int(idx))
+    for k in range(len(rows)):
+        if not marked[k]:
+            kept.append(int(static[k]))
+            marked[j[bounds[k]:bounds[k + 1]]] = True
     return kept
 
 
@@ -152,35 +221,50 @@ def detect_new_paths(dataset: data.DataSet, paths, times, macro_fiber_axis,
     are frozen from the dataset.
 
     One static :func:`distinct_mask` pass compares every state with the
-    dataset.  Points with no state flagged by it are skipped; the others are
-    visited in order, each with one sequential pass of its flagged states
-    against the rows claimed earlier in the sweep.
+    dataset, and the states it flags go into one kd-tree, built like
+    :func:`distinct_mask`'s.  Points are then visited in order, and a point
+    whose flagged states have all gone stale is skipped.  When a point
+    claims its states, only those newly claimed rows are looked up in the
+    tree, and the flagged states within ``eps`` of them go stale.
     """
     known = dataset.invariant_values(rve_fiber_axis)
-    ranges = coordinate_ranges(known)
     M = tensors.structural_tensor(macro_fiber_axis)
     paths = np.asarray(paths, dtype=float)
     n_points, n_states = paths.shape[:2]
     C = tensors.right_cauchy_green(paths.reshape(-1, 3, 3))
     path_inv = tensors.invariants(C.reshape(n_points, n_states, 3, 3), M)
-    step_inv = path_inv[:, 1:]
-    rows = step_inv.reshape(-1, path_inv.shape[-1])
+    return [DetectedPath(p, n, np.asarray(times)[:n + 1].copy(),
+                         paths[p, :n + 1].copy())
+            for p, n in _novel_prefixes(path_inv[:, 1:], known,
+                                        coordinate_ranges(known), eps)]
 
-    static = distinct_mask(rows, known, ranges, eps).reshape(step_inv.shape[:2])
-    claimed = np.empty_like(rows)
-    n_claimed = 0
-    detected = []
-    for p in np.flatnonzero(static.any(axis=1)):
-        steps = np.flatnonzero(static[p])
-        fresh = distinct_mask(step_inv[p, steps], claimed[:n_claimed], ranges, eps)
-        if not fresh.any():
+
+def _novel_prefixes(step_inv, known, ranges, tol):
+    """The detection sweep of :func:`detect_new_paths` over (n_points,
+    n_steps, k) invariant images.
+
+    Returns ``(point, n)`` pairs in point order: ``n`` is the last step of
+    the point (counted from 1) that is distinct from ``known`` and from the
+    states ``1..n`` claimed by the points before it.  A flagged state goes
+    stale once a claimed row lies within ``tol`` of it.
+    """
+    n_points, n_steps = step_inv.shape[:2]
+    rows = step_inv.reshape(-1, step_inv.shape[-1])
+    flagged = np.flatnonzero(distinct_mask(rows, known, ranges, tol))
+    near = _ScaledTree(rows[flagged], _positive(ranges), rows)
+    stale = np.zeros(len(flagged), dtype=bool)
+    bounds = np.searchsorted(flagged, np.arange(n_points + 1) * n_steps)
+    out = []
+    for p in np.flatnonzero(np.diff(bounds)):
+        fresh = np.flatnonzero(~stale[bounds[p]:bounds[p + 1]])
+        if not fresh.size:
             continue
-        n = int(steps[fresh][-1]) + 1
-        detected.append(DetectedPath(int(p), n, np.asarray(times)[:n + 1].copy(),
-                                     paths[p, :n + 1].copy()))
-        claimed[n_claimed:n_claimed + n] = step_inv[p, :n]
-        n_claimed += n
-    return detected
+        p = int(p)
+        n = int(flagged[bounds[p] + fresh[-1]]) - p * n_steps + 1
+        out.append((p, n))
+        _, hit = near.close_pairs(step_inv[p, :n], tol)
+        stale[hit] = True
+    return out
 
 
 def rotate_to_microscale(F_series, macro_fiber_axis, rve_fiber_axis):

@@ -9,7 +9,7 @@ iteration written directly against the energy functions.
 import numpy as np
 import scipy.sparse as sp
 
-from matmine import materials, tensors
+from matmine import data, materials, tensors
 
 SQRT2 = np.sqrt(2.0)
 
@@ -204,11 +204,13 @@ def chebyshev_distinct_bruteforce(candidate, existing, ranges, tol):
     """True when the candidate is distinct from every row of ``existing``.
 
     Range-normalized Chebyshev metric; zero ranges fall back to an absolute
-    difference.  Quadratic-cost reference for the vectorized implementation.
+    difference.  Distinct means every distance exceeds ``tol`` strictly; a
+    NaN distance (from a NaN coordinate, or inf - inf) never does.
+    Quadratic-cost reference for the vectorized implementation.
     """
     ranges = np.where(np.asarray(ranges) > 0.0, ranges, 1.0)
     for row in np.atleast_2d(existing):
-        if np.max(np.abs(candidate - row) / ranges) <= tol:
+        if not np.max(np.abs(candidate - row) / ranges) > tol:
             return False
     return True
 
@@ -243,6 +245,25 @@ def filter_bruteforce(candidates, existing, ranges, tol):
             kept.append(idx)
             pool.append(np.asarray(cand))
     return kept
+
+
+def save_kbase_reference(dataset, path):
+    """Knowledge-base writer that formats every number afresh.
+
+    Writes what ``data.save_kbase`` writes for a set built in memory: each
+    record's 19 numbers as ``repr`` literals, whatever text they were loaded
+    from.
+    """
+    numbers = np.concatenate([dataset.t[:, None], dataset.F.reshape(-1, 9),
+                              dataset.P.reshape(-1, 9)], axis=1)
+    with open(path, "w") as fh:
+        fh.write(f"# {data.KBASE_VERSION}\n")
+        fh.write("# source iteration path step t F(9 row-major) P(9 row-major)\n")
+        for src, it, pid, stp, row in zip(
+                dataset.source, dataset.iteration.tolist(),
+                dataset.path_id.tolist(), dataset.step.tolist(), numbers.tolist()):
+            src = str(src).replace(" ", "_") or "unknown"
+            fh.write(f"{src} {it} {pid} {stp} {' '.join(map(repr, row))}\n")
 
 
 def laminate_uniaxial(energy1, energy2, fraction1, lam_bar, lam0=None):

@@ -12,6 +12,8 @@ from matmine import cli, config, data, macro, mining, surrogate, training
 from matmine.errors import (FirstStepDivergence, InvalidConfig,
                             MaxIterationsExceeded)
 
+import oracles
+
 # deliberately crude settings so the whole chain runs in seconds
 TINY = """\
 [network]
@@ -163,6 +165,31 @@ class TestPipeline:
         assert len(mined) == len(after) - len(before)
         assert set(mined.iteration.tolist()) == {1}
         assert np.any(mined.P != 0.0)
+
+    def test_enrich_output_starts_with_the_input_records(self, art, tmp_path):
+        ini = str(art / "tiny.ini")
+        # a hand-edited input: one record's pseudo-time spelled out longhand
+        lines = (art / "kb.txt").read_bytes().splitlines(keepends=True)
+        parts = lines[2].split(b" ")
+        parts[4] = b"%.17e" % float(parts[4])
+        lines[2] = b" ".join(parts)
+        base = tmp_path / "kb.txt"
+        base.write_bytes(b"".join(lines))
+        assert cli.main(["detect", "--config", ini, "--dataset", str(base),
+                         "--state", str(art / "state.npz"),
+                         "--out", str(tmp_path / "det.txt")]) == 0
+        assert cli.main(["enrich", "--config", ini, "--dataset", str(base),
+                         "--paths", str(tmp_path / "det.txt"),
+                         "--out", str(tmp_path / "out.txt")]) == 0
+        out = (tmp_path / "out.txt").read_bytes().splitlines(keepends=True)
+        assert out[:len(lines)] == lines
+        admitted = data.load_kbase(tmp_path / "out.txt").subset(
+            np.arange(len(lines) - 2, len(out) - 2))
+        assert len(admitted) > 0
+        assert set(admitted.source) == {"mined:cuboid-hole"}
+        oracles.save_kbase_reference(admitted, tmp_path / "admitted.txt")
+        assert out[len(lines):] == \
+            (tmp_path / "admitted.txt").read_bytes().splitlines(keepends=True)[2:]
 
     def test_validate_writes_summary_and_scatter(self, art):
         assert cli.main(["validate", "--config", str(art / "tiny.ini"),

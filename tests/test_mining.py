@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from matmine import (data, homogenization, macro, materials, mining, surrogate,
                      tensors, training)
@@ -230,6 +231,170 @@ def test_detection_claims_states_only_once_per_sweep():
     want = oracles.detect_bruteforce(path_inv, list(known), ranges, 0.05)
     assert [(d.point_id, d.last_step) for d in detected] == want == [(0, 5), (2, 3)]
     assert [[d.last_step for d in a] for a in alone] == [[5], [5], [5]]
+
+
+# --- the sequential passes against the references, at the edges --------------
+
+EDGE_RANGES = np.array([1.0, 2.0, 0.5, 0.0])
+
+
+def edge_rows(rng, n, non_finite=True):
+    """Rows on a grid of eighths, so that with ``EDGE_RANGES`` and a tol of
+    0.125 or 0.25 many distances fall exactly on tol; a quarter of them
+    repeat other rows and, with ``non_finite``, an eighth hold an inf, a
+    -inf or a NaN."""
+    rows = rng.integers(-6, 7, size=(n, 4)) / 8.0
+    rows[rng.integers(n, size=n // 4)] = rows[rng.integers(n, size=n // 4)]
+    if non_finite:
+        odd = rng.choice(n, size=max(1, n // 8), replace=False)
+        rows[odd, rng.integers(4, size=len(odd))] = rng.choice(
+            [np.inf, -np.inf, np.nan], size=len(odd))
+    return rows
+
+
+def with_step0(step_inv):
+    """``detect_bruteforce``'s input: each path with a leading step 0."""
+    return [np.vstack([np.zeros(path.shape[-1]), path]) for path in step_inv]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_filter_matches_greedy_reference_on_edge_rows(seed):
+    rng = rng0(600 + seed)
+    cand = edge_rows(rng, 60)
+    with_inf = edge_rows(rng, 12, non_finite=False)
+    with_inf[3, 1] = -np.inf
+    with_nan = edge_rows(rng, 12, non_finite=False)
+    with_nan[5, 2] = np.nan
+    admitted = []
+    with np.errstate(invalid="ignore"):
+        for existing in (np.zeros((0, 4)), edge_rows(rng, 1, non_finite=False),
+                         with_inf, with_nan):
+            for tol in (0.125, 0.25):
+                got = mining.filter_candidates(cand, existing, EDGE_RANGES, tol)
+                assert got == oracles.filter_bruteforce(cand, existing,
+                                                        EDGE_RANGES, tol)
+                admitted.append(len(got))
+    assert 0 < max(admitted) < len(cand) and min(admitted) == 0
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_detection_sweep_matches_reverse_scan_reference_on_edge_rows(seed):
+    rng = rng0(610 + seed)
+    step_inv = edge_rows(rng, 16 * 5).reshape(16, 5, 4)
+    step_inv[12:] = step_inv[rng.integers(12, size=4)]  # repeated histories
+    known = edge_rows(rng, 10, non_finite=False)
+    with_inf = np.vstack([known, [0.0, np.inf, 0.0, 0.0]])
+    hits = []
+    with np.errstate(invalid="ignore"):
+        for base in (known, with_inf):
+            for tol in (0.125, 0.25):
+                got = mining._novel_prefixes(step_inv, base, EDGE_RANGES, tol)
+                want = oracles.detect_bruteforce(with_step0(step_inv), list(base),
+                                                 EDGE_RANGES, tol)
+                assert got == want
+                hits.append(len(got))
+    assert 0 < min(hits) and max(hits) < 16
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**31 - 1))
+def test_sequential_passes_match_the_references_at_the_tolerance_boundary(seed):
+    # each row sits within a few ulps of tol * range of an earlier row in one
+    # coordinate, on data with large offsets, tiny spreads and a zero one
+    rng = rng0(seed)
+    k = int(rng.integers(1, 5))
+    offset = 10.0 ** rng.uniform(-2.0, 6.0, k) * rng.choice([-1.0, 1.0], k)
+    ranges = 10.0 ** rng.uniform(-6.0, 2.0, k)
+    ranges[rng.integers(k)] = 0.0
+    spread = np.where(ranges > 0.0, ranges, 1.0)
+    tol = float(rng.choice([1e-12, 0.01, 0.05, 0.3]))
+    rows = [offset + rng.uniform(0.0, 1.0, k) * spread for _ in range(3)]
+    while len(rows) < 3 + 24:
+        row = rows[rng.integers(len(rows))] + (
+            rng.uniform(-0.5, 0.5, k) * tol * spread)
+        j = rng.integers(k)
+        row[j] = _nudged(row[j] + rng.choice([-1.0, 1.0]) * tol * spread[j],
+                         int(rng.integers(-2, 3)))
+        rows.append(row)
+    known, cand = np.array(rows[:2]), np.array(rows[3:])
+    for existing in (known, known[:0]):
+        assert mining.filter_candidates(cand, existing, ranges, tol) == \
+            oracles.filter_bruteforce(cand, existing, ranges, tol)
+    steps = cand.reshape(8, 3, k)
+    assert mining._novel_prefixes(steps, known, ranges, tol) == \
+        oracles.detect_bruteforce(with_step0(steps), list(known), ranges, tol)
+
+
+def test_sequential_passes_settle_pairs_the_scaled_tree_puts_beyond_tol():
+    # rows a and b are 0.9999999999999999 tol apart by the metric, but
+    # 1.0000000000000009 tol apart in the tree's scaled coordinates (the
+    # first row is their minimum), so only the margin keeps them together
+    lo, a, b = 4.972099357892111, 16.44318772580909, 16.833028504528354
+    ranges, tol = np.array([3.8984077871926464]), 0.1
+    rows = np.array([[lo], [a], [b]])
+    want = oracles.filter_bruteforce(rows, [], ranges, tol)
+    assert mining.filter_candidates(rows, np.zeros((0, 1)), ranges, tol) == \
+        want == [0, 1]
+    steps = np.array([[[lo], [a]], [[b], [b]]])
+    known = np.array([[lo - 10.0]])
+    want = oracles.detect_bruteforce(with_step0(steps), list(known), ranges, tol)
+    assert mining._novel_prefixes(steps, known, ranges, tol) == want == [(0, 2)]
+
+
+def test_sequential_passes_on_empty_and_one_row_inputs():
+    ranges = np.array([1.0, 0.5, 0.0])
+    row = np.array([[0.25, 0.5, 0.75]])
+    near, far = row + 0.0625, row + 1.0
+    for cand in (np.zeros((0, 3)), row, np.vstack([row, near]),
+                 np.vstack([row, far])):
+        for existing in (np.zeros((0, 3)), row, near, far):
+            got = mining.filter_candidates(cand, existing, ranges, 0.125)
+            assert got == oracles.filter_bruteforce(cand, existing, ranges, 0.125)
+    for steps in (np.zeros((0, 2, 3)), row[None], near[None], far[None],
+                  np.stack([far, far]), np.stack([np.vstack([far, row])])):
+        got = mining._novel_prefixes(steps, row, ranges, 0.125)
+        assert got == oracles.detect_bruteforce(with_step0(steps), list(row),
+                                                ranges, 0.125)
+
+
+def test_sequential_passes_build_two_trees_however_many_states_they_flag(
+        monkeypatch):
+    # mostly novel histories: random 16-state walks against a small base, so
+    # most points are flagged and most of those are detected
+    built = []
+
+    def counted(rows):
+        built.append(len(rows))
+        return cKDTree(rows)
+
+    monkeypatch.setattr(mining, "cKDTree", counted)
+    rng = rng0(63)
+    ds = random_dataset(rng, 20, spread=0.05)
+    known = ds.invariant_values(E3)
+    ranges = mining.coordinate_ranges(known)
+    M = tensors.structural_tensor(E1)
+    times = np.linspace(0.0, 1.0, 17)
+    flagged = []
+    for n_paths in (24, 240):
+        paths = random_walk_paths(rng, n_paths, 16)
+        built.clear()
+        detected = mining.detect_new_paths(ds, paths, times, E1, E3, eps=0.05)
+        assert len(built) == 2
+        flagged.append(built[1])
+        assert len(detected) > n_paths // 2
+
+        cand = np.concatenate([tensors.invariants(
+            tensors.right_cauchy_green(d.F[1:]), M) for d in detected])
+        built.clear()
+        kept = mining.filter_candidates(cand, known, ranges, 0.01)
+        assert len(built) == 2 and len(kept) > len(cand) // 2
+        if n_paths == 24:
+            path_inv = [tensors.invariants(tensors.right_cauchy_green(p), M)
+                        for p in paths]
+            want = oracles.detect_bruteforce(path_inv, list(known), ranges, 0.05)
+            assert [(d.point_id, d.last_step) for d in detected] == want
+            assert kept == oracles.filter_bruteforce(cand, known, ranges, 0.01)
+    assert flagged[1] > 5 * flagged[0]
 
 
 # --- rotation and enrichment ----------------------------------------------------
@@ -698,6 +863,110 @@ class TestKnowledgeBase:
         with pytest.raises(CorruptRecord) as err:
             data.load_kbase(p)
         assert err.value.line_no == 3
+
+
+class TestRecordText:
+    """``save_kbase`` reuses a loaded record's text only while its numbers
+    are bitwise the ones read; the file always equals the fresh writer's."""
+
+    def _loaded(self, tmp_path, seed=57, m=20):
+        ds = TestKnowledgeBase()._dataset(seed, m)
+        ds.P[4, 0, 0] = 0.0
+        path = tmp_path / f"in-{seed}.txt"
+        data.save_kbase(ds, path)
+        return data.load_kbase(path)
+
+    def _assert_fresh(self, ds, tmp_path):
+        data.save_kbase(ds, tmp_path / "got.txt")
+        oracles.save_kbase_reference(ds, tmp_path / "want.txt")
+        assert (tmp_path / "got.txt").read_bytes() == \
+            (tmp_path / "want.txt").read_bytes()
+        return (tmp_path / "got.txt").read_text()
+
+    def test_loaded_subsets_and_merges_write_the_fresh_bytes(self, tmp_path):
+        ds = self._loaded(tmp_path)
+        other = self._loaded(tmp_path, seed=58, m=6)
+        self._assert_fresh(ds, tmp_path)
+        self._assert_fresh(ds.subset([5, 2, 2, 19]), tmp_path)
+        self._assert_fresh(ds.subset(np.arange(20) % 3 == 0), tmp_path)
+        self._assert_fresh(ds.merged_with(TestKnowledgeBase()._dataset(59, 4)),
+                           tmp_path)
+        self._assert_fresh(TestKnowledgeBase()._dataset(59, 4).merged_with(ds),
+                           tmp_path)
+        self._assert_fresh(ds.merged_with(other).subset([24, 3, 20]), tmp_path)
+        self._assert_fresh(ds.subset([1, 2]).merged_with(ds.subset([7])),
+                           tmp_path)
+        self._assert_fresh(ds.subset(np.zeros(0, dtype=int)), tmp_path)
+        # a row read from no text, whose numbers are those of unset text
+        zero = data.DataSet(np.zeros((1, 3, 3)), np.zeros((1, 3, 3)), ["zero"],
+                            [0], [0], [0], [0.0])
+        self._assert_fresh(ds.merged_with(zero), tmp_path)
+
+    @pytest.mark.parametrize("edit", ["F entry", "P", "negative zero",
+                                      "source", "iteration"])
+    def test_edited_rows_are_formatted_afresh(self, tmp_path, edit):
+        ds = self._loaded(tmp_path)
+        before = self._assert_fresh(ds, tmp_path).splitlines()
+        if edit == "F entry":
+            ds.F[3, 1, 2] = np.nextafter(ds.F[3, 1, 2], np.inf)
+        elif edit == "P":
+            ds.P = ds.P[::-1].copy()
+        elif edit == "negative zero":
+            ds.P[4, 0, 0] = -0.0
+        elif edit == "source":
+            ds.source[6] = "mined:edited row"
+        else:
+            ds.iteration[8] = 11
+        after = self._assert_fresh(ds.merged_with(ds.subset([3, 4])),
+                                   tmp_path).splitlines()
+        changed = [i - 2 for i, (a, b) in enumerate(zip(before, after)) if a != b]
+        assert changed == {"F entry": [3], "P": list(range(20)),
+                           "negative zero": [4], "source": [6],
+                           "iteration": [8]}[edit]
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"])
+    def test_other_line_endings_and_non_ascii_sources(self, tmp_path, newline):
+        ds = TestKnowledgeBase()._dataset(61, 5)
+        ds.source[2] = "mined:gewölbe"
+        data.save_kbase(ds, tmp_path / "lf.txt")
+        text = (tmp_path / "lf.txt").read_text()
+        (tmp_path / "other.txt").write_bytes(
+            text.replace("\n", newline).encode())
+        back = data.load_kbase(tmp_path / "other.txt")
+        assert back.source == ds.source
+        for name in ("F", "P", "t"):
+            np.testing.assert_array_equal(getattr(back, name), getattr(ds, name))
+        assert self._assert_fresh(back, tmp_path) == text
+
+    def test_hand_edited_literals_are_written_back_as_read(self, tmp_path):
+        ds = TestKnowledgeBase()._dataset(60, 3)
+        path = tmp_path / "hand.txt"
+        data.save_kbase(ds, path)
+        lines = path.read_text().splitlines()
+        parts = lines[3].split()
+        parts[4] = "1.50"
+        parts[10] = f"{float(parts[10]):.17e}"
+        lines[3] = "\t".join(parts[:4]) + "\t" + "  ".join(parts[4:])
+        path.write_text("\n".join(lines) + "\n")
+        # the numbers are kept as read, source and labels formatted as ever
+        lines[3] = " ".join(parts[:4]) + " " + "  ".join(parts[4:])
+
+        back = data.load_kbase(path)
+        assert back.t[1] == 1.5
+        back.F[2, 0, 0] += 1.0   # the third record goes stale
+        data.save_kbase(back, tmp_path / "again.txt")
+        again = (tmp_path / "again.txt").read_text().splitlines()
+        assert again[:4] == lines[:4]
+        assert again[4] != lines[4]
+        reread = data.load_kbase(tmp_path / "again.txt")
+        for name in ("F", "P", "t"):
+            np.testing.assert_array_equal(getattr(reread, name),
+                                          getattr(back, name))
+        # a file save_kbase formats itself keeps shortest round-trip literals
+        oracles.save_kbase_reference(reread.subset([0, 2]), tmp_path / "want.txt")
+        data.save_kbase(reread.subset([0, 2]), tmp_path / "got.txt")
+        assert (tmp_path / "got.txt").read_bytes() == \
+            (tmp_path / "want.txt").read_bytes()
 
 
 class _Unprintable:

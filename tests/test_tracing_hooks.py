@@ -13,8 +13,8 @@ import pathlib
 import numpy as np
 import scipy.sparse.linalg
 
-from matmine import (config, data, homogenization, macro, materials, mining,
-                     surrogate, tensors, training)
+from matmine import (cli, config, data, homogenization, macro, materials,
+                     mining, surrogate, tensors, training)
 from matmine.errors import MatmineError
 
 import helpers
@@ -35,7 +35,8 @@ def test_every_traced_attribute_is_defined_on_its_owner():
 
 def test_detection_and_admission_call_distinct_mask_through_the_module(monkeypatch):
     # the benchmark counts ``mining.distinct_mask`` spans on every workload
-    # and fails when a traced layer records none
+    # and fails when a traced layer records none; each pass calls it once,
+    # for its static pass, and settles the rest on a tree of its own
     calls = []
     original = mining.distinct_mask
 
@@ -50,12 +51,48 @@ def test_detection_and_admission_call_distinct_mask_through_the_module(monkeypat
                       np.arange(20), np.zeros(20, dtype=int), np.zeros(20))
     paths = np.stack([np.eye(3) + t * 0.4 * rng.normal(size=(4, 3, 3))
                       for t in np.linspace(0.0, 1.0, 3)], axis=1)
-    mining.detect_new_paths(ds, paths, np.linspace(0.0, 1.0, 3), (1.0, 0.0, 0.0))
-    assert calls
+    detected = mining.detect_new_paths(ds, paths, np.linspace(0.0, 1.0, 3),
+                                       (1.0, 0.0, 0.0))
+    assert detected and len(calls) == 1
     calls.clear()
     inv = ds.invariant_values((0.0, 0.0, 1.0))
-    mining.filter_candidates(inv, inv[:5], mining.coordinate_ranges(inv), 0.01)
-    assert calls
+    kept = mining.filter_candidates(inv, inv[:5], mining.coordinate_ranges(inv),
+                                    0.01)
+    assert kept and len(calls) == 1
+
+
+def test_kbase_commands_read_and_write_through_the_data_module(monkeypatch,
+                                                               tmp_path):
+    # ``kbase-scale``, whose unit is ``matmine enrich``, fails a traced run
+    # when ``data.load_kbase`` or ``data.save_kbase`` records no calls
+    rng = np.random.default_rng(4)
+    F = np.eye(3) + 0.02 * rng.normal(size=(20, 3, 3))
+    P = mining.AnalyticOracle().evaluate_path(F, warm_start=False)
+    data.save_kbase(data.DataSet(F, P, ["init"] * 20, np.zeros(20, dtype=int),
+                                 np.arange(20), np.zeros(20, dtype=int),
+                                 np.zeros(20)), tmp_path / "kb.txt")
+    records = [(np.eye(3) + 0.05 * k * rng.normal(size=(3, 3)), np.zeros((3, 3)),
+                "detected:cuboid-hole", 0, pid, k, k / 3.0)
+               for pid in range(2) for k in range(1, 4)]
+    data.save_kbase(data.from_records(records), tmp_path / "det.txt")
+
+    calls = {"load_kbase": 0, "save_kbase": 0}
+
+    def counted(attr):
+        original = getattr(data, attr)
+
+        def wrapper(*args, **kwargs):
+            calls[attr] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(data, attr, wrapper)
+
+    counted("load_kbase")
+    counted("save_kbase")
+    assert cli.main(["enrich", "--dataset", str(tmp_path / "kb.txt"),
+                     "--paths", str(tmp_path / "det.txt"),
+                     "--out", str(tmp_path / "out.txt")]) == 0
+    assert calls == {"load_kbase": 2, "save_kbase": 1}
+    assert len(data.load_kbase(tmp_path / "out.txt")) > 20
 
 
 def test_initial_dataset_drives_the_suite_through_the_module(monkeypatch):
