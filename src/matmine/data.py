@@ -105,8 +105,8 @@ class DataSet:
 
     def subset(self, idx):
         idx = np.atleast_1d(np.asarray(idx))
-        if idx.dtype == bool:
-            idx = np.flatnonzero(idx)
+        # an empty list arrives as a float array
+        idx = np.flatnonzero(idx) if idx.dtype == bool else idx.astype(np.intp)
         return DataSet(self.F[idx], self.P[idx],
                        [self.source[i] for i in idx],
                        self.iteration[idx], self.path_id[idx],

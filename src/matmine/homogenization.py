@@ -125,24 +125,28 @@ def drive_material_point(stress, case: LoadCase, n_steps=12,
         F = F.copy()
         F[case.prescribed] = (np.eye(3) + t * (case.values - np.eye(3)))[case.prescribed]
         if free_idx.size:
-            F = _solve_free_entries(stress, F, free_idx, tol, max_iterations,
-                                    case.name, t)
+            F, P = _solve_free_entries(stress, F, free_idx, tol,
+                                       max_iterations, case.name, t)
+        else:
+            P = stress(F)
         F_hist[k] = F
-        P_hist[k] = stress(F)
+        P_hist[k] = P
     return MaterialPath(case.name, t_hist, F_hist, P_hist)
 
 
 def _solve_free_entries(stress, F, free_idx, tol, max_iterations, name, t):
+    """Free entries of F that zero their stresses: (F, stress(F))."""
     rows, cols = free_idx[:, 0], free_idx[:, 1]
     F = F.copy()
 
     def residual(Fc):
         return stress(Fc)[rows, cols]
 
-    r = residual(F)
+    P = stress(F)
+    r = P[rows, cols]
     for _ in range(max_iterations):
         if np.max(np.abs(r)) <= tol:
-            return F
+            return F, P
         J = np.empty((len(rows), len(rows)))
         for j, (i, jj) in enumerate(free_idx):
             h = 1e-7 * max(1.0, abs(F[i, jj]))
@@ -160,18 +164,19 @@ def _solve_free_entries(stress, F, free_idx, tol, max_iterations, name, t):
             Ftry = F.copy()
             Ftry[rows, cols] += alpha * dx
             try:
-                r_try = residual(Ftry)
+                P_try = stress(Ftry)
             except (MatmineError, FloatingPointError):
-                r_try = None
-            if r_try is not None and np.linalg.norm(r_try) < norm0:
-                F, r = Ftry, r_try
+                P_try = None
+            if (P_try is not None
+                    and np.linalg.norm(P_try[rows, cols]) < norm0):
+                F, P, r = Ftry, P_try, P_try[rows, cols]
                 break
             alpha *= 0.5
             if alpha < 2.0 ** -10:
                 raise NewtonDivergence(
                     f"line search stalled on path {name} at t={t:g}")
     if np.max(np.abs(r)) <= tol:
-        return F
+        return F, P
     raise NewtonDivergence(
         f"no convergence in {max_iterations} iterations on path {name} "
         f"at t={t:g} (|r|={np.max(np.abs(r)):.3e}, tol={tol:.3e})")
@@ -251,7 +256,13 @@ def _voxel_topology(rve: VoxelRVE):
 
 @dataclass
 class VoxelSolution:
-    """Converged periodic cell problem at one macroscopic deformation."""
+    """Converged periodic cell problem at one macroscopic deformation.
+
+    ``F_step`` (3x3) and ``u_step`` (n_nodes x 3) are the macroscopic step and
+    the fluctuation change of the last increment, which a solve started from
+    this one extrapolates.  ``iterations`` counts the Newton updates of the
+    solve that produced it, those of a diverged prediction included.
+    """
 
     F_bar: np.ndarray
     P_bar: np.ndarray
@@ -262,6 +273,8 @@ class VoxelSolution:
     wdet: np.ndarray
     u_tilde: np.ndarray
     iterations: int
+    F_step: np.ndarray
+    u_step: np.ndarray
 
 
 class VoxelHomogenizer:
@@ -300,16 +313,43 @@ class VoxelHomogenizer:
             out[mask] = law(C[mask], params)
         return out
 
-    def _newton(self, F_bar, u_tilde):
-        """Equilibrated fluctuation at F_bar: (u_tilde, F, T, P, residuals)."""
+    def _newton(self, F_bar, u_tilde, updates):
+        """Equilibrated fluctuation at F_bar: (u_tilde, F, T, P, residuals).
+
+        Appends to the list ``updates`` once per Newton update, also for the
+        updates of a solve that raises.
+        """
+        def tangent(C):
+            updates.append(None)
+            return self._per_phase(_ogden_tangent, C, (6, 6))
+
         return self.grid.newton(
             u_tilde,
             lambda C: self._per_phase(materials.ogden_stress_from_C, C, (3, 3)),
-            lambda C: self._per_phase(_ogden_tangent, C, (6, 6)),
-            self.free, self.force_tol, self.max_iterations,
+            tangent, self.free, self.force_tol, self.max_iterations,
             u_affine=self.grid.coords @ (F_bar - np.eye(3)).T)
 
-    def _package(self, F_bar, u_tilde, F, P, iterations):
+    def _increment(self, F_last, u_tilde, F_k, F_step, u_step, updates):
+        """Equilibrium at F_k from the converged state (F_last, u_tilde).
+
+        Newton starts from the secant prediction u_tilde + alpha u_step, with
+        alpha = <F_k - F_last, F_step> / <F_step, F_step> (0 for a zero
+        step), and reruns from u_tilde itself if that diverges.  Returns
+        (u_tilde, F, P).
+        """
+        norm2 = np.vdot(F_step, F_step)
+        alpha = np.vdot(F_k - F_last, F_step) / norm2 if norm2 > 0.0 else 0.0
+        if alpha != 0.0:
+            try:
+                u, F, _, P, _ = self._newton(F_k, u_tilde + alpha * u_step,
+                                             updates)
+                return u, F, P
+            except NewtonDivergence:
+                pass
+        u, F, _, P, _ = self._newton(F_k, u_tilde, updates)
+        return u, F, P
+
+    def _package(self, F_bar, u_tilde, F, P, iterations, F_step, u_step):
         psi = self._per_phase(materials.ogden_energy_from_C,
                               tensors.right_cauchy_green(F), ())
         wdet = self.grid.wdet
@@ -318,34 +358,44 @@ class VoxelHomogenizer:
             P_bar=fem.volume_average(P, wdet),
             psi_bar=float(fem.volume_average(psi, wdet)),
             F_qp=F, P_qp=P, psi_qp=psi,
-            wdet=wdet, u_tilde=u_tilde, iterations=iterations)
+            wdet=wdet, u_tilde=u_tilde, iterations=iterations,
+            F_step=F_step, u_step=u_step)
 
     def solve(self, F_bar, n_steps=1, start=None):
         """Equilibrate the cell at F_bar in ``n_steps`` >= 1 increments.
 
         The increments ramp the macroscopic deformation linearly from
-        ``start``, a converged :class:`VoxelSolution` whose fluctuation is
-        the first Newton iterate, or from the undeformed cell when it is
-        None; the last increment is F_bar itself.  ``iterations`` counts the
-        Newton updates of all increments.
+        ``start``, a converged :class:`VoxelSolution`, or from the undeformed
+        cell when it is None; the last increment is F_bar itself.  Each
+        increment's Newton starts from the secant prediction along the
+        increment before (the one before in this solve, or ``start``'s own;
+        none before the first increment from the undeformed cell), and
+        reruns from the converged fluctuation it extrapolates if that
+        diverges.  ``iterations`` counts the Newton updates of all
+        increments and of both attempts of a rerun.
         """
         F_bar = np.asarray(F_bar, dtype=float)
         _check_steps(n_steps)
         if start is None:
             F_0, u_tilde = np.eye(3), np.zeros((self.n_nodes, 3))
+            F_step, u_step = np.zeros((3, 3)), np.zeros_like(u_tilde)
         else:
             F_0, u_tilde = start.F_bar, start.u_tilde
-        iterations = 0
+            F_step, u_step = start.F_step, start.u_step
+        F_last, updates = F_0, []
         for k in range(1, n_steps + 1):
             F_k = F_bar if k == n_steps else F_0 + (k / n_steps) * (F_bar - F_0)
-            u_tilde, F, _, P, residuals = self._newton(F_k, u_tilde)
-            iterations += len(residuals) - 1
-        return self._package(F_bar, u_tilde, F, P, iterations)
+            u_k, F, P = self._increment(F_last, u_tilde, F_k, F_step, u_step,
+                                        updates)
+            F_step, u_step = F_k - F_last, u_k - u_tilde
+            F_last, u_tilde = F_k, u_k
+        return self._package(F_bar, u_tilde, F, P, len(updates), F_step, u_step)
 
     def path(self, F_bar, n_steps):
         """Solutions at F_k = I + (k/n)(F_bar - I), k = 0..n, in turn.
 
-        Each is one increment of :meth:`solve` from the one before.
+        Each is one increment of :meth:`solve` from the one before, so its
+        Newton starts from the secant prediction along the step before.
         """
         F_bar = np.asarray(F_bar, dtype=float)
         _check_steps(n_steps)

@@ -1,5 +1,6 @@
 """Mixed-control point driver and the periodic voxel cell solver."""
 
+import dataclasses
 import functools
 
 import numpy as np
@@ -9,7 +10,7 @@ import helpers
 import oracles
 from matmine import homogenization as hom
 from matmine import materials, mining, tensors
-from matmine.errors import ZeroMean
+from matmine.errors import NewtonDivergence, ZeroMean
 
 
 # --- load suite ------------------------------------------------------------
@@ -86,6 +87,21 @@ def test_uniaxial_compression_across_fiber_converges():
     assert abs(path.P[-1][1, 1]) <= tol
     assert abs(path.P[-1][2, 2]) <= tol
     assert path.F[-1][0, 0] == pytest.approx(0.7)
+
+
+def test_driver_evaluates_the_stress_once_per_deformation():
+    oracle = materials.OracleParameters()
+    seen = []
+
+    def stress(F):
+        seen.append(F.tobytes())
+        return materials.oracle_nominal_stress(F, oracle)
+
+    path = hom.drive_material_point(stress, hom.uniaxial_case(2, 1.6), n_steps=4)
+    assert len(seen) == len(set(seen))
+    for F, P in zip(path.F, path.P, strict=True):
+        assert F.tobytes() in seen
+        np.testing.assert_array_equal(P, materials.oracle_nominal_stress(F, oracle))
 
 
 def test_incompressible_single_term_limit_matches_closed_form():
@@ -194,28 +210,54 @@ def test_energy_average_integrates_work_along_path():
     assert hom.path_energy_mismatch(sols) < 1e-2
 
 
-def _path_by_hand(solver, F_bar, n_steps):
-    """The ramp ``VoxelHomogenizer.path`` ran as its own loop."""
+def _path_by_hand(solver, F_bar, n_steps, predict=True):
+    """The ramp ``VoxelHomogenizer.path`` runs, as its own loop: each
+    increment starts from the secant prediction along the one before, or,
+    without ``predict``, from the last converged fluctuation."""
     u_tilde = np.zeros((solver.n_nodes, 3))
+    F_last, F_step, u_step = np.eye(3), np.zeros((3, 3)), np.zeros_like(u_tilde)
     out = []
     for k in range(n_steps + 1):
         F_k = np.eye(3) + (k / n_steps) * (F_bar - np.eye(3))
-        u_tilde, F, _, P, residuals = solver._newton(F_k, u_tilde)
-        out.append(solver._package(F_k, u_tilde, F, P, len(residuals) - 1))
+        norm2 = np.vdot(F_step, F_step)
+        alpha = np.vdot(F_k - F_last, F_step) / norm2 if norm2 > 0.0 else 0.0
+        u_0 = u_tilde + alpha * u_step if predict and alpha != 0.0 else u_tilde
+        updates = []
+        u_k, F, _, P, _ = solver._newton(F_k, u_0, updates)
+        F_step, u_step = F_k - F_last, u_k - u_tilde
+        F_last, u_tilde = F_k, u_k
+        out.append(solver._package(F_k, u_tilde, F, P, len(updates),
+                                   F_step, u_step))
     return out
 
 
-def test_path_is_a_chain_of_one_increment_solves():
-    solver = hom.VoxelHomogenizer(hom.fiber_rve(3, 0.25, seed=7))
+def _ramp_solver():
     F_bar = np.eye(3)
     F_bar[2, 2] = 1.15
     F_bar[0, 1] = 0.05
+    return hom.VoxelHomogenizer(hom.fiber_rve(3, 0.25, seed=7)), F_bar
+
+
+def test_path_is_a_chain_of_one_increment_solves():
+    solver, F_bar = _ramp_solver()
     for got, ref in zip(solver.path(F_bar, n_steps=3),
                         _path_by_hand(solver, F_bar, 3), strict=True):
-        for name in ("F_bar", "P_bar", "F_qp", "P_qp", "psi_qp", "u_tilde"):
+        for name in ("F_bar", "P_bar", "F_qp", "P_qp", "psi_qp", "u_tilde",
+                     "F_step", "u_step"):
             np.testing.assert_array_equal(getattr(got, name), getattr(ref, name))
         assert got.psi_bar == ref.psi_bar
         assert got.iterations == ref.iterations
+
+
+def test_secant_prediction_saves_updates_and_keeps_the_answer():
+    solver, F_bar = _ramp_solver()
+    predicted = solver.path(F_bar, n_steps=3)
+    plain = _path_by_hand(solver, F_bar, 3, predict=False)
+    for got, ref in zip(predicted, plain, strict=True):
+        np.testing.assert_allclose(got.P_bar, ref.P_bar, rtol=1e-8,
+                                   atol=1e-8 * np.abs(ref.P_bar).max())
+    assert (sum(s.iterations for s in predicted)
+            < sum(s.iterations for s in plain))
 
 
 @pytest.mark.parametrize("n_steps", [0, -1])
@@ -243,10 +285,91 @@ def test_warm_solve_ramps_from_the_previous_state():
     assert warm.iterations <= cold.iterations
     # ramped from itself, a converged state needs no update
     assert solver.solve(F_1, n_steps=2, start=first).iterations == 0
+    assert solver.solve(F_1, start=first).iterations == 0
     # the voxel oracle hands each state of a history the one before
     oracle = mining.VoxelOracle(solver.rve)
     np.testing.assert_array_equal(oracle.evaluate_path(np.stack([F_1, F_2]))[1],
                                   warm.P_bar)
+
+
+def _recording_newton(monkeypatch, solver):
+    """Record each Newton attempt of ``solver``: its start and whether it
+    raised."""
+    attempts = []
+    newton = solver._newton
+
+    def recorded(F_bar, u_tilde, updates):
+        n = len(updates)
+        try:
+            out = newton(F_bar, u_tilde, updates)
+        except NewtonDivergence:
+            attempts.append((u_tilde, "diverged", len(updates) - n))
+            raise
+        attempts.append((u_tilde, "converged", len(updates) - n))
+        return out
+
+    monkeypatch.setattr(solver, "_newton", recorded)
+    return attempts
+
+
+def _plain_warm(solver, start, F_bar, n_steps):
+    """``solve`` from ``start`` with every increment starting from the last
+    converged fluctuation."""
+    u_tilde, updates = start.u_tilde, []
+    for k in range(1, n_steps + 1):
+        F_k = (F_bar if k == n_steps
+               else start.F_bar + (k / n_steps) * (F_bar - start.F_bar))
+        u_tilde, F, _, P, _ = solver._newton(F_k, u_tilde, updates)
+    return solver._package(F_bar, u_tilde, F, P, len(updates), None, None)
+
+
+def test_a_diverging_prediction_reruns_from_the_converged_state(monkeypatch):
+    solver = hom.VoxelHomogenizer(hom.fiber_rve(4, 0.3, seed=2))
+    F_1, F_2 = _stretch_history()
+    first = solver.solve(F_1, n_steps=2)
+    plain = _plain_warm(solver, first, F_2, 2)
+    attempts = _recording_newton(monkeypatch, solver)
+    wild = dataclasses.replace(first, u_step=1e3 * first.u_step)
+    sol = solver.solve(F_2, n_steps=2, start=wild)
+    assert [a[1] for a in attempts] == ["diverged", "converged", "converged"]
+    assert attempts[1][0] is first.u_tilde
+    np.testing.assert_allclose(sol.P_bar, plain.P_bar, rtol=1e-8,
+                               atol=1e-8 * np.abs(plain.P_bar).max())
+    assert sol.iterations == sum(a[2] for a in attempts)
+
+
+def test_updates_of_a_diverged_prediction_count_as_iterations(monkeypatch):
+    # perfbench's traced voxel-enrich run reads one stress_tangent_fd call
+    # per phase and one spsolve per counted update
+    solver = hom.VoxelHomogenizer(hom.fiber_rve(4, 0.3, seed=2))
+    F_1, F_2 = _stretch_history()
+    first = solver.solve(F_1, n_steps=2)
+    attempts = _recording_newton(monkeypatch, solver)
+    tangents = []
+    fd = materials.stress_tangent_fd
+    monkeypatch.setattr(materials, "stress_tangent_fd",
+                        lambda *a, **kw: tangents.append(1) or fd(*a, **kw))
+    calls = helpers.force_colamd(monkeypatch)
+    sol = solver.solve(F_2, n_steps=2,
+                       start=dataclasses.replace(first, u_step=30 * first.u_step))
+    assert attempts[0][1:] == ("diverged", 1)
+    assert len(calls) == sol.iterations == sum(a[2] for a in attempts)
+    assert len(tangents) == len(solver.phase_masks) * sol.iterations
+
+
+def test_a_step_across_the_previous_one_starts_from_the_converged_state():
+    solver = hom.VoxelHomogenizer(hom.fiber_rve(3, 0.25, seed=7))
+    # binary fractions, so the two steps are exactly orthogonal
+    F_1 = np.diag([1.0, 1.0, 1.0625])
+    first = solver.solve(F_1)
+    np.testing.assert_array_equal(first.F_step, F_1 - np.eye(3))
+    F_2 = F_1.copy()
+    F_2[0, 1] = 0.03125
+    sol = solver.solve(F_2, start=first)
+    ref = _plain_warm(solver, first, F_2, 1)
+    np.testing.assert_array_equal(sol.u_tilde, ref.u_tilde)
+    np.testing.assert_array_equal(sol.P_qp, ref.P_qp)
+    assert sol.iterations == ref.iterations > 0
 
 
 def test_cell_ordering_leaves_the_solution_unchanged(monkeypatch):

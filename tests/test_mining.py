@@ -902,6 +902,14 @@ class TestRecordText:
                             [0], [0], [0], [0.0])
         self._assert_fresh(ds.merged_with(zero), tmp_path)
 
+    @pytest.mark.parametrize("empty", [[], np.array([]), np.zeros(0, dtype=int)])
+    def test_empty_selections_give_empty_sets(self, tmp_path, empty):
+        for ds in (TestKnowledgeBase()._dataset(62, 5), self._loaded(tmp_path)):
+            none = ds.subset(empty)
+            assert len(none) == 0 and none.source == []
+            assert self._assert_fresh(none, tmp_path).count("\n") == 2
+            assert len(ds.merged_with(none)) == len(ds)
+
     @pytest.mark.parametrize("edit", ["F entry", "P", "negative zero",
                                       "source", "iteration"])
     def test_edited_rows_are_formatted_afresh(self, tmp_path, edit):
