@@ -321,7 +321,7 @@ class VoxelHomogenizer:
         """
         def tangent(C):
             updates.append(None)
-            return self._per_phase(_ogden_tangent, C, (6, 6))
+            return self._per_phase(materials.ogden_tangent_fd, C, (6, 6))
 
         return self.grid.newton(
             u_tilde,
@@ -410,12 +410,6 @@ class VoxelHomogenizer:
 def _check_steps(n_steps):
     if n_steps < 1:
         raise ValueError(f"a cell solve needs n_steps >= 1, got {n_steps}")
-
-
-def _ogden_tangent(C, params):
-    """Finite-difference material tangent of one Ogden phase."""
-    return materials.stress_tangent_fd(
-        lambda Cb: materials.ogden_stress_from_C(Cb, params), C)
 
 
 # ---------------------------------------------------------------------------

@@ -73,11 +73,65 @@ def _principal_stretches(C):
     One ``eigh`` of C, batched; a non-positive eigenvalue raises.
     """
     lam2, vecs = np.linalg.eigh(np.asarray(C, dtype=float))
-    if np.any(lam2[..., 0] <= 0.0):
+    return _stretches(lam2, vecs)
+
+
+def _stretches(lam2, vecs):
+    """Complete an eigen-decomposition of C to (lam2, vecs, lam, J)."""
+    if np.any(lam2 <= 0.0):
         raise NonPositiveJacobian("C has a non-positive eigenvalue")
     lam = np.sqrt(lam2)
     J = lam[..., 0] * lam[..., 1] * lam[..., 2]
     return lam2, vecs, lam, J
+
+
+# A 3x3 cyclic Jacobi converges quadratically and is done in a handful of
+# sweeps; the cap only stops non-finite input from looping.
+_JACOBI_SWEEPS = 16
+
+
+def _jacobi_principal_stretches(C):
+    """:func:`_principal_stretches` by cyclic Jacobi, for near-diagonal C.
+
+    Sweeps the plane rotations (0,1), (0,2), (1,2) until every off-diagonal
+    entry is below eps * sqrt(C_pp C_qq), skipping a rotation whose entry is
+    zero in every matrix of the batch.  A diagonal C thus returns its
+    diagonal and the identity untouched, and a C with one off-diagonal pair
+    costs one rotation, where LAPACK's per-matrix ``eigh`` costs far more
+    on large batches.  The eigenvalues come unsorted.
+    """
+    A = np.array(C, dtype=float)
+    V = np.zeros_like(A)
+    V[..., [0, 1, 2], [0, 1, 2]] = 1.0
+    eps = np.finfo(float).eps
+    for _ in range(_JACOBI_SWEEPS):
+        d = A[..., [0, 1, 2], [0, 1, 2]]
+        off = A[..., [0, 0, 1], [1, 2, 2]]
+        bound = eps * np.sqrt(np.abs(d[..., [0, 0, 1]] * d[..., [1, 2, 2]]))
+        if np.all(np.abs(off) <= bound):
+            break
+        for p, q in ((0, 1), (0, 2), (1, 2)):
+            apq = A[..., p, q].copy()
+            if not np.any(apq):
+                continue
+            r = 3 - p - q
+            # t = tan of the angle that zeroes A_pq, the smaller root
+            diff = A[..., q, q] - A[..., p, p]
+            den = np.abs(diff) + np.hypot(diff, 2.0 * apq)
+            t = (2.0 * apq * np.where(diff < 0.0, -1.0, 1.0)
+                 / np.where(den == 0.0, 1.0, den))
+            c = 1.0 / np.sqrt(1.0 + t * t)
+            s = t * c
+            A[..., p, p] -= t * apq
+            A[..., q, q] += t * apq
+            A[..., p, q] = A[..., q, p] = 0.0
+            arp, arq = A[..., r, p].copy(), A[..., r, q].copy()
+            A[..., r, p] = A[..., p, r] = c * arp - s * arq
+            A[..., r, q] = A[..., q, r] = s * arp + c * arq
+            vp, vq = V[..., :, p].copy(), V[..., :, q].copy()
+            V[..., :, p] = c[..., None] * vp - s[..., None] * vq
+            V[..., :, q] = s[..., None] * vp + c[..., None] * vq
+    return _stretches(A[..., [0, 1, 2], [0, 1, 2]], V)
 
 
 def ogden_energy_from_C(C, params: OgdenParameters):
@@ -109,7 +163,11 @@ def _ogden_coefficients(lam2, lam, J, params):
 
 def ogden_stress_from_C(C, params: OgdenParameters):
     """Second Piola-Kirchhoff stress T(C), batched over leading dims."""
-    lam2, vecs, lam, J = _principal_stretches(C)
+    return _spectral_stress(*_principal_stretches(C), params)
+
+
+def _spectral_stress(lam2, vecs, lam, J, params):
+    """T from the output of :func:`_principal_stretches`."""
     coeff = _ogden_coefficients(lam2, lam, J, params)
     # sum_b coeff_b v_b v_b^T, accumulated from zero in the order and with
     # the products the three-operand einsum forms, so its result is
@@ -119,6 +177,27 @@ def ogden_stress_from_C(C, params: OgdenParameters):
         v = vecs[..., b]
         T = T + (coeff[..., b, None, None] * v[..., :, None]) * v[..., None, :]
     return T
+
+
+def ogden_tangent_fd(C, params: OgdenParameters):
+    """Mandel tangent 2 dT/dC of an Ogden phase, differenced in C's principal frame.
+
+    Holds for isotropic laws only: with C = Q D Q^T from one ``eigh``,
+    isotropy gives T(Q X Q^T) = Q T(X) Q^T for every orthogonal Q, so the
+    tangent at C is the tangent at D = diag(lam^2) rotated by
+    :func:`tensors.mandel_rotation` (Miehe, Comput. Struct. 1998).  At D,
+    :func:`stress_tangent_fd` keeps its step and tr/3 scale, and every
+    perturbed D is diagonal or has one off-diagonal pair, which the Jacobi
+    solver diagonalises with at most one plane rotation.  The oracle law's
+    fiber term is not isotropic and must not come through here.
+    """
+    lam2, Q, _, _ = _principal_stretches(C)
+    D = lam2[..., :, None] * np.eye(3)
+    tang = stress_tangent_fd(
+        lambda X: _spectral_stress(*_jacobi_principal_stretches(X), params), D)
+    Q6 = tensors.mandel_rotation(Q)
+    tang = Q6 @ tang @ np.swapaxes(Q6, -1, -2)
+    return 0.5 * (tang + np.swapaxes(tang, -1, -2))
 
 
 @dataclass(frozen=True)
@@ -176,9 +255,10 @@ def stress_tangent_fd(stress_from_C, C, h=1e-6):
 
     ``stress_from_C`` maps (...,3,3) -> (...,3,3).  The step is scaled by
     tr(C)/3 per sample; the result is symmetrized, which a thermodynamically
-    consistent stress guarantees up to the FD error.  This is the documented
-    default tangent for the microscale phases, whose principal-stretch form
-    has no convenient closed-form fourth-order derivative.
+    consistent stress guarantees up to the FD error.  Generic in the stress
+    routine; the voxel cell's Ogden phases reach it through
+    :func:`ogden_tangent_fd`, which takes the differences in the principal
+    frame of C.
     """
     C = np.asarray(C, dtype=float)
     scale = h * np.trace(C, axis1=-2, axis2=-1)[..., None, None] / 3.0

@@ -170,6 +170,17 @@ def _symdyad66(A, B):
     return 0.5 * (A[..., _I, _K] * B[..., _J, _L] + A[..., _I, _L] * B[..., _J, _K])
 
 
+def mandel_rotation(Q):
+    """6x6 Mandel matrix Q6 of A -> Q A Q^T for orthogonal Q, batched.
+
+    ``Q6 @ sym_to_mandel(A) == sym_to_mandel(Q A Q^T)``, and Q6 is
+    orthogonal, so a Mandel tangent rotates as ``Q6 @ tang @ Q6.T``.  Holds
+    for reflections (det Q = -1) as well.
+    """
+    Q = np.asarray(Q, dtype=float)
+    return _symdyad66(Q, Q) * _WEIGHTS66
+
+
 # d^2 I2/dCdC = 1 x 1 - sym(1 x 1), the same for every C
 _H2 = (_dyad66(IDENTITY, IDENTITY) - _symdyad66(IDENTITY, IDENTITY)) * _WEIGHTS66
 

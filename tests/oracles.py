@@ -130,6 +130,16 @@ def ogden_stress_einsum(C, params):
     return np.einsum("...b,...ib,...jb->...ij", coeff, vecs, vecs)
 
 
+def ogden_tangent_lab_fd(C, params):
+    """Ogden Mandel tangent by central differences in the lab frame.
+
+    The reference for ``materials.ogden_tangent_fd``, which takes the same
+    differences in the principal frame of C.
+    """
+    return materials.stress_tangent_fd(
+        lambda X: materials.ogden_stress_from_C(X, params), C)
+
+
 def _dyad44(A, B):
     return np.einsum("...ij,...kl->...ijkl", A, B)
 

@@ -357,6 +357,17 @@ def test_updates_of_a_diverged_prediction_count_as_iterations(monkeypatch):
     assert len(tangents) == len(solver.phase_masks) * sol.iterations
 
 
+def test_principal_frame_tangent_leaves_the_cell_solve_unchanged(monkeypatch):
+    solver = hom.VoxelHomogenizer(hom.fiber_rve(4, 0.3, seed=2))
+    F_1, _ = _stretch_history()
+    principal = solver.solve(F_1, n_steps=2)
+    monkeypatch.setattr(materials, "ogden_tangent_fd", oracles.ogden_tangent_lab_fd)
+    lab = solver.solve(F_1, n_steps=2)
+    assert principal.iterations == lab.iterations > 0
+    np.testing.assert_allclose(principal.P_bar, lab.P_bar, rtol=0.0,
+                               atol=1e-9 * np.abs(lab.P_bar).max())
+
+
 def test_a_step_across_the_previous_one_starts_from_the_converged_state():
     solver = hom.VoxelHomogenizer(hom.fiber_rve(3, 0.25, seed=7))
     # binary fractions, so the two steps are exactly orthogonal

@@ -230,3 +230,89 @@ class TestTangentFD:
             single = materials.stress_tangent_fd(
                 lambda X: materials.ogden_stress_from_C(X, p), C[i])
             assert np.allclose(tang[i], single, rtol=1e-10, atol=1e-8)
+
+
+def _tangent_states(rng):
+    """Random SPD states plus the coalescent cases near and at C = I."""
+    Q = oracles.random_rotation(rng)
+    noise = 1e-9 * rng.normal(size=(3, 3))
+    states = [oracles.random_spd(rng) for _ in range(16)]
+    states += [np.eye(3), 1.21 * np.eye(3),
+               np.diag([1.3, 0.8, 0.8]), Q @ np.diag([1.3, 0.8, 0.8]) @ Q.T,
+               np.eye(3) + noise + noise.T]
+    return np.stack(states)
+
+
+class TestPrincipalFrameTangent:
+    @pytest.mark.parametrize("params", [materials.MATRIX_RUBBER,
+                                        materials.FIBER_STIFF],
+                             ids=["matrix", "fiber"])
+    def test_matches_the_lab_frame_fd(self, params):
+        C = _tangent_states(rng0(21))
+        tang = materials.ogden_tangent_fd(C, params)
+        ref = oracles.ogden_tangent_lab_fd(C, params)
+        assert tang.shape == ref.shape == (len(C), 6, 6)
+        for t, r in zip(tang, ref):
+            np.testing.assert_allclose(t, r, rtol=0.0, atol=1e-7 * np.abs(r).max())
+
+    def test_symmetric_and_batched_equals_single(self):
+        C = _tangent_states(rng0(22))
+        p = materials.MATRIX_RUBBER
+        tang = materials.ogden_tangent_fd(C, p)
+        np.testing.assert_array_equal(tang, np.swapaxes(tang, -1, -2))
+        for i in (0, 7, len(C) - 1):
+            single = materials.ogden_tangent_fd(C[i], p)
+            assert single.shape == (6, 6)
+            np.testing.assert_allclose(tang[i], single, rtol=0.0,
+                                       atol=1e-12 * np.abs(single).max())
+
+    def test_non_spd_state_rejected(self):
+        C = np.stack([np.eye(3), np.diag([1.1, -0.2, 0.9])])
+        with pytest.raises(NonPositiveJacobian):
+            materials.ogden_tangent_fd(C, materials.MATRIX_RUBBER)
+
+
+class TestJacobiEigen:
+    def _check_against_eigh(self, C):
+        lam2, V, lam, J = materials._jacobi_principal_stretches(C)
+        ref = np.linalg.eigh(C)[0]
+        np.testing.assert_allclose(np.sort(lam2, axis=-1), ref, rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(np.einsum("...ib,...b,...jb->...ij", V, lam2, V),
+                                   C, rtol=0.0, atol=1e-14 * np.abs(C).max())
+        np.testing.assert_allclose(lam * lam, lam2, rtol=1e-15)
+        np.testing.assert_allclose(J * J, np.linalg.det(C), rtol=1e-13)
+        return lam2, V
+
+    def test_diagonal_input_takes_no_rotation(self):
+        C = np.stack([np.diag([1.3, 0.7, 1.1]), np.eye(3), np.diag([0.9, 0.9, 2.0])])
+        lam2, V = self._check_against_eigh(C)
+        np.testing.assert_array_equal(lam2, C[:, [0, 1, 2], [0, 1, 2]])
+        np.testing.assert_array_equal(V, np.broadcast_to(np.eye(3), C.shape))
+
+    @pytest.mark.parametrize("pair", [(0, 1), (0, 2), (1, 2)])
+    def test_one_pair_input_turns_only_its_plane(self, pair):
+        p, q = pair
+        r = 3 - p - q
+        rng = rng0(23)
+        C = np.zeros((8, 3, 3))
+        C[:, [0, 1, 2], [0, 1, 2]] = rng.uniform(0.5, 2.0, size=(8, 3))
+        C[0, p, p] = C[0, q, q]  # an equal diagonal pair, a 45 degree turn
+        C[:, p, q] = C[:, q, p] = 1e-6 * rng.normal(size=8)
+        C[1, p, q] = C[1, q, p] = 0.0
+        lam2, V = self._check_against_eigh(C)
+        np.testing.assert_array_equal(lam2[:, r], C[:, r, r])
+        np.testing.assert_array_equal(V[:, r, r], 1.0)
+        np.testing.assert_array_equal(V[:, r, [p, q]], 0.0)
+        np.testing.assert_array_equal(V[:, [p, q], r], 0.0)
+        np.testing.assert_array_equal(V[1], np.eye(3))
+
+    def test_general_spd_input(self):
+        rng = rng0(24)
+        C = np.stack([oracles.random_spd(rng) for _ in range(32)])
+        self._check_against_eigh(C)
+        self._check_against_eigh(C[0])
+
+    def test_non_positive_eigenvalue_rejected(self):
+        with pytest.raises(NonPositiveJacobian):
+            materials._jacobi_principal_stretches(
+                np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))

@@ -192,3 +192,27 @@ def test_invariant_hessians_match_fourth_order_reference(transverse):
         ref = oracles.invariant_hessians_tensor4(sample, M)
         assert H.shape == ref.shape == sample.shape[:-2] + (6 if transverse else 4, 6, 6)
         np.testing.assert_allclose(H, ref, rtol=0.0, atol=1e-14 * np.abs(ref).max())
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["rotation", "reflection"])
+def test_mandel_rotation_rotates_vectors_and_tangents(sign):
+    rng = rng0(31)
+    Q = sign * np.stack([oracles.random_rotation(rng) for _ in range(4)])
+    assert np.all(np.sign(np.linalg.det(Q)) == sign)
+    Q6 = tensors.mandel_rotation(Q)
+    assert Q6.shape == (4, 6, 6)
+    np.testing.assert_allclose(Q6 @ np.swapaxes(Q6, -1, -2),
+                               np.broadcast_to(np.eye(6), Q6.shape), rtol=0.0, atol=1e-14)
+    A = np.stack([oracles.random_spd(rng) for _ in range(4)])
+    np.testing.assert_allclose(
+        np.einsum("...ab,...b->...a", Q6, tensors.sym_to_mandel(A)),
+        tensors.sym_to_mandel(Q @ A @ np.swapaxes(Q, -1, -2)), rtol=0.0, atol=1e-14)
+    # a major- and minor-symmetric tangent rotates as its fourth-order tensor
+    M = rng.normal(size=(6, 6))
+    M = M + M.T
+    T4 = oracles.mandel_to_tensor4(M)
+    rotated = oracles.tensor4_to_mandel(
+        np.einsum("...ia,...jb,...kc,...ld,abcd->...ijkl", Q, Q, Q, Q, T4))
+    np.testing.assert_allclose(Q6 @ M @ np.swapaxes(Q6, -1, -2), rotated,
+                               rtol=0.0, atol=1e-13 * np.abs(M).max())
+    np.testing.assert_array_equal(tensors.mandel_rotation(Q[0]), Q6[0])
