@@ -18,8 +18,9 @@ import sys
 import numpy as np
 
 from . import config, data, macro, mining, surrogate, training
-from .errors import (CorruptRecord, FirstStepDivergence, FormatVersionMismatch,
-                     InvalidConfig, MatmineError, MaxIterationsExceeded)
+from .errors import (CorruptRecord, EmptyDataSet, FirstStepDivergence,
+                     FormatVersionMismatch, InvalidConfig, MatmineError,
+                     MaxIterationsExceeded)
 
 log = logging.getLogger("matmine")
 
@@ -151,6 +152,8 @@ def cmd_enrich(args):
     rc = _run_config(args)
     _need(args, "dataset", "paths")
     ds = _load_dataset(args.dataset)
+    if len(ds) == 0:
+        raise EmptyDataSet(f"{args.dataset} holds no tuples to enrich")
     detected = _paths_from_records(_load_dataset(args.paths))
     problem = config.make_problem(rc)
     oracle = config.make_oracle(rc)

@@ -126,13 +126,12 @@ class DataSet:
                        np.concatenate([self.step, other.step]),
                        np.concatenate([self.t, other.t]), text)
 
-    def invariant_values(self, fiber_axis=None):
-        """Invariant image of every tuple, shape (m, 6) or (m, 4)."""
+    def invariant_values(self, fiber_axis):
+        """Transversely isotropic invariant image of every tuple, (m, 6)."""
         if len(self) == 0:
             raise EmptyDataSet("no tuples to map")
         C = tensors.right_cauchy_green(self.F)
-        M = None if fiber_axis is None else tensors.structural_tensor(fiber_axis)
-        return tensors.invariants(C, M)
+        return tensors.invariants(C, tensors.structural_tensor(fiber_axis))
 
 
 def from_records(records):

@@ -210,7 +210,9 @@ class HexGrid:
         tangent is formed only for an update.  ``u_affine`` adds an
         element-gathered displacement (E, 8, 3) to ``u``.  Converged once the
         largest free residual entry of f_int - f_ext is at most ``tol``;
-        returns (u, F, T, P, residuals).  Inverted elements, a non-finite
+        returns (u, F, P, residuals): the displacement, the deformation
+        gradient and nominal stress per quadrature point (E, 8, 3, 3) and the
+        residual of every iteration.  Inverted elements, a non-finite
         update or ``max_iterations`` residuals above ``tol`` raise
         :class:`NewtonDivergence`.
         """
@@ -230,7 +232,7 @@ class HexGrid:
             res = np.linalg.norm(r[free], ord=np.inf) if free.any() else 0.0
             residuals.append(res)
             if res <= tol:
-                return u, F, T, P, residuals
+                return u, F, P, residuals
             if len(residuals) == max_iterations:
                 break  # an update now would go unchecked
             A = nominal_stress_operator(F, T, tangent(C))

@@ -103,17 +103,18 @@ class MaterialPath:
 
 
 def drive_material_point(stress, case: LoadCase, n_steps=12,
-                         force_scale=None, rel_tol=1e-9, max_iterations=40):
+                         force_scale=None):
     """Follow a mixed-control path with Newton iteration on the free entries.
 
     ``stress`` maps a deformation gradient to the nominal stress.  The path
     ramps the prescribed entries linearly from the identity in ``n_steps``
     increments (the returned history includes the undeformed state).  Free
-    entries warm start from the previous converged step.
+    entries warm start from the previous converged step and converge once
+    their stresses are within 1e-9 ``force_scale``, in at most 40 updates.
     """
     if force_scale is None:
         force_scale = materials.MATRIX_RUBBER.initial_shear_modulus
-    tol = rel_tol * force_scale
+    tol = 1e-9 * force_scale
     free = ~case.prescribed
     free_idx = np.argwhere(free)
 
@@ -125,8 +126,7 @@ def drive_material_point(stress, case: LoadCase, n_steps=12,
         F = F.copy()
         F[case.prescribed] = (np.eye(3) + t * (case.values - np.eye(3)))[case.prescribed]
         if free_idx.size:
-            F, P = _solve_free_entries(stress, F, free_idx, tol,
-                                       max_iterations, case.name, t)
+            F, P = _solve_free_entries(stress, F, free_idx, tol, case.name, t)
         else:
             P = stress(F)
         F_hist[k] = F
@@ -134,7 +134,7 @@ def drive_material_point(stress, case: LoadCase, n_steps=12,
     return MaterialPath(case.name, t_hist, F_hist, P_hist)
 
 
-def _solve_free_entries(stress, F, free_idx, tol, max_iterations, name, t):
+def _solve_free_entries(stress, F, free_idx, tol, name, t):
     """Free entries of F that zero their stresses: (F, stress(F))."""
     rows, cols = free_idx[:, 0], free_idx[:, 1]
     F = F.copy()
@@ -144,7 +144,7 @@ def _solve_free_entries(stress, F, free_idx, tol, max_iterations, name, t):
 
     P = stress(F)
     r = P[rows, cols]
-    for _ in range(max_iterations):
+    for _ in range(40):
         if np.max(np.abs(r)) <= tol:
             return F, P
         J = np.empty((len(rows), len(rows)))
@@ -178,7 +178,7 @@ def _solve_free_entries(stress, F, free_idx, tol, max_iterations, name, t):
     if np.max(np.abs(r)) <= tol:
         return F, P
     raise NewtonDivergence(
-        f"no convergence in {max_iterations} iterations on path {name} "
+        f"no convergence in 40 iterations on path {name} "
         f"at t={t:g} (|r|={np.max(np.abs(r)):.3e}, tol={tol:.3e})")
 
 
@@ -190,14 +190,13 @@ class VoxelRVE:
     """Cubic voxel grid of two-phase hyperelastic material.
 
     ``phase`` is an (n, n, n) integer array selecting into ``phases`` per
-    voxel; ``edge`` is the physical cube edge length.  Node fluctuations are
-    periodic, so opposite faces share nodes and the grid has n**3 distinct
-    nodes for n**3 elements.
+    voxel of the unit cube, so each voxel has edge 1/n.  Node fluctuations
+    are periodic, so opposite faces share nodes and the grid has n**3
+    distinct nodes for n**3 elements.
     """
 
     phase: np.ndarray
     phases: tuple
-    edge: float = 1.0
 
     def __post_init__(self):
         self.phase = np.asarray(self.phase, dtype=int)
@@ -212,25 +211,22 @@ class VoxelRVE:
         return self.phase.shape[0]
 
 
-def homogeneous_rve(n, params=None, edge=1.0):
-    if params is None:
-        params = materials.MATRIX_RUBBER
-    return VoxelRVE(np.zeros((n, n, n), dtype=int), (params,), edge)
+def homogeneous_rve(n):
+    """Matrix rubber throughout."""
+    return VoxelRVE(np.zeros((n, n, n), dtype=int), (materials.MATRIX_RUBBER,))
 
 
-def layered_rve(n, fraction, phases=None, axis=2, edge=1.0):
-    """Two-phase laminate: the first round(fraction*n) slabs get phase 1."""
-    if phases is None:
-        phases = (materials.MATRIX_RUBBER, materials.FIBER_STIFF)
+def layered_rve(n, fraction, axis=2):
+    """Rubber-fiber laminate: the first round(fraction*n) slabs are fiber."""
     phase = np.zeros((n, n, n), dtype=int)
     n1 = int(round(fraction * n))
     sl = [slice(None)] * 3
     sl[axis] = slice(0, n1)
     phase[tuple(sl)] = 1
-    return VoxelRVE(phase, phases, edge)
+    return VoxelRVE(phase, (materials.MATRIX_RUBBER, materials.FIBER_STIFF))
 
 
-def fiber_rve(n, volume_fraction, seed, phases=None, edge=1.0):
+def fiber_rve(n, volume_fraction, seed, phases=None):
     """Random stiff columns along x3.
 
     Each of the n*n columns is stiff with probability ``volume_fraction``
@@ -243,7 +239,7 @@ def fiber_rve(n, volume_fraction, seed, phases=None, edge=1.0):
     picks = rng.random(n * n) < volume_fraction
     phase = np.zeros((n, n, n), dtype=int)
     phase.reshape(n * n, n)[picks, :] = 1
-    return VoxelRVE(phase, phases, edge)
+    return VoxelRVE(phase, phases)
 
 
 def _voxel_topology(rve: VoxelRVE):
@@ -251,7 +247,7 @@ def _voxel_topology(rve: VoxelRVE):
     n = rve.n
     corners = fem.grid_corners((n, n, n))
     conn = np.ravel_multi_index(np.moveaxis(corners, -1, 0), (n, n, n), mode="wrap")
-    return (corners * (rve.edge / n)).astype(float), conn
+    return (corners * (1.0 / n)).astype(float), conn
 
 
 @dataclass
@@ -285,13 +281,14 @@ class VoxelHomogenizer:
     one node is pinned to remove the rigid translation.  The cell is a
     :func:`fem.grid_corners` lattice with its node ids wrapped, and its
     :class:`fem.HexGrid` factorises the reduced stiffness with the same
-    symmetric ordering as the macro solve.  A solve only reads the
-    homogenizer, so concurrent solves may share one.
+    symmetric ordering as the macro solve.  Newton converges once every free
+    nodal force is within 1e-9 G_max h^2 (G_max the stiffest phase's shear
+    modulus, h = 1/n the voxel edge), in at most 25 updates.  A solve only
+    reads the homogenizer, so concurrent solves may share one.
     """
 
-    def __init__(self, rve: VoxelRVE, rel_tol=1e-9, max_iterations=25):
+    def __init__(self, rve: VoxelRVE):
         self.rve = rve
-        self.max_iterations = max_iterations
         coords, conn = _voxel_topology(rve)
         self.n_nodes = rve.n ** 3
         self.grid = fem.HexGrid(coords, conn, self.n_nodes)
@@ -299,9 +296,9 @@ class VoxelHomogenizer:
         self.phase_masks = [(params, phase_qp == pid)
                             for pid, params in enumerate(rve.phases)
                             if np.any(phase_qp == pid)]
-        h = rve.edge / rve.n
+        h = 1.0 / rve.n
         scale = max(p.initial_shear_modulus for p in rve.phases)
-        self.force_tol = rel_tol * scale * h * h
+        self.force_tol = 1e-9 * scale * h * h
         free = np.ones(3 * self.n_nodes, dtype=bool)
         free[:3] = False
         self.free = free
@@ -314,7 +311,7 @@ class VoxelHomogenizer:
         return out
 
     def _newton(self, F_bar, u_tilde, updates):
-        """Equilibrated fluctuation at F_bar: (u_tilde, F, T, P, residuals).
+        """Equilibrated fluctuation at F_bar: (u_tilde, F, P, residuals).
 
         Appends to the list ``updates`` once per Newton update, also for the
         updates of a solve that raises.
@@ -326,7 +323,7 @@ class VoxelHomogenizer:
         return self.grid.newton(
             u_tilde,
             lambda C: self._per_phase(materials.ogden_stress_from_C, C, (3, 3)),
-            tangent, self.free, self.force_tol, self.max_iterations,
+            tangent, self.free, self.force_tol, 25,
             u_affine=self.grid.coords @ (F_bar - np.eye(3)).T)
 
     def _increment(self, F_last, u_tilde, F_k, F_step, u_step, updates):
@@ -341,12 +338,12 @@ class VoxelHomogenizer:
         alpha = np.vdot(F_k - F_last, F_step) / norm2 if norm2 > 0.0 else 0.0
         if alpha != 0.0:
             try:
-                u, F, _, P, _ = self._newton(F_k, u_tilde + alpha * u_step,
-                                             updates)
+                u, F, P, _ = self._newton(F_k, u_tilde + alpha * u_step,
+                                          updates)
                 return u, F, P
             except NewtonDivergence:
                 pass
-        u, F, _, P, _ = self._newton(F_k, u_tilde, updates)
+        u, F, P, _ = self._newton(F_k, u_tilde, updates)
         return u, F, P
 
     def _package(self, F_bar, u_tilde, F, P, iterations, F_step, u_step):
@@ -454,31 +451,29 @@ def chi_squared(values):
     return float(np.sum((values - mean) ** 2) / mean)
 
 
-def apparent_stiffness_samples(n, volume_fraction, seeds, stretch=1.1,
-                               axis=2, edge=1.0, phases=None):
+def apparent_stiffness_samples(n, volume_fraction, seeds, stretch):
     """Axial apparent stress of random fiber cells, one per seed.
 
-    Every realization is stretched uniaxially (fully prescribed diagonal
-    stretch along ``axis``) and the conjugate component of the averaged
+    Every realization is stretched uniaxially along the fibers (x3, fully
+    prescribed diagonal) and the conjugate component of the averaged
     nominal stress is recorded.
     """
     F_bar = np.eye(3)
-    F_bar[axis, axis] = stretch
+    F_bar[2, 2] = stretch
     out = []
     for seed in seeds:
-        rve = fiber_rve(n, volume_fraction, seed, phases=phases, edge=edge)
-        hom = VoxelHomogenizer(rve)
+        hom = VoxelHomogenizer(fiber_rve(n, volume_fraction, seed))
         sol = hom.solve(F_bar, n_steps=2)
-        out.append(sol.P_bar[axis, axis])
+        out.append(sol.P_bar[2, 2])
     return np.array(out)
 
 
-def rve_size_study(sizes, volume_fraction, n_realizations, seed=0, **kw):
+def rve_size_study(sizes, volume_fraction, n_realizations, stretch, seed=0):
     """Chi-squared of the apparent axial stress versus voxel cell size."""
     root = np.random.default_rng(seed)
     out = {}
     for n in sizes:
         seeds = root.integers(0, 2 ** 31, size=n_realizations)
         out[int(n)] = chi_squared(
-            apparent_stiffness_samples(n, volume_fraction, seeds, **kw))
+            apparent_stiffness_samples(n, volume_fraction, seeds, stretch))
     return out

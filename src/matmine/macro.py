@@ -69,7 +69,9 @@ def boundary_faces(conn):
     return quads[counts[inverse] == 1]
 
 
-def _box_node_sets(mesh: MacroMesh, tol=1e-9):
+def _box_node_sets(mesh: MacroMesh):
+    """Nodes and boundary faces within 1e-9 of each bounding-box side."""
+    tol = 1e-9
     x = mesh.nodes
     lo, hi = x.min(axis=0), x.max(axis=0)
     sets = {}
@@ -390,7 +392,7 @@ def solve_macro(mesh: MacroMesh, bcs, law, n_steps=10, rel_tol=1e-8,
         u_start = u.copy()
         u_start[mask] = values[mask]
         try:
-            u_next, F, _, P, residuals = grid.newton(
+            u_next, F, P, residuals = grid.newton(
                 u_start, stress, tangent, ~mask.reshape(-1), force_tol,
                 max_newton, f_ext=_external_forces(bcs, t_next, mesh))
         except NewtonDivergence:

@@ -85,52 +85,41 @@ def _stretches(lam2, vecs):
     return lam2, vecs, lam, J
 
 
-# A 3x3 cyclic Jacobi converges quadratically and is done in a handful of
-# sweeps; the cap only stops non-finite input from looping.
-_JACOBI_SWEEPS = 16
-
-
 def _jacobi_principal_stretches(C):
-    """:func:`_principal_stretches` by cyclic Jacobi, for near-diagonal C.
+    """:func:`_principal_stretches` by plane rotations, for near-diagonal C.
 
-    Sweeps the plane rotations (0,1), (0,2), (1,2) until every off-diagonal
-    entry is below eps * sqrt(C_pp C_qq), skipping a rotation whose entry is
-    zero in every matrix of the batch.  A diagonal C thus returns its
-    diagonal and the identity untouched, and a C with one off-diagonal pair
-    costs one rotation, where LAPACK's per-matrix ``eigh`` costs far more
-    on large batches.  The eigenvalues come unsorted.
+    Every matrix of the batch must be diagonal or have one nonzero
+    off-diagonal pair, which one Jacobi rotation in that pair's plane
+    zeroes exactly; a C with more pairs comes back wrong.  A plane whose
+    entry is zero in every matrix is skipped, so a diagonal C returns its
+    diagonal and the identity untouched.  That is at most one rotation per
+    plane, where LAPACK's per-matrix ``eigh`` costs far more on large
+    batches.  The eigenvalues come unsorted.
     """
     A = np.array(C, dtype=float)
     V = np.zeros_like(A)
     V[..., [0, 1, 2], [0, 1, 2]] = 1.0
-    eps = np.finfo(float).eps
-    for _ in range(_JACOBI_SWEEPS):
-        d = A[..., [0, 1, 2], [0, 1, 2]]
-        off = A[..., [0, 0, 1], [1, 2, 2]]
-        bound = eps * np.sqrt(np.abs(d[..., [0, 0, 1]] * d[..., [1, 2, 2]]))
-        if np.all(np.abs(off) <= bound):
-            break
-        for p, q in ((0, 1), (0, 2), (1, 2)):
-            apq = A[..., p, q].copy()
-            if not np.any(apq):
-                continue
-            r = 3 - p - q
-            # t = tan of the angle that zeroes A_pq, the smaller root
-            diff = A[..., q, q] - A[..., p, p]
-            den = np.abs(diff) + np.hypot(diff, 2.0 * apq)
-            t = (2.0 * apq * np.where(diff < 0.0, -1.0, 1.0)
-                 / np.where(den == 0.0, 1.0, den))
-            c = 1.0 / np.sqrt(1.0 + t * t)
-            s = t * c
-            A[..., p, p] -= t * apq
-            A[..., q, q] += t * apq
-            A[..., p, q] = A[..., q, p] = 0.0
-            arp, arq = A[..., r, p].copy(), A[..., r, q].copy()
-            A[..., r, p] = A[..., p, r] = c * arp - s * arq
-            A[..., r, q] = A[..., q, r] = s * arp + c * arq
-            vp, vq = V[..., :, p].copy(), V[..., :, q].copy()
-            V[..., :, p] = c[..., None] * vp - s[..., None] * vq
-            V[..., :, q] = s[..., None] * vp + c[..., None] * vq
+    for p, q in ((0, 1), (0, 2), (1, 2)):
+        apq = A[..., p, q].copy()
+        if not np.any(apq):
+            continue
+        r = 3 - p - q
+        # t = tan of the angle that zeroes A_pq, the smaller root
+        diff = A[..., q, q] - A[..., p, p]
+        den = np.abs(diff) + np.hypot(diff, 2.0 * apq)
+        t = (2.0 * apq * np.where(diff < 0.0, -1.0, 1.0)
+             / np.where(den == 0.0, 1.0, den))
+        c = 1.0 / np.sqrt(1.0 + t * t)
+        s = t * c
+        A[..., p, p] -= t * apq
+        A[..., q, q] += t * apq
+        A[..., p, q] = A[..., q, p] = 0.0
+        arp, arq = A[..., r, p].copy(), A[..., r, q].copy()
+        A[..., r, p] = A[..., p, r] = c * arp - s * arq
+        A[..., r, q] = A[..., q, r] = s * arp + c * arq
+        vp, vq = V[..., :, p].copy(), V[..., :, q].copy()
+        V[..., :, p] = c[..., None] * vp - s[..., None] * vq
+        V[..., :, q] = s[..., None] * vp + c[..., None] * vq
     return _stretches(A[..., [0, 1, 2], [0, 1, 2]], V)
 
 
@@ -187,8 +176,9 @@ def ogden_tangent_fd(C, params: OgdenParameters):
     tangent at C is the tangent at D = diag(lam^2) rotated by
     :func:`tensors.mandel_rotation` (Miehe, Comput. Struct. 1998).  At D,
     :func:`stress_tangent_fd` keeps its step and tr/3 scale, and every
-    perturbed D is diagonal or has one off-diagonal pair, which the Jacobi
-    solver diagonalises with at most one plane rotation.  The oracle law's
+    perturbed D is diagonal or has one off-diagonal pair, which
+    :func:`_jacobi_principal_stretches` diagonalises with one plane
+    rotation.  The oracle law's
     fiber term is not isotropic and must not come through here.
     """
     lam2, Q, _, _ = _principal_stretches(C)
@@ -227,16 +217,16 @@ class OracleParameters:
         return tensors.structural_tensor(self.fiber_axis)
 
 
-def oracle_energy_from_C(C, oracle: OracleParameters, M=None):
-    M = oracle.structural_tensor if M is None else M
-    I4 = np.einsum("ij,...ij->...", M, np.asarray(C, dtype=float))
+def oracle_energy_from_C(C, oracle: OracleParameters):
+    I4 = np.einsum("ij,...ij->...", oracle.structural_tensor,
+                   np.asarray(C, dtype=float))
     fiber = 0.5 * oracle.fiber_stiffness * (I4 - 1.0) ** 2
     return ogden_energy_from_C(C, oracle.matrix) + fiber
 
 
-def oracle_stress_from_C(C, oracle: OracleParameters, M=None):
+def oracle_stress_from_C(C, oracle: OracleParameters):
     """T = 2 dpsi/dC of the oracle: Ogden part plus 2 c (I4 - 1) M."""
-    M = oracle.structural_tensor if M is None else M
+    M = oracle.structural_tensor
     I4 = np.einsum("ij,...ij->...", M, np.asarray(C, dtype=float))
     fiber = 2.0 * oracle.fiber_stiffness * (I4 - 1.0)[..., None, None] * M
     return ogden_stress_from_C(C, oracle.matrix) + fiber
@@ -250,18 +240,18 @@ def oracle_nominal_stress(F, oracle: OracleParameters):
     return np.einsum("...ik,...kj->...ij", F, T)
 
 
-def stress_tangent_fd(stress_from_C, C, h=1e-6):
+def stress_tangent_fd(stress_from_C, C):
     """Mandel tangent 2 dT/dC of a stress routine by central differences.
 
-    ``stress_from_C`` maps (...,3,3) -> (...,3,3).  The step is scaled by
-    tr(C)/3 per sample; the result is symmetrized, which a thermodynamically
+    ``stress_from_C`` maps (...,3,3) -> (...,3,3).  The step is the fixed
+    relative 1e-6 times tr(C)/3 per sample; the result is symmetrized, which a thermodynamically
     consistent stress guarantees up to the FD error.  Generic in the stress
     routine; the voxel cell's Ogden phases reach it through
     :func:`ogden_tangent_fd`, which takes the differences in the principal
     frame of C.
     """
     C = np.asarray(C, dtype=float)
-    scale = h * np.trace(C, axis1=-2, axis2=-1)[..., None, None] / 3.0
+    scale = 1e-6 * np.trace(C, axis1=-2, axis2=-1)[..., None, None] / 3.0
     cols = []
     for a in range(6):
         dC = scale * tensors.mandel_to_sym(np.eye(6)[a])

@@ -25,7 +25,8 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from . import data, homogenization, macro, materials, surrogate, tensors, training
-from .errors import FirstStepDivergence, MatmineError, MaxIterationsExceeded
+from .errors import (EmptyDataSet, FirstStepDivergence, MatmineError,
+                     MaxIterationsExceeded)
 
 log = logging.getLogger(__name__)
 
@@ -610,8 +611,11 @@ def validate_coverage(model: surrogate.SurrogateModel, dataset: data.DataSet,
     probed instead so the report is never empty.
 
     Returns a summary dict plus the raw per-state arrays for scatter plots.
+    An empty dataset raises :class:`EmptyDataSet`.
     """
     del times
+    if len(dataset) == 0:
+        raise EmptyDataSet("no tuples to validate against")
     paths = np.asarray(paths, dtype=float)
     F_states = paths[:, 1:].reshape(-1, 3, 3)
     F_rve = rotate_to_microscale(F_states, macro_fiber_axis, rve_fiber_axis)

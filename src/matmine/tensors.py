@@ -58,10 +58,10 @@ def mandel_to_sym(v):
     return np.einsum("...a,aij->...ij", v, MANDEL_BASIS)
 
 
-def jacobian(F, check=True):
+def jacobian(F):
     """det F, raising :class:`NonPositiveJacobian` when any det <= 0."""
     J = np.linalg.det(np.asarray(F, dtype=float))
-    if check and np.any(J <= 0.0):
+    if np.any(J <= 0.0):
         raise NonPositiveJacobian(f"min det F = {np.min(J):g}")
     return J
 
@@ -90,7 +90,7 @@ def _check_spdish(C, I3):
         raise NotPositiveDefinite("C fails the positive trace/determinant guard")
 
 
-def invariants(C, M=None, check=True):
+def invariants(C, M=None):
     """Invariant coordinates of C (and a structural tensor M, if given).
 
     Parameters
@@ -108,14 +108,15 @@ def invariants(C, M=None, check=True):
 
     The reciprocal 1/I3 is carried as an explicit extra coordinate: it
     steers compression response and is treated as independent downstream.
+    A C with non-positive trace or determinant raises
+    :class:`NotPositiveDefinite`.
     """
     C = np.asarray(C, dtype=float)
     I1 = np.trace(C, axis1=-2, axis2=-1)
     trC2 = np.einsum("...ij,...ji->...", C, C)
     I2 = 0.5 * (I1 * I1 - trC2)
     I3 = np.linalg.det(C)
-    if check:
-        _check_spdish(C, I3)
+    _check_spdish(C, I3)
     if M is None:
         return np.stack([I1, I2, I3, 1.0 / I3], axis=-1)
     M = np.asarray(M, dtype=float)
@@ -224,14 +225,15 @@ def cross_matrix(n):
                      [-n[1], n[0], 0.0]])
 
 
-def rotation_aligning(a, b, tol=1e-10):
+def rotation_aligning(a, b):
     """Proper rotation Q with Q a = b for unit directions a, b (Rodrigues).
 
-    Degenerate cases: when the angle between a and b is below ``tol`` the
-    identity is returned; when it is within ``tol`` of pi (antiparallel
+    Degenerate cases: when the angle between a and b is below 1e-10 the
+    identity is returned; when it is within 1e-10 of pi (antiparallel
     directions) the rotation is 180 degrees about the coordinate axis most
     orthogonal to b, projected into b's orthogonal plane.
     """
+    tol = 1e-10
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     na, nb = np.linalg.norm(a), np.linalg.norm(b)

@@ -171,7 +171,13 @@ def _decode(theta, n, k_base, growth):
     return natural[:, :n], A, sigmoid(raw)
 
 
-def _stacked_loss(theta, feats: _Features, n, k_base, growth, need_grad):
+def stress_loss(theta, feats: _Features, n, k_base, growth, need_grad=True):
+    """Sum over samples of ||T_model - T_target|| plus its gradient.
+
+    ``theta`` is an (R, p) stack of parameter vectors, one per restart;
+    the call gives (R,) losses and an (R, p) gradient whose row r equals
+    the call on the one-row stack ``theta[r:r + 1]``.
+    """
     # Every matmul below is batched over the leading restart axis (one BLAS
     # call per restart), every einsum and sum reduces over an invariant,
     # component, neuron or sample axis only, so row r of the result is
@@ -198,22 +204,6 @@ def _stacked_loss(theta, feats: _Features, n, k_base, growth, need_grad):
     if chain is not None:
         grad[:, constrained] *= chain
     return loss, grad
-
-
-def stress_loss(theta, feats: _Features, n, k_base, growth, need_grad=True):
-    """Sum over samples of ||T_model - T_target|| plus its gradient.
-
-    ``theta`` is one flat parameter vector, or an (R, p) stack of them for
-    R restarts evaluated in one call; the stack gives (R,) losses and an
-    (R, p) gradient whose rows equal the calls on each row alone.
-    """
-    theta = np.asarray(theta, dtype=float)
-    if theta.ndim == 2:
-        return _stacked_loss(theta, feats, n, k_base, growth, need_grad)
-    out = _stacked_loss(theta[None], feats, n, k_base, growth, need_grad)
-    if not need_grad:
-        return float(out[0])
-    return float(out[0][0]), out[1][0]
 
 
 def _softplus_inverse(y):

@@ -247,6 +247,23 @@ class TestExitCodes:
                          "--out", str(tmp_path / "runout")])
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["enrich", "validate"])
+    def test_empty_dataset(self, art, tmp_path, capsys, command):
+        empty = tmp_path / "empty.txt"
+        data.save_kbase(data.DataSet(), empty)
+        files = {"enrich": ["--paths", str(empty)],
+                 "validate": ["--model", str(art / "model.json"),
+                              "--state", str(art / "state.npz")]}[command]
+        capsys.readouterr()
+        assert cli.main([command, "--config", str(art / "tiny.ini"),
+                         "--dataset", str(empty), *files,
+                         "--out", str(tmp_path / "out.txt")]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert [line for line in err.splitlines()
+                if line.startswith("error:")] == [err.strip()]
+        assert not (tmp_path / "out.txt").exists()
+
     def test_first_step_death(self, art, monkeypatch):
         def explode(*a, **k):
             raise FirstStepDivergence("newton dead at t=0.333")

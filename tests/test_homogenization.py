@@ -223,7 +223,7 @@ def _path_by_hand(solver, F_bar, n_steps, predict=True):
         alpha = np.vdot(F_k - F_last, F_step) / norm2 if norm2 > 0.0 else 0.0
         u_0 = u_tilde + alpha * u_step if predict and alpha != 0.0 else u_tilde
         updates = []
-        u_k, F, _, P, _ = solver._newton(F_k, u_0, updates)
+        u_k, F, P, _ = solver._newton(F_k, u_0, updates)
         F_step, u_step = F_k - F_last, u_k - u_tilde
         F_last, u_tilde = F_k, u_k
         out.append(solver._package(F_k, u_tilde, F, P, len(updates),
@@ -319,7 +319,7 @@ def _plain_warm(solver, start, F_bar, n_steps):
     for k in range(1, n_steps + 1):
         F_k = (F_bar if k == n_steps
                else start.F_bar + (k / n_steps) * (F_bar - start.F_bar))
-        u_tilde, F, _, P, _ = solver._newton(F_k, u_tilde, updates)
+        u_tilde, F, P, _ = solver._newton(F_k, u_tilde, updates)
     return solver._package(F_bar, u_tilde, F, P, len(updates), None, None)
 
 

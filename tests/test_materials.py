@@ -306,11 +306,25 @@ class TestJacobiEigen:
         np.testing.assert_array_equal(V[:, [p, q], r], 0.0)
         np.testing.assert_array_equal(V[1], np.eye(3))
 
-    def test_general_spd_input(self):
-        rng = rng0(24)
-        C = np.stack([oracles.random_spd(rng) for _ in range(32)])
-        self._check_against_eigh(C)
-        self._check_against_eigh(C[0])
+    def test_tangent_hands_it_at_most_one_pair_per_matrix(self, monkeypatch):
+        # the one-rotation solver is exact only on what ogden_tangent_fd
+        # gives it: matrices with at most one nonzero off-diagonal pair
+        batches = []
+        jacobi = materials._jacobi_principal_stretches
+
+        def recorded(C):
+            batches.append(np.array(C))
+            return jacobi(C)
+
+        monkeypatch.setattr(materials, "_jacobi_principal_stretches", recorded)
+        materials.ogden_tangent_fd(_tangent_states(rng0(24)),
+                                   materials.MATRIX_RUBBER)
+        monkeypatch.undo()
+        assert len(batches) == 12
+        for C in batches:
+            pairs = np.count_nonzero(C[:, [0, 0, 1], [1, 2, 2]], axis=-1)
+            assert pairs.max() <= 1
+            self._check_against_eigh(C)
 
     def test_non_positive_eigenvalue_rejected(self):
         with pytest.raises(NonPositiveJacobian):

@@ -12,8 +12,8 @@ from scipy.spatial import cKDTree
 
 from matmine import (data, homogenization, macro, materials, mining, surrogate,
                      tensors, training)
-from matmine.errors import (CorruptRecord, FormatVersionMismatch, MatmineError,
-                            MaxIterationsExceeded)
+from matmine.errors import (CorruptRecord, EmptyDataSet, FormatVersionMismatch,
+                            MatmineError, MaxIterationsExceeded)
 
 import helpers
 import oracles
@@ -793,6 +793,15 @@ def test_validate_coverage_full_and_partial(synthetic_truth):
     # the surrogate IS the oracle here, so the scatter collapses onto zero
     assert out["rel_max"] == 0.0
     assert out["n_compared"] == out["n_uncovered"]
+
+
+def test_validate_coverage_rejects_an_empty_dataset(synthetic_truth):
+    truth, _ = synthetic_truth
+    paths = random_walk_paths(rng0(50), 2, 3, spread=0.1)
+    with pytest.raises(EmptyDataSet):
+        mining.validate_coverage(truth, data.DataSet(), paths,
+                                 np.linspace(0.0, 1.0, 4),
+                                 mining.ModelOracle(truth, E3), E1, E3)
 
 
 # --- knowledge-base files ---------------------------------------------------------

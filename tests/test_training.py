@@ -86,8 +86,8 @@ class TestLoss:
         _, feats = self._features_for(model, M, F)
         theta = np.concatenate([model.gate_weights, model.input_weights.ravel(),
                                 model.reciprocal_weights, model.biases])
-        loss = training.stress_loss(theta, feats, model.n_neurons, model.n_base,
-                                    False, need_grad=False)
+        loss = training.stress_loss(theta[None], feats, model.n_neurons,
+                                    model.n_base, False, need_grad=False)[0]
         assert loss < 1e-9
 
     def test_matches_independent_stress_path(self):
@@ -102,8 +102,8 @@ class TestLoss:
         feats = _features(ds, other.bounds, M, targets)
         theta = np.concatenate([other.gate_weights, other.input_weights.ravel(),
                                 other.reciprocal_weights, other.biases])
-        loss = training.stress_loss(theta, feats, other.n_neurons, other.n_base,
-                                    False, need_grad=False)
+        loss = training.stress_loss(theta[None], feats, other.n_neurons,
+                                    other.n_base, False, need_grad=False)[0]
         C = tensors.right_cauchy_green(F)
         T_pred = surrogate.model_stress(other, C, M)
         diff = (T_pred - targets)[:, tensors.MANDEL_ROWS, tensors.MANDEL_COLS]
@@ -118,7 +118,9 @@ class TestLoss:
         _, feats = self._features_for(model, M, F)
         n, k_base = 3, 5
         theta = rng.normal(0.0, 0.7, n + n * k_base + n + n)
-        loss, grad = training.stress_loss(theta, feats, n, k_base, growth)
+        losses, grads = training.stress_loss(theta[None], feats, n, k_base,
+                                             growth)
+        loss, grad = losses[0], grads[0]
         assert np.isfinite(loss)
         fd = np.zeros_like(theta)
         h = 1e-6
@@ -127,12 +129,13 @@ class TestLoss:
             dm = theta.copy()
             dp[j] += h
             dm[j] -= h
-            fd[j] = (training.stress_loss(dp, feats, n, k_base, growth, need_grad=False)
-                     - training.stress_loss(dm, feats, n, k_base, growth,
-                                            need_grad=False)) / (2 * h)
+            fd[j] = (training.stress_loss(dp[None], feats, n, k_base, growth,
+                                          need_grad=False)[0]
+                     - training.stress_loss(dm[None], feats, n, k_base, growth,
+                                            need_grad=False)[0]) / (2 * h)
         assert np.allclose(grad, fd, atol=1e-4 * max(1.0, np.abs(fd).max()))
 
-        # an (R, p) stack gives, row for row, the flat call on that row
+        # an (R, p) stack gives, row for row, the one-row stack of that row
         # alone, bit for bit, and so does any sub-stack
         thetas = np.stack([theta, *rng.normal(0.0, 0.7, (3, len(theta)))])
         losses, grads = training.stress_loss(thetas, feats, n, k_base, growth)
@@ -141,9 +144,10 @@ class TestLoss:
                                      need_grad=False)
         np.testing.assert_array_equal(plain, losses)
         for i, row in enumerate(thetas):
-            row_loss, row_grad = training.stress_loss(row, feats, n, k_base, growth)
-            assert row_loss == losses[i]
-            np.testing.assert_array_equal(row_grad, grads[i])
+            row_loss, row_grad = training.stress_loss(row[None], feats, n,
+                                                      k_base, growth)
+            assert row_loss[0] == losses[i]
+            np.testing.assert_array_equal(row_grad[0], grads[i])
         sub_losses, sub_grads = training.stress_loss(thetas[[3, 1]], feats, n,
                                                      k_base, growth)
         np.testing.assert_array_equal(sub_losses, losses[[3, 1]])
