@@ -3,8 +3,8 @@
 Every subcommand reads the same INI configuration (defaults apply when
 ``--config`` is omitted) and a handful of override flags.  Exit codes:
 0 success (including a converged loop), 2 iteration budget exhausted,
-3 macro solver dead on the first load step, 4 unreadable or malformed files,
-1 anything else the pipeline can name.
+3 macro solver dead on the first load step, 4 unreadable or malformed files
+and command-line usage errors, 1 anything else the pipeline can name.
 """
 
 from __future__ import annotations
@@ -33,6 +33,15 @@ _OVERRIDE_FLAGS = (
     ("n_max", ("loop", "n_max")),
     ("threads", ("loop", "threads")),
 )
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 4, as malformed input; argparse's 2 means a spent
+    iteration budget here.  Subcommand parsers inherit the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(4, f"error: {message}\n")
 
 
 def _add_common(p):
@@ -233,7 +242,7 @@ def cmd_convert(args):
 
 
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="matmine",
         description="autonomous mining of microscale data for a neural "
                     "hyperelastic surrogate")

@@ -5,8 +5,9 @@ renders them into a commented INI skeleton and parses user files back onto
 those dataclasses, so the file and the code cannot drift apart.  Unknown
 sections or keys are rejected rather than ignored, and so are counts below
 one (cell grid, substeps, mesh resolution, network width, restarts,
-iteration cap, initial-suite steps), a negative step count and a training
-fraction outside (0, 1].
+iteration cap, initial-suite steps, threads), a negative step count or
+seed, a volume fraction outside [0, 1], a training fraction outside (0, 1]
+and material values the material classes refuse.
 
 ``python3 -m matmine.config`` prints the annotated default file.
 """
@@ -21,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import homogenization, macro, materials, mining, training
-from .errors import InvalidConfig
+from .errors import InvalidConfig, InvalidMaterialParameters
 
 
 def _fmt(value):
@@ -196,13 +197,18 @@ def load_config(path=None, overrides=None):
                              ("network", "n_neurons"),
                              ("training", "restarts"),
                              ("training", "max_iterations"),
-                             ("loop", "initial_steps"),
+                             ("loop", "initial_steps"), ("loop", "threads"),
                              ("geometry", "resolution")):
             if parser[section].getint(key) < 1:
                 raise InvalidConfig(f"{key} must be at least 1")
+        for section, key in (("training", "seed"), ("oracle", "placement_seed")):
+            if parser[section].getint(key) < 0:
+                raise InvalidConfig(f"{key} must be at least 0")
         if parser["geometry"].getint("n_steps") < 0:
             raise InvalidConfig("n_steps must be at least 0 (0 keeps the "
                                 "geometry's builtin count)")
+        if not 0.0 <= parser["oracle"].getfloat("volume_fraction") <= 1.0:
+            raise InvalidConfig("volume_fraction must lie in [0, 1]")
         if not 0.0 < parser["training"].getfloat("train_fraction") <= 1.0:
             raise InvalidConfig("train_fraction must lie in (0, 1]")
         train_cfg = training.TrainingConfig(
@@ -238,7 +244,7 @@ def load_config(path=None, overrides=None):
             geometry=geometry,
             resolution=parser["geometry"].getint("resolution"),
             n_steps=parser["geometry"].getint("n_steps"))
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, InvalidMaterialParameters) as exc:
         raise InvalidConfig(f"bad configuration value: {exc}") from None
 
 

@@ -6,9 +6,8 @@ gradient entries prescribed, the rest found so the conjugate nominal stress
 components vanish); ``initial_load_suite`` lists the seed paths that
 ``mining.initial_dataset`` drives through an oracle's pointwise stress.  The
 voxel oracle solves a periodic first-order homogenization problem on a
-voxelized representative volume, and the audits of the averaging check the
-macrohomogeneity (average-work) identity and the scatter of apparent
-properties across realizations.
+voxelized representative volume, and the scatter of apparent properties
+across random realizations sizes that volume.
 """
 
 from __future__ import annotations
@@ -211,21 +210,6 @@ class VoxelRVE:
         return self.phase.shape[0]
 
 
-def homogeneous_rve(n):
-    """Matrix rubber throughout."""
-    return VoxelRVE(np.zeros((n, n, n), dtype=int), (materials.MATRIX_RUBBER,))
-
-
-def layered_rve(n, fraction, axis=2):
-    """Rubber-fiber laminate: the first round(fraction*n) slabs are fiber."""
-    phase = np.zeros((n, n, n), dtype=int)
-    n1 = int(round(fraction * n))
-    sl = [slice(None)] * 3
-    sl[axis] = slice(0, n1)
-    phase[tuple(sl)] = 1
-    return VoxelRVE(phase, (materials.MATRIX_RUBBER, materials.FIBER_STIFF))
-
-
 def fiber_rve(n, volume_fraction, seed, phases=None):
     """Random stiff columns along x3.
 
@@ -372,7 +356,8 @@ class VoxelHomogenizer:
         increments and of both attempts of a rerun.
         """
         F_bar = np.asarray(F_bar, dtype=float)
-        _check_steps(n_steps)
+        if n_steps < 1:
+            raise ValueError(f"a cell solve needs n_steps >= 1, got {n_steps}")
         if start is None:
             F_0, u_tilde = np.eye(3), np.zeros((self.n_nodes, 3))
             F_step, u_step = np.zeros((3, 3)), np.zeros_like(u_tilde)
@@ -388,59 +373,8 @@ class VoxelHomogenizer:
             F_last, u_tilde = F_k, u_k
         return self._package(F_bar, u_tilde, F, P, len(updates), F_step, u_step)
 
-    def path(self, F_bar, n_steps):
-        """Solutions at F_k = I + (k/n)(F_bar - I), k = 0..n, in turn.
-
-        Each is one increment of :meth:`solve` from the one before, so its
-        Newton starts from the secant prediction along the step before.
-        """
-        F_bar = np.asarray(F_bar, dtype=float)
-        _check_steps(n_steps)
-        out, sol = [], None
-        for k in range(n_steps + 1):
-            F_k = np.eye(3) + (k / n_steps) * (F_bar - np.eye(3))
-            sol = self.solve(F_k, 1, start=sol)
-            out.append(sol)
-        return out
-
-
-def _check_steps(n_steps):
-    if n_steps < 1:
-        raise ValueError(f"a cell solve needs n_steps >= 1, got {n_steps}")
-
-
 # ---------------------------------------------------------------------------
-# averaging audits
-
-def work_rate_mismatch(prev: VoxelSolution, curr: VoxelSolution):
-    """Relative gap between macro and averaged micro incremental work.
-
-    With rates replaced by increments between two converged states, the
-    average-work identity says P_bar : dF_bar matches the volume average of
-    P : dF.  Returns |gap| / |macro work increment|.
-    """
-    dF_bar = curr.F_bar - prev.F_bar
-    macro = np.tensordot(curr.P_bar, dF_bar, axes=2)
-    micro = float(fem.volume_average(
-        np.einsum("eqij,eqij->eq", curr.P_qp, curr.F_qp - prev.F_qp),
-        curr.wdet))
-    return abs(macro - micro) / max(abs(macro), 1e-300)
-
-
-def path_energy_mismatch(solutions):
-    """Relative gap between the averaged energy and the work integral.
-
-    Trapezoid-integrates P_bar : dF_bar along a list of converged states and
-    compares with the change of the averaged energy density.
-    """
-    work = 0.0
-    for a, b in zip(solutions[:-1], solutions[1:]):
-        dF = b.F_bar - a.F_bar
-        work += 0.5 * (np.tensordot(a.P_bar, dF, axes=2)
-                       + np.tensordot(b.P_bar, dF, axes=2))
-    dpsi = solutions[-1].psi_bar - solutions[0].psi_bar
-    return abs(work - dpsi) / max(abs(dpsi), 1e-300)
-
+# scatter of apparent properties
 
 def chi_squared(values):
     """Scatter statistic sum((a_i - mean)^2) / mean over realizations."""

@@ -134,21 +134,6 @@ class DisplacementRamp:
 
 
 @dataclass(frozen=True)
-class AffineRamp:
-    """Prescribes the affine field u = t * H X on a node set (all components)."""
-
-    node_set: str
-    gradient: tuple
-
-    def constraints(self, t, mesh: MacroMesh):
-        nodes = mesh.node_sets[self.node_set]
-        H = np.asarray(self.gradient, dtype=float).reshape(3, 3)
-        values = mesh.nodes[nodes] @ (t * H).T
-        mask = np.ones((len(nodes), 3), dtype=bool)
-        return nodes, values, mask
-
-
-@dataclass(frozen=True)
 class RotationRamp:
     """Rigid rotation of a node set about an axis line, ramped linearly.
 

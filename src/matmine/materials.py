@@ -10,7 +10,7 @@ stresses and moduli in kPa, lengths dimensionless.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -215,13 +215,6 @@ class OracleParameters:
     @property
     def structural_tensor(self):
         return tensors.structural_tensor(self.fiber_axis)
-
-
-def oracle_energy_from_C(C, oracle: OracleParameters):
-    I4 = np.einsum("ij,...ij->...", oracle.structural_tensor,
-                   np.asarray(C, dtype=float))
-    fiber = 0.5 * oracle.fiber_stiffness * (I4 - 1.0) ** 2
-    return ogden_energy_from_C(C, oracle.matrix) + fiber
 
 
 def oracle_stress_from_C(C, oracle: OracleParameters):

@@ -7,7 +7,9 @@ dataset yet.  Detected histories are rotated into the microscale frame,
 deduplicated and handed to the oracle; the answers enlarge the dataset for
 the next iteration.  The loop ends when a completed macro solve contains
 nothing new.  The starting dataset is the initial load suite, driven through
-the same oracle and filtered alike.  Every oracle answers through one call,
+the same oracle and filtered alike.  The package has two oracles, the
+closed-form :class:`AnalyticOracle` and the cell-solving
+:class:`VoxelOracle`, and every oracle answers through one call,
 ``evaluate_path(F, warm_start)``: warm along a mined history, cold for the
 independent states of the initial suite and of validation.
 """
@@ -58,11 +60,18 @@ class _ScaledTree:
     """kd-tree of ``rows`` in the scaled coordinates ``(x - lo) / ranges``.
 
     ``lo`` is the per-coordinate minimum of ``rows`` (0 where that is not
-    finite) and ``ranges`` are positive.  ``reach`` holds every row that
-    will be looked up, so that ``margin = 64 eps S`` takes ``S >= 1`` over
-    the scaled magnitudes of both sides (see :func:`distinct_mask`).  Rows
-    with an inf or NaN after scaling stay out of the tree: ``in_tree`` and
-    ``out_tree`` index the two kinds.
+    finite) and ``ranges`` are positive; in these coordinates the Chebyshev
+    distance is the metric up to rounding.  With ``u = eps / 2``, a scaled
+    coordinate carries a relative error of at most ``2u``, so a scaled
+    difference is off from ``(a - b) / r`` by at most ``4u S`` plus ``u`` of
+    itself, while ``|a - b| / r`` as computed is off by at most ``2u`` of
+    itself; as a distance is at most ``2S``, the two disagree by less than
+    ``6 eps S``, ``S >= 1`` bounding the scaled magnitudes of the tree rows
+    and of ``reach``, which holds every row that will be looked up.
+    ``margin = 64 eps S`` covers that gap, and the tree's pruning, which
+    compares the same rounded differences, with an order of magnitude to
+    spare.  Rows with an inf or NaN after scaling stay out of the tree:
+    ``in_tree`` and ``out_tree`` index the two kinds.
     """
 
     def __init__(self, rows, ranges, reach):
@@ -117,25 +126,16 @@ def distinct_mask(candidates, existing, ranges, tol):
     candidate ``c`` is distinct when its distance to every existing row
     ``e``, ``(np.abs(c - e) / ranges).max()``, exceeds ``tol`` strictly.
 
-    The search runs on a kd-tree of the existing rows in the scaled
-    coordinates ``(x - lo) / ranges``, ``lo`` the per-coordinate minimum of
-    the existing rows (0 where that is not finite), in which the Chebyshev
-    distance is the metric up to rounding.  With ``u = eps / 2``, a scaled
-    coordinate carries a relative error of at most ``2u``, so a scaled
-    difference is off from ``(a - b) / r`` by at most ``4u S`` plus ``u`` of
-    itself, while ``|a - b| / r`` as computed is off by at most ``2u`` of
-    itself; as a distance is at most ``2S``, the two disagree by less than
-    ``6 eps S``, ``S >= 1`` bounding the scaled magnitudes of the tree rows
-    and the candidates.  ``margin = 64 eps S`` covers that gap, and the
-    tree's pruning, which compares the same rounded differences, with an
-    order of magnitude to spare.  Every candidate is then settled in one
-    pass: a nearest neighbour beyond ``tol + margin`` makes it distinct, one
-    at or below ``tol - margin`` makes it not distinct, and one in between is
-    settled exactly, by the expression above over the rows within ``tol +
-    margin``.  Rows with an inf or NaN (after scaling) take no part in the
-    search and are compared exactly with every row of the other side; a NaN
-    distance never exceeds ``tol``, so a NaN candidate is not distinct.  The
-    answers are thus bit for bit those of the dense pairwise scan.
+    The search runs on a :class:`_ScaledTree` of the existing rows, whose
+    ``margin`` bounds the rounding of its distances.  One nearest-neighbour
+    query settles most candidates: a neighbour beyond ``tol + margin`` makes
+    one distinct, one at or below ``tol - margin`` makes it not distinct.
+    The rest stay open, and one :meth:`_ScaledTree.close_pairs` call settles
+    them by the expression above: those with a neighbour in between, those
+    with an inf or NaN (after scaling), and every candidate when some
+    existing row has one.  A NaN distance never exceeds ``tol``, so a NaN
+    candidate is not distinct.  The answers are thus bit for bit those of
+    the dense pairwise scan.
 
     The sequential passes of :func:`filter_candidates` and
     :func:`detect_new_paths` call this once, for their static pass, and
@@ -150,20 +150,15 @@ def distinct_mask(candidates, existing, ranges, tol):
 
     near = _ScaledTree(existing, ranges, candidates)
     query = near.scale(candidates)
-    queried = np.isfinite(query).all(axis=1)
-    query[~queried] = 0.0  # settled exactly below
-    rows = existing[near.in_tree]
-    reach = tol + near.margin
-    d, _ = near.tree.query(query, p=np.inf, distance_upper_bound=reach)
-    out = d > tol - near.margin
-    band = np.flatnonzero(out & (d < np.inf))
-    for i, ball in zip(band, near.tree.query_ball_point(query[band], reach,
-                                                         p=np.inf)):
-        out[i] = _far(candidates[i], rows[ball], ranges, tol).all()
-    for row in existing[near.out_tree]:
-        out &= _far(candidates, row, ranges, tol)
-    for i in np.flatnonzero(~queried):
-        out[i] = _far(candidates[i], existing, ranges, tol).all()
+    finite = np.isfinite(query).all(axis=1)
+    query[~finite] = 0.0  # forced open below
+    d, _ = near.tree.query(query, p=np.inf,
+                           distance_upper_bound=tol + near.margin)
+    out = (d > tol - near.margin) | ~finite
+    open_ = np.flatnonzero(out & (np.isfinite(d) | ~finite
+                                  | (len(near.out_tree) > 0)))
+    qi, _ = near.close_pairs(candidates[open_], tol)
+    out[open_[qi]] = False
     return out
 
 
@@ -323,20 +318,6 @@ class VoxelOracle:
                                          start=sol if warm_start else None)
             out[idx] = sol.P_bar
         return out
-
-
-class ModelOracle:
-    """A trained surrogate posing as the oracle (synthetic ground truth)."""
-
-    name = "model"
-
-    def __init__(self, model: surrogate.SurrogateModel, fiber_axis=(0.0, 0.0, 1.0)):
-        self.model = model
-        self.M = tensors.structural_tensor(fiber_axis)
-
-    def evaluate_path(self, F, warm_start=True):
-        del warm_start  # pointwise
-        return surrogate.model_nominal_stress(self.model, F, self.M)
 
 
 def initial_dataset(stress, eps_filter=0.01, n_steps=12,

@@ -1,9 +1,11 @@
 """Shared test factories (kept apart from the independent oracles)."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import scipy.sparse.linalg
 
-from matmine import materials, surrogate, tensors
+from matmine import fem, homogenization, materials, surrogate, tensors
 
 import oracles
 
@@ -37,9 +39,17 @@ def ogden_energy(F, params):
     return materials.ogden_energy_from_C(tensors.right_cauchy_green(F), params)
 
 
+def oracle_energy_from_C(C, oracle):
+    """Energy of the analytic oracle: Ogden matrix plus 0.5 c (I4 - 1)^2."""
+    I4 = np.einsum("ij,...ij->...", oracle.structural_tensor,
+                   np.asarray(C, dtype=float))
+    fiber = 0.5 * oracle.fiber_stiffness * (I4 - 1.0) ** 2
+    return materials.ogden_energy_from_C(C, oracle.matrix) + fiber
+
+
 def oracle_energy(F, oracle):
     tensors.jacobian(F)
-    return materials.oracle_energy_from_C(tensors.right_cauchy_green(F), oracle)
+    return oracle_energy_from_C(tensors.right_cauchy_green(F), oracle)
 
 
 def oracle_stress(F, oracle):
@@ -94,3 +104,96 @@ def force_colamd(monkeypatch):
 
     monkeypatch.setattr(scipy.sparse.linalg, "spsolve", colamd)
     return calls
+
+
+class ModelOracle:
+    """A trained surrogate posing as the oracle (synthetic ground truth)."""
+
+    name = "model"
+
+    def __init__(self, model, fiber_axis=(0.0, 0.0, 1.0)):
+        self.model = model
+        self.M = tensors.structural_tensor(fiber_axis)
+
+    def evaluate_path(self, F, warm_start=True):
+        del warm_start  # pointwise
+        return surrogate.model_nominal_stress(self.model, F, self.M)
+
+
+@dataclass(frozen=True)
+class AffineRamp:
+    """Prescribes the affine field u = t * H X on a node set (all components)."""
+
+    node_set: str
+    gradient: tuple
+
+    def constraints(self, t, mesh):
+        nodes = mesh.node_sets[self.node_set]
+        H = np.asarray(self.gradient, dtype=float).reshape(3, 3)
+        values = mesh.nodes[nodes] @ (t * H).T
+        mask = np.ones((len(nodes), 3), dtype=bool)
+        return nodes, values, mask
+
+
+# --- voxel cells and the averaging audits ---------------------------------------
+
+def homogeneous_rve(n):
+    """Matrix rubber throughout."""
+    return homogenization.VoxelRVE(np.zeros((n, n, n), dtype=int),
+                                   (materials.MATRIX_RUBBER,))
+
+
+def layered_rve(n, fraction, axis=2):
+    """Rubber-fiber laminate: the first round(fraction*n) slabs are fiber."""
+    phase = np.zeros((n, n, n), dtype=int)
+    n1 = int(round(fraction * n))
+    sl = [slice(None)] * 3
+    sl[axis] = slice(0, n1)
+    phase[tuple(sl)] = 1
+    return homogenization.VoxelRVE(
+        phase, (materials.MATRIX_RUBBER, materials.FIBER_STIFF))
+
+
+def cell_path(solver, F_bar, n_steps):
+    """Cell solutions at F_k = I + (k/n)(F_bar - I), k = 0..n, in turn.
+
+    Each is one increment of ``solver.solve`` from the one before, so its
+    Newton starts from the secant prediction along the step before.
+    """
+    F_bar = np.asarray(F_bar, dtype=float)
+    out, sol = [], None
+    for k in range(n_steps + 1):
+        F_k = np.eye(3) + (k / n_steps) * (F_bar - np.eye(3))
+        sol = solver.solve(F_k, 1, start=sol)
+        out.append(sol)
+    return out
+
+
+def work_rate_mismatch(prev, curr):
+    """Relative gap between macro and averaged micro incremental work.
+
+    With rates replaced by increments between two converged states, the
+    average-work identity says P_bar : dF_bar matches the volume average of
+    P : dF.  Returns |gap| / |macro work increment|.
+    """
+    dF_bar = curr.F_bar - prev.F_bar
+    macro = np.tensordot(curr.P_bar, dF_bar, axes=2)
+    micro = float(fem.volume_average(
+        np.einsum("eqij,eqij->eq", curr.P_qp, curr.F_qp - prev.F_qp),
+        curr.wdet))
+    return abs(macro - micro) / max(abs(macro), 1e-300)
+
+
+def path_energy_mismatch(solutions):
+    """Relative gap between the averaged energy and the work integral.
+
+    Trapezoid-integrates P_bar : dF_bar along a list of converged states and
+    compares with the change of the averaged energy density.
+    """
+    work = 0.0
+    for a, b in zip(solutions[:-1], solutions[1:]):
+        dF = b.F_bar - a.F_bar
+        work += 0.5 * (np.tensordot(a.P_bar, dF, axes=2)
+                       + np.tensordot(b.P_bar, dF, axes=2))
+    dpsi = solutions[-1].psi_bar - solutions[0].psi_bar
+    return abs(work - dpsi) / max(abs(dpsi), 1e-300)

@@ -164,7 +164,7 @@ def test_03_trained_energy_is_normalized_and_grows(suite_dataset):
 def test_04_voxel_homogenization_reference_checks():
     t0 = time.perf_counter()
 
-    cell = hom.homogeneous_rve(3)
+    cell = helpers.homogeneous_rve(3)
     F_bar = np.array([[1.1, 0.05, 0.0],
                       [0.0, 0.95, 0.02],
                       [0.0, 0.0, 1.03]])
@@ -173,7 +173,7 @@ def test_04_voxel_homogenization_reference_checks():
         tensors.right_cauchy_green(F_bar), materials.MATRIX_RUBBER)
     np.testing.assert_allclose(sol.P_bar, P_ref, rtol=1e-8, atol=1e-10)
 
-    layered = hom.layered_rve(4, 0.5, axis=0)
+    layered = helpers.layered_rve(4, 0.5, axis=0)
     lam_bar = 1.15
     sol = hom.VoxelHomogenizer(layered).solve(np.diag([lam_bar, 1.0, 1.0]),
                                               n_steps=2)
@@ -187,9 +187,10 @@ def test_04_voxel_homogenization_reference_checks():
     F_mix = np.eye(3)
     F_mix[2, 2] = 1.12
     F_mix[0, 2] = 0.04
-    sols = hom.VoxelHomogenizer(two_phase).path(F_mix, n_steps=4)
+    sols = helpers.cell_path(hom.VoxelHomogenizer(two_phase), F_mix,
+                             n_steps=4)
     for prev, curr in zip(sols[:-1], sols[1:]):
-        assert hom.work_rate_mismatch(prev, curr) <= 1e-6
+        assert helpers.work_rate_mismatch(prev, curr) <= 1e-6
 
     assert hom.chi_squared([1.0, 3.0]) == 1.0
     samples = hom.apparent_stiffness_samples(8, 0.3, seeds=range(10),
@@ -315,8 +316,8 @@ def test_10_macro_solver_reference_checks():
     H = np.array([[0.08, 0.03, 0.0],
                   [0.02, -0.05, 0.04],
                   [0.0, 0.01, 0.06]])
-    state = macro.solve_macro(mesh, (macro.AffineRamp("boundary",
-                                                      tuple(H.reshape(-1))),),
+    state = macro.solve_macro(mesh, (helpers.AffineRamp("boundary",
+                                                        tuple(H.reshape(-1))),),
                               helpers.SVK, n_steps=1, rel_tol=1e-13)
     patch_err = np.abs(state.steps[-1].F_qp - (np.eye(3) + H)).max()
     assert patch_err <= 1e-12

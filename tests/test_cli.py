@@ -96,6 +96,13 @@ class TestConfig:
         "[training]\ntrain_fraction = 1.5\n",
         "[loop]\ninitial_steps = 0\n",
         "[geometry]\nn_steps = -1\n",
+        "[training]\nseed = -2\n",
+        "[oracle]\nkind = voxel\nplacement_seed = -1\n",
+        "[loop]\nthreads = 0\n",
+        "[oracle]\nvolume_fraction = 1.7\n",
+        "[material]\nkappa = -1\n",
+        "[material]\nalpha = 1.5\n",
+        "[oracle]\nfiber_stiffness = 0\n",
     ])
     def test_bad_files_rejected(self, tmp_path, text):
         p = tmp_path / "bad.ini"
@@ -237,6 +244,35 @@ class TestExitCodes:
         bad.write_text("[geometry]\nresolution = 0\n")
         assert cli.main(["solve", "--config", str(bad),
                          "--model", str(art / "model.json")]) == 4
+
+    @pytest.mark.parametrize("flags, extra", [
+        (["--seed", "-1"], ""),
+        ([], "\n[material]\nkappa = -1\n"),
+    ], ids=["negative-seed", "negative-kappa"])
+    def test_bad_value_is_one_error_line(self, art, tmp_path, capsys, flags,
+                                         extra):
+        ini = tmp_path / "bad.ini"
+        ini.write_text(TINY + extra)
+        capsys.readouterr()
+        assert cli.main(["train", "--config", str(ini),
+                         "--dataset", str(art / "kb.txt"), *flags,
+                         "--out", str(tmp_path / "model.json")]) == 4
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert [line for line in err.splitlines()
+                if line.startswith("error:")] == [err.strip()]
+        assert not (tmp_path / "model.json").exists()
+
+    @pytest.mark.parametrize("argv, code", [
+        (["run", "--threads", "abc"], 4),
+        (["run", "--bogus"], 4),
+        (["run", "--help"], 0),
+    ])
+    def test_usage(self, capsys, argv, code):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == code
+        assert ("error:" in capsys.readouterr().err) == (code != 0)
 
     def test_budget_exhaustion(self, art, tmp_path, monkeypatch):
         def explode(*a, **k):

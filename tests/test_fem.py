@@ -29,7 +29,7 @@ def _cuboid():
 
 
 def _voxel(n):
-    cell = hom.VoxelHomogenizer(hom.homogeneous_rve(n))
+    cell = hom.VoxelHomogenizer(helpers.homogeneous_rve(n))
     return cell.grid.coords, cell.grid.conn, cell.n_nodes
 
 

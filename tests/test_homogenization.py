@@ -145,7 +145,7 @@ def test_initial_data_contains_identity_rows_and_oracle_stresses():
 # --- voxel cell solver -------------------------------------------------------
 
 def test_homogeneous_cell_reproduces_pointwise_response():
-    rve = hom.homogeneous_rve(3)
+    rve = helpers.homogeneous_rve(3)
     solver = hom.VoxelHomogenizer(rve)
     F_bar = np.array([[1.1, 0.05, 0.0],
                       [0.0, 0.95, 0.02],
@@ -161,7 +161,7 @@ def test_homogeneous_cell_reproduces_pointwise_response():
 
 def test_layered_cell_matches_semianalytic_laminate():
     fraction = 0.5
-    rve = hom.layered_rve(4, fraction, axis=0)
+    rve = helpers.layered_rve(4, fraction, axis=0)
     solver = hom.VoxelHomogenizer(rve)
     lam_bar = 1.15
     sol = solver.solve(np.diag([lam_bar, 1.0, 1.0]), n_steps=2)
@@ -184,9 +184,9 @@ def test_work_average_identity_holds_on_random_cell():
     F_bar = np.eye(3)
     F_bar[2, 2] = 1.12
     F_bar[0, 2] = 0.04
-    sols = solver.path(F_bar, n_steps=3)
+    sols = helpers.cell_path(solver, F_bar, n_steps=3)
     for prev, curr in zip(sols[:-1], sols[1:]):
-        assert hom.work_rate_mismatch(prev, curr) < 1e-6
+        assert helpers.work_rate_mismatch(prev, curr) < 1e-6
 
 
 def test_work_average_identity_flags_inconsistent_fields():
@@ -194,10 +194,10 @@ def test_work_average_identity_flags_inconsistent_fields():
     solver = hom.VoxelHomogenizer(rve)
     F_bar = np.eye(3)
     F_bar[2, 2] = 1.1
-    sols = solver.path(F_bar, n_steps=2)
+    sols = helpers.cell_path(solver, F_bar, n_steps=2)
     rng = np.random.default_rng(0)
     sols[-1].F_qp = sols[-1].F_qp + 0.02 * rng.normal(size=sols[-1].F_qp.shape)
-    assert hom.work_rate_mismatch(sols[-2], sols[-1]) > 1e-3
+    assert helpers.work_rate_mismatch(sols[-2], sols[-1]) > 1e-3
 
 
 def test_energy_average_integrates_work_along_path():
@@ -206,12 +206,12 @@ def test_energy_average_integrates_work_along_path():
     F_bar = np.eye(3)
     F_bar[2, 2] = 1.15
     F_bar[0, 1] = 0.05
-    sols = solver.path(F_bar, n_steps=8)
-    assert hom.path_energy_mismatch(sols) < 1e-2
+    sols = helpers.cell_path(solver, F_bar, n_steps=8)
+    assert helpers.path_energy_mismatch(sols) < 1e-2
 
 
 def _path_by_hand(solver, F_bar, n_steps, predict=True):
-    """The ramp ``VoxelHomogenizer.path`` runs, as its own loop: each
+    """The ramp ``helpers.cell_path`` runs, as its own loop: each
     increment starts from the secant prediction along the one before, or,
     without ``predict``, from the last converged fluctuation."""
     u_tilde = np.zeros((solver.n_nodes, 3))
@@ -240,7 +240,7 @@ def _ramp_solver():
 
 def test_path_is_a_chain_of_one_increment_solves():
     solver, F_bar = _ramp_solver()
-    for got, ref in zip(solver.path(F_bar, n_steps=3),
+    for got, ref in zip(helpers.cell_path(solver, F_bar, n_steps=3),
                         _path_by_hand(solver, F_bar, 3), strict=True):
         for name in ("F_bar", "P_bar", "F_qp", "P_qp", "psi_qp", "u_tilde",
                      "F_step", "u_step"):
@@ -251,7 +251,7 @@ def test_path_is_a_chain_of_one_increment_solves():
 
 def test_secant_prediction_saves_updates_and_keeps_the_answer():
     solver, F_bar = _ramp_solver()
-    predicted = solver.path(F_bar, n_steps=3)
+    predicted = helpers.cell_path(solver, F_bar, n_steps=3)
     plain = _path_by_hand(solver, F_bar, 3, predict=False)
     for got, ref in zip(predicted, plain, strict=True):
         np.testing.assert_allclose(got.P_bar, ref.P_bar, rtol=1e-8,
@@ -261,9 +261,9 @@ def test_secant_prediction_saves_updates_and_keeps_the_answer():
 
 
 @pytest.mark.parametrize("n_steps", [0, -1])
-@pytest.mark.parametrize("method", ["solve", "path"])
+@pytest.mark.parametrize("method", ["solve"])
 def test_cell_solves_need_at_least_one_increment(method, n_steps):
-    solver = hom.VoxelHomogenizer(hom.homogeneous_rve(2))
+    solver = hom.VoxelHomogenizer(helpers.homogeneous_rve(2))
     with pytest.raises(ValueError, match="n_steps"):
         getattr(solver, method)(np.diag([1.1, 1.0, 1.0]), n_steps)
 

@@ -92,7 +92,7 @@ def test_patch_test_affine_field_is_exact():
     H = np.array([[0.08, 0.03, 0.0],
                   [0.02, -0.05, 0.04],
                   [0.0, 0.01, 0.06]])
-    bcs = (macro.AffineRamp("boundary", tuple(H.reshape(-1))),)
+    bcs = (helpers.AffineRamp("boundary", tuple(H.reshape(-1))),)
     state = macro.solve_macro(mesh, bcs, SVK, n_steps=1, rel_tol=1e-13)
     F_expected = np.eye(3) + H
     err = np.abs(state.steps[-1].F_qp - F_expected).max()

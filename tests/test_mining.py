@@ -637,7 +637,7 @@ def synthetic_truth():
 def _loop_setup(synthetic_truth, stretch=1.8):
     truth, initial = synthetic_truth
     problem = _bar_problem(stretch, n_steps=6)
-    oracle = mining.ModelOracle(truth, E3)
+    oracle = helpers.ModelOracle(truth, E3)
     cfg = training.TrainingConfig(n_neurons=3, restarts=3, seed=5,
                                   growth_mode=True, anisotropy="isotropic",
                                   max_iterations=1500)
@@ -779,7 +779,7 @@ def test_validate_coverage_full_and_partial(synthetic_truth):
     covering = data.DataSet(F_rows, np.zeros_like(F_rows), ["init"] * m,
                             np.zeros(m, dtype=int), np.arange(m),
                             np.zeros(m, dtype=int), np.zeros(m))
-    oracle = mining.ModelOracle(truth, E3)
+    oracle = helpers.ModelOracle(truth, E3)
     out = mining.validate_coverage(truth, covering, paths, times, oracle, E1, E3)
     assert out["n_uncovered"] == 0 and out["coverage_complete"]
     # complete coverage probes every state instead of reporting nothing
@@ -801,7 +801,7 @@ def test_validate_coverage_rejects_an_empty_dataset(synthetic_truth):
     with pytest.raises(EmptyDataSet):
         mining.validate_coverage(truth, data.DataSet(), paths,
                                  np.linspace(0.0, 1.0, 4),
-                                 mining.ModelOracle(truth, E3), E1, E3)
+                                 helpers.ModelOracle(truth, E3), E1, E3)
 
 
 # --- knowledge-base files ---------------------------------------------------------
