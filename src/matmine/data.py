@@ -136,8 +136,13 @@ def atomic_write(path, mode="w"):
     ``mode`` is ``"w"`` for text or ``"wb"`` for bytes.  Writes go to
     ``path.tmp``, renamed over ``path`` when the block exits normally; when
     it raises, the temporary file is removed and ``path`` keeps its previous
-    content.
+    content.  A ``path`` that exists and is not a regular file, such as a
+    device or a FIFO, cannot be replaced atomically and is written in place.
     """
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, mode) as fh:
+            yield fh
+        return
     tmp = f"{path}.tmp"
     try:
         with open(tmp, mode) as fh:
@@ -189,16 +194,16 @@ def save_kbase(dataset: DataSet, path):
             fh.write(f"{fields[src]} {it} {pid} {stp} {numeric}\n")
 
 
-def _check_finite(values, line_nos):
+def _check_finite(values, line_nos, path):
     """Raise :class:`CorruptRecord` at the first record with an inf or NaN."""
     bad = ~np.isfinite(values).all(axis=-1)
     if bad.any():
-        raise CorruptRecord("non-finite value", line_no=line_nos[np.argmax(bad)])
+        raise CorruptRecord("non-finite value", line_nos[np.argmax(bad)], path)
 
 
-def _lines(buffer, encoding):
-    """``(offset, line)`` for each line of the bytes ``buffer``, decoded one
-    at a time."""
+def _lines(buffer, encoding, path):
+    """``(offset, line)`` for each line of the bytes ``buffer`` read from
+    ``path``, decoded one at a time."""
     start = 0
     while start < len(buffer):
         stop = buffer.find(b"\n", start)
@@ -208,7 +213,7 @@ def _lines(buffer, encoding):
             line = buffer[start:stop].decode(encoding)
         except UnicodeDecodeError:
             raise CorruptRecord(f"not {encoding} text",
-                                line_no=buffer.count(b"\n", 0, start) + 1) from None
+                                buffer.count(b"\n", 0, start) + 1, path) from None
         yield start, line
         start = stop + 1
 
@@ -217,8 +222,9 @@ def load_kbase(path):
     """Read a knowledge base written by :func:`save_kbase`.
 
     Raises :class:`FormatVersionMismatch` for a missing or unknown header and
-    :class:`CorruptRecord` (with line number) for malformed records.  The
-    file's bytes stay with the set as its record text.
+    :class:`CorruptRecord` (with line number) for malformed records; both
+    messages name ``path``.  The file's bytes stay with the set as its
+    record text.
     """
     sources, labels, line_nos = [], [], []
     numbers, spans = array.array("d"), array.array("q")
@@ -226,11 +232,11 @@ def load_kbase(path):
         buffer = fh.read()
     if b"\r" in buffer:   # newlines as text mode reads them
         buffer = buffer.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    lines = _lines(buffer, locale.getpreferredencoding(False))
+    lines = _lines(buffer, locale.getpreferredencoding(False), path)
     first = next(lines, (0, ""))[1].strip()
     if first != f"# {KBASE_VERSION}":
         raise FormatVersionMismatch(
-            f"expected header '# {KBASE_VERSION}', found {first!r}")
+            f"{path}: expected header '# {KBASE_VERSION}', found {first!r}")
     for line_no, (start, line) in enumerate(lines, start=2):
         parts = line.split(None, 4)
         if not parts or parts[0].startswith("#"):
@@ -246,8 +252,8 @@ def load_kbase(path):
         except ValueError as exc:
             # an inf or NaN on an earlier line is the first fault
             _check_finite(np.frombuffer(numbers)[:_N_NUMBERS * len(line_nos)]
-                          .reshape(-1, _N_NUMBERS), line_nos)
-            raise CorruptRecord(str(exc), line_no=line_no) from None
+                          .reshape(-1, _N_NUMBERS), line_nos, path)
+            raise CorruptRecord(str(exc), line_no, path) from None
         sources.append(parts[0])
         line_nos.append(line_no)
         if line.isascii():   # offsets in characters are offsets in bytes
@@ -256,7 +262,7 @@ def load_kbase(path):
         else:
             spans.extend((-1, -1))
     values = np.frombuffer(numbers).reshape(-1, _N_NUMBERS)
-    _check_finite(values, line_nos)
+    _check_finite(values, line_nos, path)
     labels = np.array(labels, dtype=int).reshape(-1, 3)
     text = _RecordText(buffer, np.frombuffer(spans, dtype=np.int64).reshape(-1, 2),
                        values)

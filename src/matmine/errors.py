@@ -64,10 +64,14 @@ class FormatVersionMismatch(MatmineError):
 class CorruptRecord(MatmineError):
     """A data file record failed to parse.
 
-    Carries the 1-based line number in ``line_no`` when known.
+    Carries the 1-based line number in ``line_no`` when known; the message
+    starts with the file's ``path`` when given.
     """
 
-    def __init__(self, message, line_no=None):
-        super().__init__(message if line_no is None
-                         else f"line {line_no}: {message}")
+    def __init__(self, message, line_no=None, path=None):
+        if line_no is not None:
+            message = f"line {line_no}: {message}"
+        if path is not None:
+            message = f"{path}: {message}"
+        super().__init__(message)
         self.line_no = line_no

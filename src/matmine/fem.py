@@ -93,13 +93,15 @@ def deformation_gradients(u_elem, dNdX):
 def internal_forces(P, dNdX, wdet, conn, n_nodes):
     """Assemble nodal internal forces from nominal stresses.
 
-    ``conn`` holds global node ids (E, 8); repeated ids accumulate, which is
-    what periodic wrapping relies on.  Returns (n_nodes, 3).
+    ``conn`` holds global node ids (E, 8); repeated ids accumulate in
+    element order, which is what periodic wrapping relies on.  Returns
+    (n_nodes, 3).
     """
     f_elem = np.einsum("eq,eqij,eqaj->eai", wdet, P, dNdX)
-    f = np.zeros((n_nodes, 3))
-    np.add.at(f, conn.reshape(-1), f_elem.reshape(-1, 3))
-    return f
+    dofs = 3 * np.asarray(conn)[:, :, None] + np.arange(3)
+    f = np.bincount(dofs.reshape(-1), weights=f_elem.reshape(-1),
+                    minlength=3 * n_nodes)
+    return f.reshape(n_nodes, 3)
 
 
 def volume_average(field, wdet):
@@ -162,6 +164,34 @@ class StiffnessPattern:
         self.shape = (3 * n_nodes, 3 * n_nodes)
 
 
+class FreeDofs:
+    """The free-dof restriction ``K[free][:, free]`` of one stiffness layout.
+
+    ``mask`` marks the free dofs.  ``indices``, ``indptr`` and ``shape`` are
+    the CSC layout scipy gives ``K[free][:, free].tocsc()`` for a CSR K of
+    ``pattern``, and ``take`` is the position in K's data of each of its
+    entries, found once by restricting a K whose data are those positions.
+    :meth:`restrict` then gathers a stiffness's data into that layout, so
+    SuperLU gets the bytes the two slices would give.  Only read after
+    construction, so concurrent solves may share one.
+    """
+
+    def __init__(self, pattern: StiffnessPattern, mask):
+        self.mask = np.asarray(mask, dtype=bool).reshape(-1)
+        # positions counted from 1: a zero could be dropped as an explicit zero
+        position = np.arange(1.0, len(pattern.indices) + 1.0)
+        probe = sp.csr_matrix((position, pattern.indices, pattern.indptr),
+                              shape=pattern.shape)
+        sub = probe[self.mask][:, self.mask].tocsc()
+        self.take = sub.data.astype(np.intp) - 1
+        self.indices, self.indptr, self.shape = sub.indices, sub.indptr, sub.shape
+
+    def restrict(self, K):
+        """``K[free][:, free]`` as CSC, for a CSR K of this layout."""
+        return sp.csc_matrix((K.data[self.take], self.indices, self.indptr),
+                             shape=self.shape)
+
+
 def tangent_matrix(A, dNdX, wdet, pattern: StiffnessPattern):
     """Assemble the global stiffness as CSR from per-point tangents A.
 
@@ -201,21 +231,26 @@ class HexGrid:
         self.dNdX, self.wdet = element_gradients(self.coords)
         self.pattern = StiffnessPattern(self.conn, n_nodes)
 
-    def newton(self, u, stress, tangent, free, tol, max_iterations,
+    def newton(self, u, stress, tangent, free: FreeDofs, tol, max_iterations,
                f_ext=0.0, u_affine=None):
-        """Newton-Raphson equilibrium iteration on the dofs where ``free``.
+        """Newton-Raphson equilibrium iteration on the dofs of ``free``.
 
         ``stress`` and ``tangent`` map right Cauchy-Green tensors C to the
-        second Piola-Kirchhoff stress and the Mandel material tangent; the
-        tangent is formed only for an update.  ``u_affine`` adds an
-        element-gathered displacement (E, 8, 3) to ``u``.  Converged once the
-        largest free residual entry of f_int - f_ext is at most ``tol``;
-        returns (u, F, P, residuals): the displacement, the deformation
-        gradient and nominal stress per quadrature point (E, 8, 3, 3) and the
-        residual of every iteration.  Inverted elements, a non-finite
-        update or ``max_iterations`` residuals above ``tol`` raise
-        :class:`NewtonDivergence`.
+        second Piola-Kirchhoff stress and the Mandel material tangent.  Every
+        iteration calls ``stress`` once; an update then calls ``tangent``
+        once, right after, on that same C array, so a law may hand work from
+        the one call to the other (:func:`macro.surrogate_law` does).
+        ``free`` is a :class:`FreeDofs` of this grid's pattern, built once per
+        free mask by the caller, so an update restricts K by one gather.
+        ``u_affine`` adds an element-gathered displacement (E, 8, 3) to
+        ``u``.  Converged once the largest free residual entry of f_int -
+        f_ext is at most ``tol``; returns (u, F, P, residuals): the
+        displacement, the deformation gradient and nominal stress per
+        quadrature point (E, 8, 3, 3) and the residual of every iteration.
+        Inverted elements, a non-finite update or ``max_iterations``
+        residuals above ``tol`` raise :class:`NewtonDivergence`.
         """
+        mask = free.mask
         residuals = []
         for _ in range(max_iterations):
             u_elem = u[self.conn] if u_affine is None else u_affine + u[self.conn]
@@ -229,7 +264,7 @@ class HexGrid:
             f_int = internal_forces(P, self.dNdX, self.wdet, self.conn,
                                     self.n_nodes)
             r = (f_int - f_ext).reshape(-1)
-            res = np.linalg.norm(r[free], ord=np.inf) if free.any() else 0.0
+            res = np.linalg.norm(r[mask], ord=np.inf) if mask.any() else 0.0
             residuals.append(res)
             if res <= tol:
                 return u, F, P, residuals
@@ -238,8 +273,7 @@ class HexGrid:
             A = nominal_stress_operator(F, T, tangent(C))
             K = tangent_matrix(A, self.dNdX, self.wdet, self.pattern)
             du = np.zeros(r.size)
-            du[free] = spla.spsolve(K[free][:, free].tocsc(), -r[free],
-                                    "MMD_AT_PLUS_A")
+            du[mask] = spla.spsolve(free.restrict(K), -r[mask], "MMD_AT_PLUS_A")
             if not np.all(np.isfinite(du)):
                 raise NewtonDivergence("linear solve produced a non-finite update")
             u = u + du.reshape(-1, 3)

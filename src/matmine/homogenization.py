@@ -265,10 +265,12 @@ class VoxelHomogenizer:
     one node is pinned to remove the rigid translation.  The cell is a
     :func:`fem.grid_corners` lattice with its node ids wrapped, and its
     :class:`fem.HexGrid` factorises the reduced stiffness with the same
-    symmetric ordering as the macro solve.  Newton converges once every free
-    nodal force is within 1e-9 G_max h^2 (G_max the stiffest phase's shear
-    modulus, h = 1/n the voxel edge), in at most 25 updates.  A solve only
-    reads the homogenizer, so concurrent solves may share one.
+    symmetric ordering as the macro solve; its free-dof restriction is built
+    here, once, so every update restricts the stiffness by one gather.
+    Newton converges once every free nodal force is within 1e-9 G_max h^2
+    (G_max the stiffest phase's shear modulus, h = 1/n the voxel edge), in at
+    most 25 updates.  A solve only reads the homogenizer, so concurrent
+    solves may share one.
     """
 
     def __init__(self, rve: VoxelRVE):
@@ -285,7 +287,7 @@ class VoxelHomogenizer:
         self.force_tol = 1e-9 * scale * h * h
         free = np.ones(3 * self.n_nodes, dtype=bool)
         free[:3] = False
-        self.free = free
+        self.free = fem.FreeDofs(self.grid.pattern, free)
 
     def _per_phase(self, law, C, shape):
         """``law(C, params)`` of each phase at its quadrature points."""

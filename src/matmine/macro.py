@@ -335,11 +335,29 @@ def surrogate_law(model, fiber_axis):
 
     Both map right Cauchy-Green tensors C to the second Piola-Kirchhoff
     stress and to the Mandel material tangent, as :meth:`fem.HexGrid.newton`
-    expects.
+    expects.  ``stress`` keeps the first-derivative pass of its last C, and
+    ``tangent`` reuses it when its C is bitwise that array, which is how
+    every Newton update calls them; at any other C the tangent forms its own
+    pass.  Stress and tangent are bitwise those of separate
+    :func:`surrogate.model_stress` and :func:`surrogate.model_tangent` calls.
     """
     M = tensors.structural_tensor(fiber_axis)
-    return (lambda C: surrogate.model_stress(model, C, M),
-            lambda C: surrogate.model_tangent(model, C, M))
+    last = (None, None)   # (copy of the last stress call's C, its pass)
+
+    def stress(C):
+        nonlocal last
+        T, first = surrogate.model_stress(model, C, M, with_pass=True)
+        last = (np.array(C, dtype=float), first)
+        return T
+
+    def tangent(C):
+        seen, first = last
+        C = np.asarray(C, dtype=float)
+        same = (seen is not None and seen.shape == C.shape
+                and seen.tobytes() == C.tobytes())
+        return surrogate.model_tangent(model, C, M, first if same else None)
+
+    return stress, tangent
 
 
 def solve_macro(mesh: MacroMesh, bcs, law, n_steps=10, rel_tol=1e-8,
@@ -355,7 +373,9 @@ def solve_macro(mesh: MacroMesh, bcs, law, n_steps=10, rel_tol=1e-8,
     :class:`FirstStepDivergence`, later it returns the partial history
     reached so far.  The returned state stores per-point deformation
     gradients per converged step (the mining loop's raw material) starting
-    with the undeformed step at t = 0.
+    with the undeformed step at t = 0.  The free-dof restriction of the
+    stiffness is built once per solve, and again only when the set of
+    prescribed dofs changes between increments.
     """
     stress, tangent = law
     grid = fem.HexGrid(mesh.element_coords(), mesh.conn, mesh.n_nodes)
@@ -372,14 +392,17 @@ def solve_macro(mesh: MacroMesh, bcs, law, n_steps=10, rel_tol=1e-8,
     t = 0.0
     dt = 1.0 / n_steps
     cutbacks = 0
+    free = None
     while t < 1.0 - 1e-12:
         t_next = min(1.0, t + dt)
         mask, values = _merge_constraints(bcs, t_next, mesh)
+        if free is None or not np.array_equal(free.mask, ~mask.reshape(-1)):
+            free = fem.FreeDofs(grid.pattern, ~mask)
         u_start = u.copy()
         u_start[mask] = values[mask]
         try:
             u_next, F, P, residuals = grid.newton(
-                u_start, stress, tangent, ~mask.reshape(-1), force_tol,
+                u_start, stress, tangent, free, force_tol,
                 max_newton, f_ext=_external_forces(bcs, t_next, mesh))
         except NewtonDivergence:
             cutbacks += 1

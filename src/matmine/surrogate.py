@@ -10,14 +10,17 @@ training data's bounds.  The reciprocal of the determinant invariant is
 carried as an independent extra coordinate so compression states can steer
 the energy growth.  Stress and tangent follow from the chain rule through
 the invariant gradients and hessians, which keeps the model objective and
-materially symmetric by construction; both share one first-derivative pass,
-and :func:`sigmoid` is the one logistic function training uses as well.
+materially symmetric by construction.  Both start from one first-derivative
+pass, which :func:`model_stress` can hand to :func:`model_tangent` at the
+same C, so a Newton update forms det C and C^-1 once; :func:`sigmoid` is the
+one logistic function training uses as well.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -144,31 +147,52 @@ class SurrogateModel:
                                self.reciprocal_weights[:, None]], axis=1)
 
 
-def invariant_inputs(C, model, M=None):
-    """Raw invariant coordinates the model's neurons read."""
+def invariant_inputs(C, model, M=None, I3=None):
+    """Raw invariant coordinates the model's neurons read (``I3`` = det C,
+    when the caller has it)."""
     if model.anisotropy == "transverse":
         if M is None:
             raise ValueError("transverse mode needs a structural tensor")
-        return tensors.invariants(C, M)
-    return tensors.invariants(C)
+        return tensors.invariants(C, M, I3)
+    return tensors.invariants(C, I3=I3)
 
 
-def _neuron_state(model, C, M):
+def _neuron_state(model, C, M, I3=None):
     """Neuron inputs z (..., N) at right Cauchy-Green tensors C."""
-    normalized = model.bounds.normalize(invariant_inputs(C, model, M))
+    normalized = model.bounds.normalize(invariant_inputs(C, model, M, I3))
     return np.einsum("...k,ak->...a", normalized, model.stacked_weights) + model.biases
 
 
+class FirstPass(NamedTuple):
+    """The first-derivative pass of a model at one array of C.
+
+    Neuron activations ``sig``, the weights on the raw invariants ``wraw``
+    (normalization slope folded in), dpsi/dI_k ``g1``, dI_k/dC ``G``, det C
+    ``I3``, C^-1 ``Cinv`` and the structural tensor the invariants take,
+    ``M_arg`` (None in isotropic mode).  Stress and tangent both start from
+    it, and each of its arrays is formed once.
+    """
+
+    sig: np.ndarray
+    wraw: np.ndarray
+    g1: np.ndarray
+    G: np.ndarray
+    I3: np.ndarray
+    Cinv: np.ndarray
+    M_arg: np.ndarray
+
+
 def _first_derivatives(model, C, M):
-    """(sig, wraw, g1, G, M_arg): neuron activations, weights on the raw
-    invariants (normalization slope folded in), dpsi/dI_k, dI_k/dC and the
-    structural tensor the invariants take."""
-    sig = sigmoid(_neuron_state(model, C, M))
+    """The :class:`FirstPass` of ``model`` at C."""
+    C = np.asarray(C, dtype=float)
+    I3 = np.linalg.det(C)
+    sig = sigmoid(_neuron_state(model, C, M, I3))
+    Cinv = np.linalg.inv(C)   # after the invariants' positivity guard
     wraw = model.stacked_weights * model.bounds.slope
     g1 = (model.gate_weights * sig) @ wraw
     M_arg = M if model.anisotropy == "transverse" else None
-    G = tensors.invariant_gradients(C, M_arg)
-    return sig, wraw, g1, G, M_arg
+    G = tensors.invariant_gradients(C, M_arg, I3, Cinv)
+    return FirstPass(sig, wraw, g1, G, I3, Cinv, M_arg)
 
 
 def model_energy(model: SurrogateModel, C, M=None):
@@ -178,17 +202,28 @@ def model_energy(model: SurrogateModel, C, M=None):
                                            softplus(z))
 
 
-def model_stress(model: SurrogateModel, C, M=None):
-    """Second Piola-Kirchhoff stress T = 2 dpsi/dC, batched."""
-    _, _, g1, G, _ = _first_derivatives(model, C, M)
-    return 2.0 * np.einsum("...k,...kij->...ij", g1, G)
+def model_stress(model: SurrogateModel, C, M=None, with_pass=False):
+    """Second Piola-Kirchhoff stress T = 2 dpsi/dC, batched.
+
+    With ``with_pass`` it returns ``(T, first)``, where ``first`` is the
+    :class:`FirstPass` at C that :func:`model_tangent` takes.
+    """
+    first = _first_derivatives(model, C, M)
+    T = 2.0 * np.einsum("...k,...kij->...ij", first.g1, first.G)
+    return (T, first) if with_pass else T
 
 
-def model_tangent(model: SurrogateModel, C, M=None):
-    """Material tangent 4 d^2psi/dCdC as (...,6,6) Mandel matrices."""
-    sig, wraw, g1, G, M_arg = _first_derivatives(model, C, M)
+def model_tangent(model: SurrogateModel, C, M=None, first=None):
+    """Material tangent 4 d^2psi/dCdC as (...,6,6) Mandel matrices.
+
+    ``first`` is the :class:`FirstPass` of :func:`model_stress` at this very
+    C, or None to form it here; the tangent is bitwise the same either way.
+    """
+    if first is None:
+        first = _first_derivatives(model, C, M)
+    sig, wraw, g1, G, I3, Cinv, M_arg = first
     Gm = tensors.sym_to_mandel(G)
-    H = tensors.invariant_hessians(C, M_arg)
+    H = tensors.invariant_hessians(C, M_arg, I3, Cinv)
     # per-neuron Mandel gradient of the neuron input: V_a = sum_k w_ak G_k
     V = np.einsum("ak,...kb->...ab", wraw, Gm, optimize=True)
     curv = np.swapaxes(V, -1, -2) @ (

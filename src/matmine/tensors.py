@@ -90,13 +90,14 @@ def _check_spdish(C, I3):
         raise NotPositiveDefinite("C fails the positive trace/determinant guard")
 
 
-def invariants(C, M=None):
+def invariants(C, M=None, I3=None):
     """Invariant coordinates of C (and a structural tensor M, if given).
 
     Parameters
     ----------
     C : (...,3,3) right Cauchy-Green tensor(s).
     M : (3,3) or (...,3,3) structural tensor, or None for the isotropic set.
+    I3 : det C, when the caller has formed it already.
 
     Returns
     -------
@@ -115,7 +116,7 @@ def invariants(C, M=None):
     I1 = np.trace(C, axis1=-2, axis2=-1)
     trC2 = np.einsum("...ij,...ji->...", C, C)
     I2 = 0.5 * (I1 * I1 - trC2)
-    I3 = np.linalg.det(C)
+    I3 = np.linalg.det(C) if I3 is None else I3
     _check_spdish(C, I3)
     if M is None:
         return np.stack([I1, I2, I3, 1.0 / I3], axis=-1)
@@ -126,16 +127,17 @@ def invariants(C, M=None):
     return np.stack([I1, I2, I3, I4, I5, 1.0 / I3], axis=-1)
 
 
-def invariant_gradients(C, M=None):
+def invariant_gradients(C, M=None, I3=None, Cinv=None):
     """d I_k / d C for the invariant set of :func:`invariants`.
 
     Returns shape (..., k, 3, 3) with k = 6 (transverse) or 4 (isotropic),
     slots aligned with the output of :func:`invariants`.  All gradients are
-    symmetric second-order tensors.
+    symmetric second-order tensors.  ``I3`` and ``Cinv`` are det C and C^-1
+    when the caller has formed them already.
     """
     C = np.asarray(C, dtype=float)
-    I3 = np.linalg.det(C)
-    Cinv = np.linalg.inv(C)
+    I3 = np.linalg.det(C) if I3 is None else I3
+    Cinv = np.linalg.inv(C) if Cinv is None else Cinv
     eye = np.broadcast_to(IDENTITY, C.shape)
     I1 = np.trace(C, axis1=-2, axis2=-1)
 
@@ -193,16 +195,18 @@ def _fiber_hessian(M):
                   + d[_I, _K] * M[..., _J, _L] + d[_I, _L] * M[..., _J, _K]) * _WEIGHTS66
 
 
-def invariant_hessians(C, M=None):
+def invariant_hessians(C, M=None, I3=None, Cinv=None):
     """d^2 I_k / dC dC in the Mandel basis, shape (..., k, 6, 6).
 
     Slots align with :func:`invariants`; every matrix is symmetric (major
     symmetry of the underlying fourth-order tensor).  I1 and I4 are linear
     in C and I2 and I5 quadratic, so only the determinant slots depend on C.
+    ``I3`` and ``Cinv`` are det C and C^-1 when the caller has formed them
+    already.
     """
     C = np.asarray(C, dtype=float)
-    I3 = np.linalg.det(C)[..., None, None]
-    Cinv = np.linalg.inv(C)
+    I3 = (np.linalg.det(C) if I3 is None else I3)[..., None, None]
+    Cinv = np.linalg.inv(C) if Cinv is None else Cinv
     batch = C.shape[:-2] + (6, 6)
 
     inv_dyad = _dyad66(Cinv, Cinv)

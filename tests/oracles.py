@@ -199,6 +199,14 @@ def tangent_matrix_einsum(A, dNdX, wdet, conn, n_nodes):
     return K.tocsr()
 
 
+def internal_forces_add_at(P, dNdX, wdet, conn, n_nodes):
+    """Nodal internal forces scattered row by row with ``np.add.at``."""
+    f_elem = np.einsum("eq,eqij,eqaj->eai", wdet, P, dNdX)
+    f = np.zeros((n_nodes, 3))
+    np.add.at(f, conn.reshape(-1), f_elem.reshape(-1, 3))
+    return f
+
+
 def invariants_bruteforce(C, M=None):
     """Invariants from their textbook definitions (cofactor form for I2)."""
     C = np.asarray(C, dtype=float)

@@ -293,6 +293,16 @@ class TestExitCodes:
                 if line.startswith("error:")] == [err.strip()]
         assert not (tmp_path / "out").exists()
 
+    def test_a_bad_enrich_input_is_named(self, art, tmp_path, capsys):
+        bad = tmp_path / "paths.txt"
+        bad.write_bytes(b"\xff not text\n")
+        capsys.readouterr()
+        assert cli.main(["enrich", "--config", str(art / "tiny.ini"),
+                         "--dataset", str(art / "kb.txt"), "--paths", str(bad),
+                         "--out", str(tmp_path / "out.txt")]) == 4
+        assert capsys.readouterr().err.startswith(f"error: {bad}: line 1: ")
+        assert not (tmp_path / "out.txt").exists()
+
     @pytest.mark.parametrize("argv, code", [
         (["run", "--threads", "abc"], 4),
         (["run", "--bogus"], 4),

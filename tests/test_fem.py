@@ -57,6 +57,62 @@ def test_element_kernels_match_einsum_references(mesh):
     assert np.abs(K - K_ref).max() <= 1e-13 * scale.max()
 
 
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+@pytest.mark.parametrize("n_elements, n_nodes", [(96, 40), (512, 125)])
+def test_internal_forces_add_in_the_order_of_add_at(n_elements, n_nodes):
+    # random ids repeat within and across elements; the wrapped lattice of a
+    # periodic cell repeats them the way the homogenizer does
+    rng = rng0(n_elements)
+    n = round(n_elements ** (1 / 3))
+    wrapped = np.ravel_multi_index(np.moveaxis(fem.grid_corners((n, n, n)), -1, 0),
+                                   (n, n, n), mode="wrap")
+    for conn in (rng.integers(0, n_nodes, (n_elements, 8)), wrapped):
+        m = int(conn.max()) + 1
+        P = rng.normal(size=(len(conn), 8, 3, 3))
+        dNdX = rng.normal(size=(len(conn), 8, 8, 3))
+        wdet = rng.random((len(conn), 8))
+        f = fem.internal_forces(P, dNdX, wdet, conn, m)
+        ref = oracles.internal_forces_add_at(P, dNdX, wdet, conn, m)
+        assert f.shape == (m, 3)
+        np.testing.assert_array_equal(_bits(f), _bits(ref))
+
+
+def _box_with_dirichlet_sides():
+    mesh = macro.box_mesh((1.0, 1.0, 1.0), (3, 2, 2))
+    fixed = np.zeros((mesh.n_nodes, 3), dtype=bool)
+    fixed[mesh.node_sets["x1min"]] = True
+    fixed[mesh.node_sets["x1max"], 0] = True
+    return fem.HexGrid(mesh.element_coords(), mesh.conn, mesh.n_nodes), ~fixed
+
+
+def _periodic_cell():
+    cell = hom.VoxelHomogenizer(helpers.layered_rve(3, 0.34))
+    return cell.grid, cell.free.mask
+
+
+@pytest.mark.parametrize("case", [_box_with_dirichlet_sides, _periodic_cell],
+                         ids=["box", "periodic-cell"])
+def test_free_dof_restriction_gives_the_bytes_of_two_slices(case):
+    grid, mask = case()
+    free = fem.FreeDofs(grid.pattern, mask)
+    F, T, L = _random_point_state(rng0(14), grid.wdet.shape)
+    A = fem.nominal_stress_operator(F, T, L)
+    K = fem.tangent_matrix(A, grid.dNdX, grid.wdet, grid.pattern)
+    K.data[::7] = 0.0   # explicit zeros stay entries in both
+    mask = mask.reshape(-1)
+    got, want = free.restrict(K), K[mask][:, mask].tocsc()
+    assert got.format == "csc" and got.shape == want.shape
+    np.testing.assert_array_equal(_bits(got.data), _bits(want.data))
+    for name in ("indices", "indptr"):
+        assert getattr(got, name).dtype == getattr(want, name).dtype
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+    # canonical, so spsolve's sum_duplicates never writes to shared arrays
+    assert got.has_canonical_format
+
+
 def test_nominal_stress_operator_single_point():
     F, T, L = _random_point_state(rng0(11), ())
     A = fem.nominal_stress_operator(F, T, L)
@@ -114,5 +170,5 @@ def test_newton_raises_without_solving_an_update_it_cannot_check(monkeypatch):
     monkeypatch.setattr(fem.spla, "spsolve",
                         lambda *a, **k: solves.append(1) or spsolve(*a, **k))
     with pytest.raises(NewtonDivergence, match="no convergence in 3 iterations"):
-        grid.newton(u, *stiff, free.reshape(-1), 1e-10, 3)
+        grid.newton(u, *stiff, fem.FreeDofs(grid.pattern, free), 1e-10, 3)
     assert len(solves) == 2

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from matmine import fem, homogenization as hom
-from matmine import macro, surrogate
+from matmine import macro, surrogate, tensors
 from matmine.errors import FirstStepDivergence, NewtonDivergence, UnknownGeometry
 
 import helpers
@@ -245,6 +245,35 @@ def test_surrogate_model_drives_the_solver():
     F = state.steps[-1].F_qp
     assert np.all(np.linalg.det(F) > 0)
     assert F[..., 0, 0].max() > 1.01
+
+
+@pytest.mark.parametrize("mode", ["transverse", "isotropic"])
+def test_the_law_pair_is_bitwise_the_separate_surrogate_calls(mode):
+    rng = np.random.default_rng(21)
+    model, M = helpers.random_model(rng, mode, growth=True)
+    stress, tangent = macro.surrogate_law(model, (0.0, 0.0, 1.0))
+    F = np.eye(3) + 0.15 * rng.normal(size=(4, 8, 3, 3))
+    C = tensors.right_cauchy_green(F)
+    for sample in (C, C[2, 5]):
+        T = stress(sample)
+        tang = tangent(sample)   # an update: the pass of this very C
+        want_T = surrogate.model_stress(model, sample, M)
+        want_tang = surrogate.model_tangent(model, sample, M)
+        assert T.shape == want_T.shape and tang.shape == want_tang.shape
+        np.testing.assert_array_equal(T.view(np.int64), want_T.view(np.int64))
+        np.testing.assert_array_equal(tang.view(np.int64),
+                                      want_tang.view(np.int64))
+    # a tangent at any other C than the last stress call's forms its own
+    # pass, also when that C is the stress call's array changed in place
+    stress(C)
+    for other in (C[1:], C[::-1].copy()):
+        np.testing.assert_array_equal(
+            tangent(other).view(np.int64),
+            surrogate.model_tangent(model, other, M).view(np.int64))
+    C[0, 0] = C[1, 1]
+    np.testing.assert_array_equal(
+        tangent(C).view(np.int64),
+        surrogate.model_tangent(model, C, M).view(np.int64))
 
 
 # --- capture and persistence ---------------------------------------------------

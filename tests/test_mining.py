@@ -1,6 +1,9 @@
 import functools
 import json
+import os
+import stat
 import sys
+import threading
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -864,12 +867,11 @@ class TestKnowledgeBase:
 
     def test_version_mismatch(self, tmp_path):
         p = tmp_path / "bad.txt"
-        p.write_text("# some-other-format-v9\n")
-        with pytest.raises(FormatVersionMismatch):
-            data.load_kbase(p)
-        p.write_text("")
-        with pytest.raises(FormatVersionMismatch):
-            data.load_kbase(p)
+        for text in ("# some-other-format-v9\n", ""):
+            p.write_text(text)
+            with pytest.raises(FormatVersionMismatch) as err:
+                data.load_kbase(p)
+            assert str(err.value).startswith(f"{p}: expected header")
 
     def test_corrupt_records_report_line_numbers(self, tmp_path):
         ds = self._dataset(53, 3)
@@ -881,6 +883,7 @@ class TestKnowledgeBase:
         with pytest.raises(CorruptRecord) as err:
             data.load_kbase(p)
         assert err.value.line_no == 4
+        assert str(err.value).startswith(f"{p}: line 4: ")
 
         lines = p.read_text().splitlines()
         parts = lines[2].split()
@@ -890,6 +893,34 @@ class TestKnowledgeBase:
         with pytest.raises(CorruptRecord) as err:
             data.load_kbase(p)
         assert err.value.line_no == 3
+        assert str(err.value) == f"{p}: line 3: non-finite value"
+
+        p.write_bytes(b"\xff\xfe\n")
+        with pytest.raises(CorruptRecord) as err:
+            data.load_kbase(p)
+        assert str(err.value).startswith(f"{p}: line 1: not ")
+
+    def test_a_fifo_is_written_in_place(self, tmp_path):
+        # a FIFO or a device cannot be replaced atomically; renaming the
+        # temporary file over it would leave a regular file in its place
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(
+            target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        try:
+            data.save_kbase(self._dataset(54, 4), fifo)
+        finally:
+            if reader.is_alive():   # release a reader still waiting to open
+                os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+            reader.join(timeout=30)
+        assert not reader.is_alive()
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        data.save_kbase(self._dataset(54, 4), tmp_path / "regular.txt")
+        assert received == [(tmp_path / "regular.txt").read_bytes()]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["pipe",
+                                                              "regular.txt"]
 
 
 class TestRecordText:

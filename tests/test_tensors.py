@@ -194,6 +194,24 @@ def test_invariant_hessians_match_fourth_order_reference(transverse):
         np.testing.assert_allclose(H, ref, rtol=0.0, atol=1e-14 * np.abs(ref).max())
 
 
+@pytest.mark.parametrize("transverse", [False, True], ids=["isotropic", "transverse"])
+def test_a_given_determinant_and_inverse_leave_every_bit(transverse):
+    rng = rng0(8)
+    M = tensors.structural_tensor(oracles.random_unit(rng)) if transverse else None
+    C = np.stack([oracles.random_spd(rng) for _ in range(12)]).reshape(3, 4, 3, 3)
+    for sample in (C[2, 1], C):
+        I3, Cinv = np.linalg.det(sample), np.linalg.inv(sample)
+        for plain, given in (
+                (tensors.invariants(sample, M), tensors.invariants(sample, M, I3)),
+                (tensors.invariant_gradients(sample, M),
+                 tensors.invariant_gradients(sample, M, I3, Cinv)),
+                (tensors.invariant_hessians(sample, M),
+                 tensors.invariant_hessians(sample, M, I3, Cinv))):
+            assert given.shape == plain.shape
+            np.testing.assert_array_equal(given.view(np.int64),
+                                          plain.view(np.int64))
+
+
 @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["rotation", "reflection"])
 def test_mandel_rotation_rotates_vectors_and_tangents(sign):
     rng = rng0(31)
