@@ -11,7 +11,6 @@ and command-line usage errors, 1 anything else the pipeline can name.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
@@ -227,9 +226,7 @@ def cmd_validate(args):
     with data.atomic_write(scatter_path) as fh:
         np.savetxt(fh, scatter, fmt="%.17g",
                    header="oracle_norm model_norm rel_error")
-    with data.atomic_write(args.out) as fh:
-        json.dump(out, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    data.write_json(args.out, out, sort_keys=True)
     print(f"{out['n_uncovered']} of {out['n_states']} states uncovered; "
           f"relative stress error p95 = {out['rel_p95']:.4g}, "
           f"max = {out['rel_max']:.4g} -> {args.out}")

@@ -20,6 +20,7 @@ a hand-edited literal such as ``1.50`` as it was read.
 from __future__ import annotations
 
 import array
+import json
 import locale
 import os
 import re
@@ -152,6 +153,19 @@ def atomic_write(path, mode="w"):
         if os.path.exists(tmp):
             os.remove(tmp)
         raise
+
+
+def write_json(path, doc, sort_keys=False):
+    """Write ``doc`` atomically as strict JSON, one-space indented.
+
+    Non-finite floats, such as the holdout loss of a fit without holdout
+    rows, become ``null``: ``NaN`` and ``Infinity`` are not JSON.  Finite
+    floats survive the round trip that finds them bit for bit.
+    """
+    strict = json.loads(json.dumps(doc), parse_constant=lambda _: None)
+    with atomic_write(path) as fh:
+        json.dump(strict, fh, indent=1, sort_keys=sort_keys, allow_nan=False)
+        fh.write("\n")
 
 
 def save_kbase(dataset: DataSet, path):

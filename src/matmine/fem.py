@@ -231,15 +231,15 @@ class HexGrid:
         self.dNdX, self.wdet = element_gradients(self.coords)
         self.pattern = StiffnessPattern(self.conn, n_nodes)
 
-    def newton(self, u, stress, tangent, free: FreeDofs, tol, max_iterations,
+    def newton(self, u, law, free: FreeDofs, tol, max_iterations,
                f_ext=0.0, u_affine=None):
         """Newton-Raphson equilibrium iteration on the dofs of ``free``.
 
-        ``stress`` and ``tangent`` map right Cauchy-Green tensors C to the
-        second Piola-Kirchhoff stress and the Mandel material tangent.  Every
-        iteration calls ``stress`` once; an update then calls ``tangent``
-        once, right after, on that same C array, so a law may hand work from
-        the one call to the other (:func:`macro.surrogate_law` does).
+        ``law(C)`` maps right Cauchy-Green tensors C to ``(T, tangent)``: the
+        second Piola-Kirchhoff stress and a callable that returns the Mandel
+        material tangent at that same C.  Every iteration calls ``law`` once
+        and calls ``tangent()`` only when an update follows, so a law may
+        defer or share the tangent's work (:func:`macro.surrogate_law` does).
         ``free`` is a :class:`FreeDofs` of this grid's pattern, built once per
         free mask by the caller, so an update restricts K by one gather.
         ``u_affine`` adds an element-gathered displacement (E, 8, 3) to
@@ -259,7 +259,7 @@ class HexGrid:
             if np.any(det <= 0.0) or not np.all(np.isfinite(det)):
                 raise NewtonDivergence("element inversion")
             C = tensors.right_cauchy_green(F)
-            T = stress(C)
+            T, tangent = law(C)
             P = F @ T
             f_int = internal_forces(P, self.dNdX, self.wdet, self.conn,
                                     self.n_nodes)
@@ -270,7 +270,7 @@ class HexGrid:
                 return u, F, P, residuals
             if len(residuals) == max_iterations:
                 break  # an update now would go unchecked
-            A = nominal_stress_operator(F, T, tangent(C))
+            A = nominal_stress_operator(F, T, tangent())
             K = tangent_matrix(A, self.dNdX, self.wdet, self.pattern)
             du = np.zeros(r.size)
             du[mask] = spla.spsolve(free.restrict(K), -r[mask], "MMD_AT_PLUS_A")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fem, materials, tensors
+from . import fem, materials
 from .errors import MatmineError, NewtonDivergence, ZeroMean
 
 AXIS_NAMES = ("x1", "x2", "x3")
@@ -246,10 +246,8 @@ class VoxelSolution:
 
     F_bar: np.ndarray
     P_bar: np.ndarray
-    psi_bar: float
     F_qp: np.ndarray
     P_qp: np.ndarray
-    psi_qp: np.ndarray
     wdet: np.ndarray
     u_tilde: np.ndarray
     iterations: int
@@ -302,14 +300,15 @@ class VoxelHomogenizer:
         Appends to the list ``updates`` once per Newton update, also for the
         updates of a solve that raises.
         """
-        def tangent(C):
-            updates.append(None)
-            return self._per_phase(materials.ogden_tangent_fd, C, (6, 6))
+        def law(C):
+            def tangent():
+                updates.append(None)
+                return self._per_phase(materials.ogden_tangent_fd, C, (6, 6))
+            T = self._per_phase(materials.ogden_stress_from_C, C, (3, 3))
+            return T, tangent
 
         return self.grid.newton(
-            u_tilde,
-            lambda C: self._per_phase(materials.ogden_stress_from_C, C, (3, 3)),
-            tangent, self.free, self.force_tol, 25,
+            u_tilde, law, self.free, self.force_tol, 25,
             u_affine=self.grid.coords @ (F_bar - np.eye(3)).T)
 
     def _increment(self, F_last, u_tilde, F_k, F_step, u_step, updates):
@@ -333,14 +332,9 @@ class VoxelHomogenizer:
         return u, F, P
 
     def _package(self, F_bar, u_tilde, F, P, iterations, F_step, u_step):
-        psi = self._per_phase(materials.ogden_energy_from_C,
-                              tensors.right_cauchy_green(F), ())
         wdet = self.grid.wdet
         return VoxelSolution(
-            F_bar=F_bar,
-            P_bar=fem.volume_average(P, wdet),
-            psi_bar=float(fem.volume_average(psi, wdet)),
-            F_qp=F, P_qp=P, psi_qp=psi,
+            F_bar=F_bar, P_bar=fem.volume_average(P, wdet), F_qp=F, P_qp=P,
             wdet=wdet, u_tilde=u_tilde, iterations=iterations,
             F_step=F_step, u_step=u_step)
 

@@ -12,6 +12,7 @@ carving for the holes, and the deformation capture the mining loop feeds on.
 from __future__ import annotations
 
 import json
+import logging
 import zipfile
 from dataclasses import dataclass, field
 
@@ -20,6 +21,8 @@ import numpy as np
 from . import data, fem, surrogate, tensors
 from .errors import (CorruptRecord, FirstStepDivergence,
                      FormatVersionMismatch, NewtonDivergence, UnknownGeometry)
+
+log = logging.getLogger(__name__)
 
 GEOMETRY_NAMES = ("cuboid-hole", "torsion-bar", "cook-membrane")
 
@@ -331,60 +334,45 @@ class MacroState:
 
 
 def surrogate_law(model, fiber_axis):
-    """(stress, tangent) of the surrogate with fibers along ``fiber_axis``.
+    """The surrogate with fibers along ``fiber_axis`` as a Newton law.
 
-    Both map right Cauchy-Green tensors C to the second Piola-Kirchhoff
-    stress and to the Mandel material tangent, as :meth:`fem.HexGrid.newton`
-    expects.  ``stress`` keeps the first-derivative pass of its last C, and
-    ``tangent`` reuses it when its C is bitwise that array, which is how
-    every Newton update calls them; at any other C the tangent forms its own
-    pass.  Stress and tangent are bitwise those of separate
-    :func:`surrogate.model_stress` and :func:`surrogate.model_tangent` calls.
+    ``law(C)`` returns the second Piola-Kirchhoff stress and a callable for
+    the Mandel material tangent at that C, as :meth:`fem.HexGrid.newton`
+    expects; the tangent reuses the stress call's first-derivative pass and
+    is bitwise that of a separate :func:`surrogate.model_tangent` call.
     """
     M = tensors.structural_tensor(fiber_axis)
-    last = (None, None)   # (copy of the last stress call's C, its pass)
 
-    def stress(C):
-        nonlocal last
-        T, first = surrogate.model_stress(model, C, M, with_pass=True)
-        last = (np.array(C, dtype=float), first)
-        return T
+    def law(C):
+        return surrogate.model_stress(model, C, M, with_tangent=True)
 
-    def tangent(C):
-        seen, first = last
-        C = np.asarray(C, dtype=float)
-        same = (seen is not None and seen.shape == C.shape
-                and seen.tobytes() == C.tobytes())
-        return surrogate.model_tangent(model, C, M, first if same else None)
-
-    return stress, tangent
+    return law
 
 
 def solve_macro(mesh: MacroMesh, bcs, law, n_steps=10, rel_tol=1e-8,
                 shear_scale=100.0, max_newton=20, max_cutbacks=3):
     """Incremental Newton solve of the macroscopic problem.
 
-    ``law`` is the constitutive (stress, tangent) pair, normally
-    :func:`surrogate_law`.  The load program is ramped in ``n_steps``
+    ``law`` is the constitutive law :meth:`fem.HexGrid.newton` takes,
+    normally :func:`surrogate_law`.  The load program is ramped in ``n_steps``
     increments.  A diverged increment is retried at half size, and every
     later increment keeps the halved size; ``max_cutbacks`` bounds the
     halvings of the whole solve, not of one increment.  The divergence that
     exceeds it ends the solve: before any increment converged it raises
-    :class:`FirstStepDivergence`, later it returns the partial history
-    reached so far.  The returned state stores per-point deformation
-    gradients per converged step (the mining loop's raw material) starting
-    with the undeformed step at t = 0.  The free-dof restriction of the
+    :class:`FirstStepDivergence`, later it logs a warning and returns the
+    partial history reached so far.  The returned state stores per-point
+    deformation gradients per converged step (the mining loop's raw
+    material) starting with the undeformed step at t = 0.  The free-dof restriction of the
     stiffness is built once per solve, and again only when the set of
     prescribed dofs changes between increments.
     """
-    stress, tangent = law
     grid = fem.HexGrid(mesh.element_coords(), mesh.conn, mesh.n_nodes)
     area_scale = float(np.mean(grid.wdet.sum(axis=1)) ** (2.0 / 3.0))
     force_tol = rel_tol * shear_scale * area_scale
 
     E = mesh.n_elements
     identity_F = np.broadcast_to(np.eye(3), (E, 8, 3, 3)).copy()
-    T0 = stress(np.eye(3).reshape(1, 1, 3, 3))
+    T0, _ = law(np.eye(3).reshape(1, 1, 3, 3))
     P0 = np.broadcast_to(T0.reshape(3, 3), (E, 8, 3, 3)).copy()
     steps = [StepRecord(0.0, np.zeros((mesh.n_nodes, 3)), identity_F, P0, 0, [])]
 
@@ -402,14 +390,17 @@ def solve_macro(mesh: MacroMesh, bcs, law, n_steps=10, rel_tol=1e-8,
         u_start[mask] = values[mask]
         try:
             u_next, F, P, residuals = grid.newton(
-                u_start, stress, tangent, free, force_tol,
-                max_newton, f_ext=_external_forces(bcs, t_next, mesh))
+                u_start, law, free, force_tol, max_newton,
+                f_ext=_external_forces(bcs, t_next, mesh))
         except NewtonDivergence:
             cutbacks += 1
             if cutbacks > max_cutbacks:
                 if not any(s.t > 0 for s in steps):
                     raise FirstStepDivergence(
                         "macro solve diverged before completing any increment")
+                log.warning("macro solve stopped at t_end=%g: the increment to "
+                            "t=%g diverged after %d cutbacks", t, t_next,
+                            max_cutbacks)
                 return MacroState(steps)
             dt *= 0.5
             continue

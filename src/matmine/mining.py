@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import concurrent.futures
 import itertools
-import json
 import logging
 import os
 from dataclasses import dataclass, replace
@@ -462,9 +461,7 @@ class LoopResult:
         }
 
     def save_report(self, path):
-        with data.atomic_write(path) as fh:
-            json.dump(self.report_dict(), fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        data.write_json(path, self.report_dict(), sort_keys=True)
 
 
 def _derived_seed(base, iteration, repeat):

@@ -11,8 +11,9 @@ carried as an independent extra coordinate so compression states can steer
 the energy growth.  Stress and tangent follow from the chain rule through
 the invariant gradients and hessians, which keeps the model objective and
 materially symmetric by construction.  Both start from one first-derivative
-pass, which :func:`model_stress` can hand to :func:`model_tangent` at the
-same C, so a Newton update forms det C and C^-1 once; :func:`sigmoid` is the
+pass: ``model_stress(..., with_tangent=True)`` is the law a Newton solve
+calls, returning T with a callable that forms the tangent at the same C from
+that pass, so an update forms det C and C^-1 once.  :func:`sigmoid` is the
 one logistic function training uses as well.
 """
 
@@ -202,22 +203,25 @@ def model_energy(model: SurrogateModel, C, M=None):
                                            softplus(z))
 
 
-def model_stress(model: SurrogateModel, C, M=None, with_pass=False):
+def model_stress(model: SurrogateModel, C, M=None, with_tangent=False):
     """Second Piola-Kirchhoff stress T = 2 dpsi/dC, batched.
 
-    With ``with_pass`` it returns ``(T, first)``, where ``first`` is the
-    :class:`FirstPass` at C that :func:`model_tangent` takes.
+    With ``with_tangent`` it returns ``(T, tangent)``, where ``tangent()``
+    is :func:`model_tangent` at this C from this call's first-derivative
+    pass, bitwise what a separate call gives.
     """
     first = _first_derivatives(model, C, M)
     T = 2.0 * np.einsum("...k,...kij->...ij", first.g1, first.G)
-    return (T, first) if with_pass else T
+    if with_tangent:
+        return T, lambda: model_tangent(model, C, M, first)
+    return T
 
 
 def model_tangent(model: SurrogateModel, C, M=None, first=None):
     """Material tangent 4 d^2psi/dCdC as (...,6,6) Mandel matrices.
 
-    ``first`` is the :class:`FirstPass` of :func:`model_stress` at this very
-    C, or None to form it here; the tangent is bitwise the same either way.
+    ``first`` is the :class:`FirstPass` at this very C, or None to form it
+    here; the tangent is bitwise the same either way.
     """
     if first is None:
         first = _first_derivatives(model, C, M)

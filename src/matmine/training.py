@@ -17,14 +17,13 @@ surrogate's own, so the fit and the deployed model share their arithmetic."""
 from __future__ import annotations
 
 import functools
-import json
 import time
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import tensors
-from .data import DataSet, atomic_write
+from .data import DataSet, write_json
 from .errors import AsymmetricStressTarget, EmptyDataSet, NoFeasibleRestart
 from .surrogate import (DET_SLOT, NormalizationBounds, SurrogateModel,
                         check_growth_condition, fix_energy_offset, sigmoid,
@@ -74,9 +73,7 @@ class TrainingReport:
         return asdict(self)
 
     def save(self, path):
-        with atomic_write(path) as fh:
-            json.dump(self.to_dict(), fh, indent=1)
-            fh.write("\n")
+        write_json(path, self.to_dict())
 
 
 def second_pk_targets(dataset: DataSet, tol=1e-8):

@@ -25,8 +25,12 @@ def svk_tangent(C):
     return np.broadcast_to(_SVK_TANGENT, np.shape(C)[:-2] + (6, 6))
 
 
-# the (stress, tangent) pair the hexahedral solvers take
-SVK = (svk_stress, svk_tangent)
+def law(stress, tangent):
+    """The law ``fem.HexGrid.newton`` takes, from stress and tangent of C."""
+    return lambda C: (stress(C), lambda: tangent(C))
+
+
+SVK = law(svk_stress, svk_tangent)
 
 
 def svk_nominal(F):
@@ -184,16 +188,25 @@ def work_rate_mismatch(prev, curr):
     return abs(macro - micro) / max(abs(macro), 1e-300)
 
 
-def path_energy_mismatch(solutions):
+def cell_energy(solver, sol):
+    """Volume-averaged Ogden energy density of a converged cell state."""
+    C = tensors.right_cauchy_green(sol.F_qp)
+    psi = np.empty(C.shape[:-2])
+    for params, mask in solver.phase_masks:
+        psi[mask] = materials.ogden_energy_from_C(C[mask], params)
+    return float(fem.volume_average(psi, sol.wdet))
+
+
+def path_energy_mismatch(solver, solutions):
     """Relative gap between the averaged energy and the work integral.
 
-    Trapezoid-integrates P_bar : dF_bar along a list of converged states and
-    compares with the change of the averaged energy density.
+    Trapezoid-integrates P_bar : dF_bar along a list of converged states of
+    ``solver`` and compares with the change of the averaged energy density.
     """
     work = 0.0
     for a, b in zip(solutions[:-1], solutions[1:]):
         dF = b.F_bar - a.F_bar
         work += 0.5 * (np.tensordot(a.P_bar, dF, axes=2)
                        + np.tensordot(b.P_bar, dF, axes=2))
-    dpsi = solutions[-1].psi_bar - solutions[0].psi_bar
+    dpsi = cell_energy(solver, solutions[-1]) - cell_energy(solver, solutions[0])
     return abs(work - dpsi) / max(abs(dpsi), 1e-300)

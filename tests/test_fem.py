@@ -164,11 +164,11 @@ def test_newton_raises_without_solving_an_update_it_cannot_check(monkeypatch):
     free = np.ones((mesh.n_nodes, 3), dtype=bool)
     free[mesh.node_sets["x1min"]] = False
     free[mesh.node_sets["x1max"]] = False
-    stiff = (helpers.svk_stress, lambda C: 1e3 * helpers.svk_tangent(C))
+    stiff = helpers.law(helpers.svk_stress, lambda C: 1e3 * helpers.svk_tangent(C))
     solves = []
     spsolve = fem.spla.spsolve
     monkeypatch.setattr(fem.spla, "spsolve",
                         lambda *a, **k: solves.append(1) or spsolve(*a, **k))
     with pytest.raises(NewtonDivergence, match="no convergence in 3 iterations"):
-        grid.newton(u, *stiff, fem.FreeDofs(grid.pattern, free), 1e-10, 3)
+        grid.newton(u, stiff, fem.FreeDofs(grid.pattern, free), 1e-10, 3)
     assert len(solves) == 2

@@ -155,7 +155,7 @@ def test_homogeneous_cell_reproduces_pointwise_response():
         tensors.right_cauchy_green(F_bar), materials.MATRIX_RUBBER)
     np.testing.assert_allclose(sol.P_bar, expected, rtol=1e-8, atol=1e-10)
     assert np.max(np.abs(sol.u_tilde)) < 1e-10
-    assert sol.psi_bar == pytest.approx(
+    assert helpers.cell_energy(solver, sol) == pytest.approx(
         helpers.ogden_energy(F_bar, materials.MATRIX_RUBBER), rel=1e-8)
 
 
@@ -207,7 +207,7 @@ def test_energy_average_integrates_work_along_path():
     F_bar[2, 2] = 1.15
     F_bar[0, 1] = 0.05
     sols = helpers.cell_path(solver, F_bar, n_steps=8)
-    assert helpers.path_energy_mismatch(sols) < 1e-2
+    assert helpers.path_energy_mismatch(solver, sols) < 1e-2
 
 
 def _path_by_hand(solver, F_bar, n_steps, predict=True):
@@ -242,10 +242,9 @@ def test_path_is_a_chain_of_one_increment_solves():
     solver, F_bar = _ramp_solver()
     for got, ref in zip(helpers.cell_path(solver, F_bar, n_steps=3),
                         _path_by_hand(solver, F_bar, 3), strict=True):
-        for name in ("F_bar", "P_bar", "F_qp", "P_qp", "psi_qp", "u_tilde",
+        for name in ("F_bar", "P_bar", "F_qp", "P_qp", "u_tilde",
                      "F_step", "u_step"):
             np.testing.assert_array_equal(getattr(got, name), getattr(ref, name))
-        assert got.psi_bar == ref.psi_bar
         assert got.iterations == ref.iterations
 
 

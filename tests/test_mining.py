@@ -753,6 +753,28 @@ def test_aborted_run_resumes_from_disk(synthetic_truth, tmp_path):
                                                       tmp_path / "memory")
 
 
+def _strict_json(path):
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+def test_reports_without_holdout_rows_are_strict_json(synthetic_truth, tmp_path):
+    problem, oracle, cfg = _loop_setup(synthetic_truth)
+    cfg = replace(cfg, train_fraction=1.0, restarts=1)
+    _, report = training.train(synthetic_truth[1], cfg)
+    report.save(tmp_path / "model_report.json")
+    doc = _strict_json(tmp_path / "model_report.json")
+    assert doc["n_test"] == 0 and doc["test_loss"] is None
+    assert doc["restarts"][0]["test_loss"] is None
+    with pytest.raises(MaxIterationsExceeded):
+        mining.run_loop(problem, oracle, synthetic_truth[1], cfg,
+                        mining.LoopConfig(n_max=1, inner_repeats=1),
+                        out_dir=tmp_path / "run")
+    doc = _strict_json(tmp_path / "run" / "loop_report.json")
+    assert [it["holdout_loss"] for it in doc["iterations"]] == [None]
+
+
 def test_loop_config_validation():
     with pytest.raises(ValueError):
         mining.LoopConfig(eps_detect=0.01, eps_filter=0.05)
