@@ -4,7 +4,8 @@ Element type is the 8-node brick with 2x2x2 Gauss quadrature.  All routines
 are vectorized over elements and gather and scatter through a connectivity
 array of global node ids (E, 8); repeated ids accumulate, which is how the
 voxel homogenizer wraps its cell periodically.  :class:`HexGrid` holds one
-mesh and runs the Newton iteration both solvers use.
+mesh and runs the Newton iteration both solvers use, and :func:`ramp` is
+the pseudo-time loop around it.
 """
 
 from __future__ import annotations
@@ -280,3 +281,44 @@ class HexGrid:
         raise NewtonDivergence(
             f"no convergence in {max_iterations} iterations "
             f"(|r|={res:.3e}, tol={tol:.3e})")
+
+
+def ramp(attempt, load, u, n_steps, step=None, max_cutbacks=3):
+    """The pseudo-time loop of an incremental Newton solve, t from 0 to 1.
+
+    ``load(t)`` is the load array at t; ``attempt(g, u_start)`` is one Newton
+    attempt at load g that returns a tuple starting with the converged u or
+    raises :class:`NewtonDivergence`.  Increment k of ``n_steps`` >= 1 ends at
+    t = k / n_steps.  It first starts from u + alpha du along the increment
+    before, (dg, du), or along ``step`` before the first one, with alpha =
+    <g - g_last, dg> / <dg, dg> (no prediction for a zero alpha or step), and
+    reruns from u if that diverges.  If u diverges too, this increment and
+    every later one are halved; the divergence past ``max_cutbacks`` halvings
+    of the whole ramp raises.  Yields (t, out, (dg, du)) per converged
+    increment, ``out`` the attempt's tuple.
+    """
+    if n_steps < 1:
+        raise ValueError(f"a ramp needs n_steps >= 1, got {n_steps}")
+    g_last, (dg, du) = load(0.0), step or (0.0, 0.0)
+    k, n, cutbacks = 0, n_steps, 0  # the next increment ends at t = (k + 1) / n
+    while k < n:
+        t = (k + 1) / n
+        g = load(t)
+        norm2 = np.vdot(dg, dg)
+        alpha = np.vdot(g - g_last, dg) / norm2 if norm2 > 0.0 else 0.0
+        for u_start in [u + alpha * du, u] if alpha != 0.0 else [u]:
+            try:
+                out = attempt(g, u_start)
+                break
+            except NewtonDivergence as exc:
+                error = exc
+        else:
+            cutbacks += 1
+            if cutbacks > max_cutbacks:
+                raise NewtonDivergence(f"the increment to t={t:g} diverged after "
+                                       f"{max_cutbacks} cutbacks") from error
+            k, n = 2 * k, 2 * n
+            continue
+        dg, du = g - g_last, out[0] - u
+        g_last, u, k = g, out[0], k + 1
+        yield t, out, (dg, du)

@@ -238,10 +238,10 @@ def _voxel_topology(rve: VoxelRVE):
 class VoxelSolution:
     """Converged periodic cell problem at one macroscopic deformation.
 
-    ``F_step`` (3x3) and ``u_step`` (n_nodes x 3) are the macroscopic step and
-    the fluctuation change of the last increment, which a solve started from
-    this one extrapolates.  ``iterations`` counts the Newton updates of the
-    solve that produced it, those of a diverged prediction included.
+    ``F_step`` (3x3) and ``u_step`` (n_nodes x 3) are the last increment's
+    (dg, du) of :func:`fem.ramp`, the step a solve started from this one
+    predicts along.  ``iterations`` counts the Newton updates of the solve
+    that produced it, those of diverged attempts included.
     """
 
     F_bar: np.ndarray
@@ -311,26 +311,6 @@ class VoxelHomogenizer:
             u_tilde, law, self.free, self.force_tol, 25,
             u_affine=self.grid.coords @ (F_bar - np.eye(3)).T)
 
-    def _increment(self, F_last, u_tilde, F_k, F_step, u_step, updates):
-        """Equilibrium at F_k from the converged state (F_last, u_tilde).
-
-        Newton starts from the secant prediction u_tilde + alpha u_step, with
-        alpha = <F_k - F_last, F_step> / <F_step, F_step> (0 for a zero
-        step), and reruns from u_tilde itself if that diverges.  Returns
-        (u_tilde, F, P).
-        """
-        norm2 = np.vdot(F_step, F_step)
-        alpha = np.vdot(F_k - F_last, F_step) / norm2 if norm2 > 0.0 else 0.0
-        if alpha != 0.0:
-            try:
-                u, F, P, _ = self._newton(F_k, u_tilde + alpha * u_step,
-                                          updates)
-                return u, F, P
-            except NewtonDivergence:
-                pass
-        u, F, P, _ = self._newton(F_k, u_tilde, updates)
-        return u, F, P
-
     def _package(self, F_bar, u_tilde, F, P, iterations, F_step, u_step):
         wdet = self.grid.wdet
         return VoxelSolution(
@@ -341,32 +321,26 @@ class VoxelHomogenizer:
     def solve(self, F_bar, n_steps=1, start=None):
         """Equilibrate the cell at F_bar in ``n_steps`` >= 1 increments.
 
-        The increments ramp the macroscopic deformation linearly from
-        ``start``, a converged :class:`VoxelSolution`, or from the undeformed
-        cell when it is None; the last increment is F_bar itself.  Each
-        increment's Newton starts from the secant prediction along the
-        increment before (the one before in this solve, or ``start``'s own;
-        none before the first increment from the undeformed cell), and
-        reruns from the converged fluctuation it extrapolates if that
-        diverges.  ``iterations`` counts the Newton updates of all
-        increments and of both attempts of a rerun.
+        :func:`fem.ramp`, with its default cutback budget, ramps the
+        macroscopic deformation linearly from ``start``, a converged
+        :class:`VoxelSolution`, or from the undeformed cell when it is None;
+        the last increment is F_bar itself.  The first increment's secant
+        prediction runs along ``start``'s own last increment (none from the
+        undeformed cell).  ``iterations`` counts the Newton updates of every
+        attempt, diverged ones included.
         """
         F_bar = np.asarray(F_bar, dtype=float)
-        if n_steps < 1:
-            raise ValueError(f"a cell solve needs n_steps >= 1, got {n_steps}")
         if start is None:
-            F_0, u_tilde = np.eye(3), np.zeros((self.n_nodes, 3))
-            F_step, u_step = np.zeros((3, 3)), np.zeros_like(u_tilde)
+            F_0, u_tilde, step = np.eye(3), np.zeros((self.n_nodes, 3)), None
         else:
             F_0, u_tilde = start.F_bar, start.u_tilde
-            F_step, u_step = start.F_step, start.u_step
-        F_last, updates = F_0, []
-        for k in range(1, n_steps + 1):
-            F_k = F_bar if k == n_steps else F_0 + (k / n_steps) * (F_bar - F_0)
-            u_k, F, P = self._increment(F_last, u_tilde, F_k, F_step, u_step,
-                                        updates)
-            F_step, u_step = F_k - F_last, u_k - u_tilde
-            F_last, u_tilde = F_k, u_k
+            step = (start.F_step, start.u_step)
+        updates = []
+        # the solution is the last increment's
+        *_, (_, (u_tilde, F, P, _), (F_step, u_step)) = fem.ramp(
+            lambda F_k, u: self._newton(F_k, u, updates),
+            lambda t: F_bar if t >= 1.0 else F_0 + t * (F_bar - F_0),
+            u_tilde, n_steps, step)
         return self._package(F_bar, u_tilde, F, P, len(updates), F_step, u_step)
 
 # ---------------------------------------------------------------------------

@@ -198,23 +198,19 @@ def consistent_face_loads(nodes, faces, traction):
     return f
 
 
-def _merge_constraints(bcs, t, mesh):
-    mask = np.zeros((mesh.n_nodes, 3), dtype=bool)
-    values = np.zeros((mesh.n_nodes, 3))
+def _load(bcs, t, mesh):
+    """The prescribed displacements, their mask (1 where prescribed) and the
+    external nodal forces at pseudo-time t, stacked as (3, n_nodes, 3)."""
+    g = np.zeros((3, mesh.n_nodes, 3))
+    values, mask, forces = g
     for bc in bcs:
         if hasattr(bc, "constraints"):
             nodes, vals, m = bc.constraints(t, mesh)
             values[nodes] = np.where(m, vals, values[nodes])
-            mask[nodes] |= m
-    return mask, values
-
-
-def _external_forces(bcs, t, mesh):
-    f = np.zeros((mesh.n_nodes, 3))
-    for bc in bcs:
+            mask[nodes] = np.maximum(mask[nodes], m)
         if hasattr(bc, "nodal_forces"):
-            f += bc.nodal_forces(t, mesh)
-    return f
+            forces += bc.nodal_forces(t, mesh)
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -354,17 +350,15 @@ def solve_macro(mesh: MacroMesh, bcs, law, n_steps=10, rel_tol=1e-8,
     """Incremental Newton solve of the macroscopic problem.
 
     ``law`` is the constitutive law :meth:`fem.HexGrid.newton` takes,
-    normally :func:`surrogate_law`.  The load program is ramped in ``n_steps``
-    increments.  A diverged increment is retried at half size, and every
-    later increment keeps the halved size; ``max_cutbacks`` bounds the
-    halvings of the whole solve, not of one increment.  The divergence that
-    exceeds it ends the solve: before any increment converged it raises
-    :class:`FirstStepDivergence`, later it logs a warning and returns the
-    partial history reached so far.  The returned state stores per-point
+    normally :func:`surrogate_law`.  :func:`fem.ramp` ramps the load program
+    in ``n_steps`` increments, with its start, rerun and ``max_cutbacks``
+    policy.  When the ramp diverges before any increment converged this
+    raises :class:`FirstStepDivergence`; later it logs a warning and returns
+    the partial history reached so far.  The returned state stores per-point
     deformation gradients per converged step (the mining loop's raw
-    material) starting with the undeformed step at t = 0.  The free-dof restriction of the
-    stiffness is built once per solve, and again only when the set of
-    prescribed dofs changes between increments.
+    material) starting with the undeformed step at t = 0.  The free-dof
+    restriction of the stiffness is built again only when the set of
+    prescribed dofs changes between attempts.
     """
     grid = fem.HexGrid(mesh.element_coords(), mesh.conn, mesh.n_nodes)
     area_scale = float(np.mean(grid.wdet.sum(axis=1)) ** (2.0 / 3.0))
@@ -376,36 +370,26 @@ def solve_macro(mesh: MacroMesh, bcs, law, n_steps=10, rel_tol=1e-8,
     P0 = np.broadcast_to(T0.reshape(3, 3), (E, 8, 3, 3)).copy()
     steps = [StepRecord(0.0, np.zeros((mesh.n_nodes, 3)), identity_F, P0, 0, [])]
 
-    u = np.zeros((mesh.n_nodes, 3))
-    t = 0.0
-    dt = 1.0 / n_steps
-    cutbacks = 0
     free = None
-    while t < 1.0 - 1e-12:
-        t_next = min(1.0, t + dt)
-        mask, values = _merge_constraints(bcs, t_next, mesh)
+
+    def attempt(g, u_start):
+        nonlocal free
+        values, mask, f_ext = g[0], g[1] > 0.0, g[2]
         if free is None or not np.array_equal(free.mask, ~mask.reshape(-1)):
             free = fem.FreeDofs(grid.pattern, ~mask)
-        u_start = u.copy()
-        u_start[mask] = values[mask]
-        try:
-            u_next, F, P, residuals = grid.newton(
-                u_start, law, free, force_tol, max_newton,
-                f_ext=_external_forces(bcs, t_next, mesh))
-        except NewtonDivergence:
-            cutbacks += 1
-            if cutbacks > max_cutbacks:
-                if not any(s.t > 0 for s in steps):
-                    raise FirstStepDivergence(
-                        "macro solve diverged before completing any increment")
-                log.warning("macro solve stopped at t_end=%g: the increment to "
-                            "t=%g diverged after %d cutbacks", t, t_next,
-                            max_cutbacks)
-                return MacroState(steps)
-            dt *= 0.5
-            continue
-        u, t = u_next, t_next
-        steps.append(StepRecord(t, u, F, P, len(residuals) - 1, residuals))
+        return grid.newton(np.where(mask, values, u_start), law, free,
+                           force_tol, max_newton, f_ext=f_ext)
+
+    try:
+        for t, (u, F, P, residuals), _ in fem.ramp(
+                attempt, lambda t: _load(bcs, t, mesh), steps[0].u, n_steps,
+                max_cutbacks=max_cutbacks):
+            steps.append(StepRecord(t, u, F, P, len(residuals) - 1, residuals))
+    except NewtonDivergence as exc:
+        if len(steps) == 1:
+            raise FirstStepDivergence(
+                "macro solve diverged before completing any increment") from exc
+        log.warning("macro solve stopped at t_end=%g: %s", steps[-1].t, exc)
     return MacroState(steps)
 
 

@@ -172,3 +172,92 @@ def test_newton_raises_without_solving_an_update_it_cannot_check(monkeypatch):
     with pytest.raises(NewtonDivergence, match="no convergence in 3 iterations"):
         grid.newton(u, stiff, fem.FreeDofs(grid.pattern, free), 1e-10, 3)
     assert len(solves) == 2
+
+
+# --- load ramp ----------------------------------------------------------------
+
+def _toy_ramp(n_steps, diverge=(), max_cutbacks=3, step=None,
+              load=lambda t: np.array([t, 2.0 * t])):
+    """``fem.ramp`` on a toy problem whose answer is u = g = load(t).
+
+    The attempts listed in ``diverge`` (counted from 0) raise.  Returns the
+    (t, g, u_start) of every attempt and a generator of the ramp's yields.
+    """
+    attempts = []
+
+    def attempt(g, u_start):
+        attempts.append((g[0], g, u_start))
+        if len(attempts) - 1 in diverge:
+            raise NewtonDivergence("injected")
+        return (g.copy(), "out")
+
+    return attempts, fem.ramp(attempt, load, np.zeros(2), n_steps, step,
+                              max_cutbacks)
+
+
+def _projection(g, g_last, dg):
+    return np.vdot(g - g_last, dg) / np.vdot(dg, dg)
+
+
+def test_the_ramp_predicts_each_start_along_the_increment_before():
+    # a load that bends, so alpha is not the ratio of the increments
+    attempts, ramp = _toy_ramp(4, load=lambda t: np.array([t, t * t]))
+    yields = list(ramp)
+    assert [t for t, _, _ in yields] == [0.25, 0.5, 0.75, 1.0]
+    assert [out[1] for _, out, _ in yields] == ["out"] * 4
+    # the first increment starts plain, every later one from the prediction
+    assert [a[0] for a in attempts] == [0.25, 0.5, 0.75, 1.0]
+    np.testing.assert_array_equal(attempts[0][2], 0.0)
+    loads = [np.zeros(2)] + [a[1] for a in attempts]
+    for k in range(1, 4):
+        g, g_last, dg = loads[k + 1], loads[k], loads[k] - loads[k - 1]
+        np.testing.assert_array_equal(yields[k - 1][2][0], dg)
+        np.testing.assert_array_equal(
+            attempts[k][2], g_last + _projection(g, g_last, dg) * dg)
+
+
+def test_the_ramp_predicts_the_first_start_along_a_given_step():
+    step = (np.array([1.0, 0.0]), np.array([2.0, 2.0]))
+    attempts, ramp = _toy_ramp(2, step=step)
+    next(ramp)
+    # alpha = <(0.5, 1), (1, 0)> / <(1, 0), (1, 0)> = 0.5
+    np.testing.assert_array_equal(attempts[0][2], [1.0, 1.0])
+
+
+def test_a_diverged_prediction_reruns_from_the_converged_state():
+    attempts, ramp = _toy_ramp(2, diverge={1})
+    yields = list(ramp)
+    assert [t for t, _, _ in yields] == [0.5, 1.0]
+    assert [a[0] for a in attempts] == [0.5, 1.0, 1.0]
+    assert attempts[2][2] is yields[0][1][0]
+    np.testing.assert_array_equal(yields[1][2][1], yields[1][2][0])
+
+
+def test_a_double_divergence_halves_the_rest_of_the_ramp():
+    # attempts 1 and 2 are the predicted and the plain start of t = 0.5
+    attempts, ramp = _toy_ramp(4, diverge={1, 2})
+    assert [t for t, _, _ in ramp] == [0.25, 0.375, 0.5, 0.625, 0.75,
+                                       0.875, 1.0]
+    assert [a[0] for a in attempts[:4]] == [0.25, 0.5, 0.5, 0.375]
+    # after the cutback the prediction is half the increment before
+    g_last = attempts[0][1]
+    assert _projection(attempts[3][1], g_last, g_last) == 0.5
+    np.testing.assert_array_equal(attempts[3][2], 1.5 * g_last)
+
+
+def test_the_cutback_budget_counts_over_the_whole_ramp():
+    # t = 0.5 diverges twice (one cutback), then t = 0.5 again: attempts 4, 5
+    attempts, ramp = _toy_ramp(4, diverge={1, 2, 4, 5}, max_cutbacks=1)
+    done = []
+    with pytest.raises(NewtonDivergence, match="t=0.5 diverged after 1 cutbacks"):
+        for t, _, _ in ramp:
+            done.append(t)
+    assert done == [0.25, 0.375]
+    assert [a[0] for a in attempts] == [0.25, 0.5, 0.5, 0.375, 0.5, 0.5]
+
+
+@pytest.mark.parametrize("n_steps", [0, -2])
+def test_a_ramp_needs_at_least_one_increment(n_steps):
+    _, ramp = _toy_ramp(n_steps)
+    with pytest.raises(ValueError, match="n_steps"):
+        next(ramp)

@@ -9,7 +9,7 @@ import pytest
 import helpers
 import oracles
 from matmine import homogenization as hom
-from matmine import materials, mining, tensors
+from matmine import macro, materials, mining, tensors
 from matmine.errors import NewtonDivergence, ZeroMean
 
 
@@ -259,12 +259,19 @@ def test_secant_prediction_saves_updates_and_keeps_the_answer():
             < sum(s.iterations for s in plain))
 
 
-@pytest.mark.parametrize("n_steps", [0, -1])
-@pytest.mark.parametrize("method", ["solve"])
+@pytest.mark.parametrize("n_steps", [0, -1, -2])
+@pytest.mark.parametrize("method", ["solve", "solve_macro"])
 def test_cell_solves_need_at_least_one_increment(method, n_steps):
-    solver = hom.VoxelHomogenizer(helpers.homogeneous_rve(2))
+    if method == "solve":
+        solver = hom.VoxelHomogenizer(helpers.homogeneous_rve(2))
+        solve = functools.partial(solver.solve, np.diag([1.1, 1.0, 1.0]))
+    else:
+        mesh = macro.box_mesh((1.0, 1.0, 1.0), (1, 1, 1))
+        bcs = (macro.DisplacementRamp("x1min", (0.0, 0.0, 0.0)),
+               macro.DisplacementRamp("x1max", (0.1, 0.0, 0.0)))
+        solve = functools.partial(macro.solve_macro, mesh, bcs, helpers.SVK)
     with pytest.raises(ValueError, match="n_steps"):
-        getattr(solver, method)(np.diag([1.1, 1.0, 1.0]), n_steps)
+        solve(n_steps=n_steps)
 
 
 def _stretch_history():
@@ -354,6 +361,30 @@ def test_updates_of_a_diverged_prediction_count_as_iterations(monkeypatch):
     assert attempts[0][1:] == ("diverged", 1)
     assert len(calls) == sol.iterations == sum(a[2] for a in attempts)
     assert len(tangents) == len(solver.phase_masks) * sol.iterations
+
+
+def test_an_increment_whose_two_starts_diverge_is_cut_back(monkeypatch):
+    solver = hom.VoxelHomogenizer(hom.fiber_rve(4, 0.3, seed=2))
+    F_1, F_2 = _stretch_history()
+    first = solver.solve(F_1, n_steps=2)
+    two_steps = solver.solve(F_2, n_steps=2, start=first)
+    attempts, newton = [], solver._newton
+
+    def both_starts_diverge(F_bar, u_tilde, updates):
+        attempts.append(F_bar)
+        if len(attempts) <= 2:
+            raise NewtonDivergence("injected")
+        return newton(F_bar, u_tilde, updates)
+
+    monkeypatch.setattr(solver, "_newton", both_starts_diverge)
+    sol = solver.solve(F_2, start=first)
+    # the predicted and the plain start at F_2, then half the increment
+    assert len(attempts) > 3
+    np.testing.assert_array_equal(attempts[:2], [F_2, F_2])
+    np.testing.assert_array_equal(attempts[2], F_1 + 0.5 * (F_2 - F_1))
+    np.testing.assert_allclose(sol.P_bar, two_steps.P_bar, rtol=1e-8,
+                               atol=1e-8 * np.abs(two_steps.P_bar).max())
+    np.testing.assert_array_equal(sol.F_bar, F_2)
 
 
 def test_principal_frame_tangent_leaves_the_cell_solve_unchanged(monkeypatch):

@@ -1,6 +1,5 @@
 """Meshes, boundary conditions and the macroscopic Newton solver."""
 
-import itertools
 import logging
 
 import numpy as np
@@ -192,15 +191,22 @@ def test_first_step_divergence_and_partial_state(caplog):
     assert "after 2 cutbacks" in record.getMessage()
 
 
-def _diverging_on(monkeypatch, attempts):
-    """Make the listed Newton attempts of a solve (counted from 0) diverge."""
+def _diverging_on(monkeypatch, increments):
+    """Make every Newton attempt of the listed increments of a
+    :func:`_stretch_box` solve diverge.  Increments are counted from 0 in the
+    order the solve tries them; one is a run of attempts at one target t,
+    which each start carries as the prescribed x1max displacement 0.1 t."""
     newton = fem.HexGrid.newton
-    count = itertools.count()
+    x1max = _stretch_box()[0].node_sets["x1max"]
+    targets = []
 
-    def flaky(self, *args, **kwargs):
-        if next(count) in attempts:
+    def flaky(self, u, *args, **kwargs):
+        target = u[x1max, 0].max()
+        if not targets or targets[-1] != target:
+            targets.append(target)
+        if len(targets) - 1 in increments:
             raise NewtonDivergence("injected")
-        return newton(self, *args, **kwargs)
+        return newton(self, u, *args, **kwargs)
 
     monkeypatch.setattr(fem.HexGrid, "newton", flaky)
 
@@ -219,12 +225,36 @@ def test_a_cutback_halves_every_later_increment(monkeypatch):
 
 
 def test_the_cutback_budget_covers_the_whole_solve(monkeypatch):
-    # attempt 1 (t = 0.5) diverges and is retried at t = 0.375; attempt 3
+    # increment 1 (t = 0.5) diverges and is retried at t = 0.375; increment 3
     # (t = 0.5 again) is the second divergence of the solve
     _diverging_on(monkeypatch, {1, 3})
     state = macro.solve_macro(*_stretch_box(), SVK, n_steps=4, max_cutbacks=1)
     assert not state.completed
     assert [rec.t for rec in state.steps] == [0.0, 0.25, 0.375]
+
+
+def test_a_diverged_prediction_gives_the_plain_start_answer(monkeypatch):
+    mesh, bcs = _stretch_box()
+    attempts, newton = [], fem.HexGrid.newton
+
+    def predicted_diverges(self, u, *args, **kwargs):
+        attempts.append((u, args, kwargs))
+        if len(attempts) == 2:  # the predicted start of the second increment
+            raise NewtonDivergence("injected")
+        return newton(self, u, *args, **kwargs)
+
+    monkeypatch.setattr(fem.HexGrid, "newton", predicted_diverges)
+    state = macro.solve_macro(mesh, bcs, SVK, n_steps=2)
+    assert [rec.t for rec in state.steps] == [0.0, 0.5, 1.0]
+    assert len(attempts) == 3
+    values, mask, _ = macro._load(bcs, 1.0, mesh)
+    plain = np.where(mask > 0.0, values, state.steps[1].u)
+    assert not np.array_equal(attempts[1][0], plain)
+    np.testing.assert_array_equal(attempts[2][0], plain)
+    grid = fem.HexGrid(mesh.element_coords(), mesh.conn, mesh.n_nodes)
+    u, _, P, _ = newton(grid, plain, *attempts[2][1], **attempts[2][2])
+    np.testing.assert_array_equal(state.steps[2].u, u)
+    np.testing.assert_array_equal(state.steps[2].P_qp, P)
 
 
 def test_macro_ordering_leaves_the_solution_unchanged(monkeypatch):

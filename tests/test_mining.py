@@ -1,3 +1,4 @@
+import errno
 import functools
 import json
 import os
@@ -935,7 +936,11 @@ class TestKnowledgeBase:
             data.save_kbase(self._dataset(54, 4), fifo)
         finally:
             if reader.is_alive():   # release a reader still waiting to open
-                os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+                try:
+                    os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+                except OSError as exc:  # ENXIO: the reader already closed it
+                    if exc.errno != errno.ENXIO:
+                        raise
             reader.join(timeout=30)
         assert not reader.is_alive()
         assert stat.S_ISFIFO(os.stat(fifo).st_mode)
