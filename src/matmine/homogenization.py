@@ -1,13 +1,13 @@
 """Microscale models: controlled load paths and voxel RVE homogenization.
 
 Two levels of fidelity share this module.  For constitutive sampling we drive
-a single material point along mixed-control load paths (some deformation
-gradient entries prescribed, the rest found so the conjugate nominal stress
-components vanish); ``initial_load_suite`` lists the seed paths that
-``mining.initial_dataset`` drives through an oracle's pointwise stress.  The
-voxel oracle solves a periodic first-order homogenization problem on a
-voxelized representative volume, and the scatter of apparent properties
-across random realizations sizes that volume.
+material points along mixed-control load paths (some deformation gradient
+entries prescribed, the rest found so the conjugate nominal stress components
+vanish); ``mining.initial_dataset`` drives the ``initial_load_suite`` paths in
+lockstep through an oracle's pointwise stress.  The voxel oracle solves a
+periodic first-order homogenization problem on a voxelized representative
+volume, and the scatter of apparent properties across random realizations
+sizes that volume.
 """
 
 from __future__ import annotations
@@ -101,84 +101,94 @@ class MaterialPath:
     P: np.ndarray
 
 
-def drive_material_point(stress, case: LoadCase, n_steps=12,
-                         force_scale=None):
-    """Follow a mixed-control path with Newton iteration on the free entries.
+def drive_material_point(stress, cases, n_steps=12, force_scale=None):
+    """Follow mixed-control paths, all load cases in lockstep.
 
-    ``stress`` maps a deformation gradient to the nominal stress.  The path
-    ramps the prescribed entries linearly from the identity in ``n_steps``
-    increments (the returned history includes the undeformed state).  Free
-    entries warm start from the previous converged step and converge once
-    their stresses are within 1e-9 ``force_scale``, in at most 40 updates.
+    ``stress`` maps a (..., 3, 3) stack of deformation gradients to nominal
+    stresses row by row.  Each case ramps its prescribed entries linearly
+    from the identity in ``n_steps`` >= 1 increments (each history includes
+    the undeformed state).  Free entries warm start from the previous step
+    and take Newton updates, with central-difference Jacobians and a halving
+    line search, until their stresses are within 1e-9 ``force_scale``, in at
+    most 40 updates.  A step's residual, its probes and each line-search
+    round are one stacked ``stress`` call over the open cases; a stacked
+    trial that raises is evaluated row by row, and a row that raises fails.
+    Returns one :class:`MaterialPath` per case, in order.
     """
+    if n_steps < 1:
+        raise ValueError(f"a driven path needs n_steps >= 1, got {n_steps}")
     if force_scale is None:
         force_scale = materials.MATRIX_RUBBER.initial_shear_modulus
     tol = 1e-9 * force_scale
-    free = ~case.prescribed
-    free_idx = np.argwhere(free)
-
+    prescribed = np.array([case.prescribed for case in cases])
+    values = np.array([case.values for case in cases])
+    free = [np.nonzero(~mask) for mask in prescribed]
     t_hist = np.linspace(0.0, 1.0, n_steps + 1)
-    F_hist = np.empty((n_steps + 1, 3, 3))
-    P_hist = np.empty((n_steps + 1, 3, 3))
-    F = np.eye(3)
+    F_hist = np.empty((n_steps + 1, len(cases), 3, 3))
+    P_hist = np.empty_like(F_hist)
     for k, t in enumerate(t_hist):
-        F = F.copy()
-        F[case.prescribed] = (np.eye(3) + t * (case.values - np.eye(3)))[case.prescribed]
-        if free_idx.size:
-            F, P = _solve_free_entries(stress, F, free_idx, tol, case.name, t)
-        else:
-            P = stress(F)
-        F_hist[k] = F
-        P_hist[k] = P
-    return MaterialPath(case.name, t_hist, F_hist, P_hist)
-
-
-def _solve_free_entries(stress, F, free_idx, tol, name, t):
-    """Free entries of F that zero their stresses: (F, stress(F))."""
-    rows, cols = free_idx[:, 0], free_idx[:, 1]
-    F = F.copy()
-
-    def residual(Fc):
-        return stress(Fc)[rows, cols]
-
-    P = stress(F)
-    r = P[rows, cols]
-    for _ in range(40):
-        if np.max(np.abs(r)) <= tol:
-            return F, P
-        J = np.empty((len(rows), len(rows)))
-        for j, (i, jj) in enumerate(free_idx):
-            h = 1e-7 * max(1.0, abs(F[i, jj]))
-            Fp = F.copy(); Fp[i, jj] += h
-            Fm = F.copy(); Fm[i, jj] -= h
-            J[:, j] = (residual(Fp) - residual(Fm)) / (2.0 * h)
-        try:
-            dx = np.linalg.solve(J, -r)
-        except np.linalg.LinAlgError as exc:
-            raise NewtonDivergence(
-                f"singular Jacobian on path {name} at t={t:g}") from exc
-        norm0 = np.linalg.norm(r)
-        alpha = 1.0
-        while True:
-            Ftry = F.copy()
-            Ftry[rows, cols] += alpha * dx
-            try:
-                P_try = stress(Ftry)
-            except (MatmineError, FloatingPointError):
-                P_try = None
-            if (P_try is not None
-                    and np.linalg.norm(P_try[rows, cols]) < norm0):
-                F, P, r = Ftry, P_try, P_try[rows, cols]
+        F, P = F_hist[k], P_hist[k]
+        F[:] = F_hist[k - 1] if k else np.eye(3)
+        F[prescribed] = (np.eye(3) + t * (values - np.eye(3)))[prescribed]
+        P[:] = stress(F)
+        open_ = [c for c in range(len(cases)) if free[c][0].size]
+        for updates in range(41):
+            open_ = [c for c in open_ if not np.max(np.abs(P[c][free[c]])) <= tol]
+            if not open_:
                 break
-            alpha *= 0.5
-            if alpha < 2.0 ** -10:
+            if updates == 40:
+                c = open_[0]
                 raise NewtonDivergence(
-                    f"line search stalled on path {name} at t={t:g}")
-    if np.max(np.abs(r)) <= tol:
-        return F, P
-    raise NewtonDivergence(
-        f"no convergence in 40 iterations on path {name} "
-        f"at t={t:g} (|r|={np.max(np.abs(r)):.3e}, tol={tol:.3e})")
+                    f"no convergence in 40 iterations on path {cases[c].name} at "
+                    f"t={t:g} (|r|={np.max(np.abs(P[c][free[c]])):.3e}, tol={tol:.3e})")
+            # a probe pair per free entry of each open case, in column order
+            owner, rows, cols = np.nonzero(~prescribed[open_])
+            owner = np.array(open_)[owner]
+            h = 1e-7 * np.maximum(1.0, np.abs(F[owner, rows, cols]))
+            probes = np.stack([F[owner], F[owner]])
+            probes[0, np.arange(owner.size), rows, cols] += h
+            probes[1, np.arange(owner.size), rows, cols] -= h
+            P_probe = stress(probes)
+            dP = (P_probe[0] - P_probe[1]) / (2.0 * h[:, None, None])
+            searching = []
+            for c in open_:
+                r = P[c][free[c]]
+                J = dP[owner == c][:, free[c][0], free[c][1]].T
+                try:
+                    dx = np.linalg.solve(J, -r)
+                except np.linalg.LinAlgError as exc:
+                    raise NewtonDivergence(f"singular Jacobian on path "
+                                           f"{cases[c].name} at t={t:g}") from exc
+                searching.append((c, dx, np.linalg.norm(r)))
+            alpha = 1.0
+            while searching:
+                F_try = F[[c for c, _, _ in searching]]
+                for F_c, (c, dx, _) in zip(F_try, searching):
+                    F_c[free[c]] += alpha * dx
+                try:
+                    P_try = list(stress(F_try))
+                except (MatmineError, FloatingPointError):
+                    P_try = [_stress_or_none(stress, F_c) for F_c in F_try]
+                failed = []
+                for F_c, P_c, (c, dx, norm0) in zip(F_try, P_try, searching):
+                    if P_c is not None and np.linalg.norm(P_c[free[c]]) < norm0:
+                        F[c], P[c] = F_c, P_c
+                    else:
+                        failed.append((c, dx, norm0))
+                searching = failed
+                alpha *= 0.5
+                if searching and alpha < 2.0 ** -10:
+                    raise NewtonDivergence(f"line search stalled on path "
+                                           f"{cases[searching[0][0]].name} at t={t:g}")
+    return [MaterialPath(case.name, t_hist, F_hist[:, c], P_hist[:, c])
+            for c, case in enumerate(cases)]
+
+
+def _stress_or_none(stress, F):
+    try:
+        return stress(F)
+    except (MatmineError, FloatingPointError):
+        return None
 
 
 # ---------------------------------------------------------------------------

@@ -123,17 +123,6 @@ def _jacobi_principal_stretches(C):
     return _stretches(A[..., [0, 1, 2], [0, 1, 2]], V)
 
 
-def ogden_energy_from_C(C, params: OgdenParameters):
-    """Strain energy density as a function of C, batched over leading dims."""
-    _, _, lam, J = _principal_stretches(C)
-    lam_iso = lam * J[..., None] ** (-1.0 / 3.0)
-    dev = 0.0
-    for m, a in zip(params.mu, params.alpha):
-        dev = dev + (m / a) * (np.sum(lam_iso**a, axis=-1) - 3.0)
-    vol = 0.25 * params.kappa * (J * J - 2.0 * np.log(J) - 1.0)
-    return dev + vol
-
-
 def _ogden_coefficients(lam2, lam, J, params):
     """Per-eigenvalue stress coefficients of the principal-stretch form.
 

@@ -319,17 +319,17 @@ def initial_dataset(stress, eps_filter=0.01, n_steps=12,
                     rve_fiber_axis=(0.0, 0.0, 1.0)):
     """Drive the initial load suite and dedup it into the starting dataset.
 
-    ``stress`` is the pointwise nominal stress map the material-point driver
-    follows, normally an oracle's ``evaluate_path`` with ``warm_start=False``.
-    The raw suite shares its undeformed state across all paths and its
-    gentler load levels crowd together, so the same greedy filter used for
-    mined data thins it here; ranges come from the raw suite itself.
+    ``stress`` maps (..., 3, 3) stacks to nominal stresses row by row,
+    normally an oracle's ``evaluate_path`` with ``warm_start=False``; the 18
+    cases are driven in lockstep, one stacked call per Newton stage.  The raw
+    suite shares its undeformed state across all paths and its gentler load
+    levels crowd together, so the same greedy filter used for mined data
+    thins it here; ranges come from the raw suite itself.
     """
-    records = []
-    for pid, case in enumerate(homogenization.initial_load_suite()):
-        path = homogenization.drive_material_point(stress, case, n_steps=n_steps)
-        records += [(path.F[k], path.P[k], f"init:{case.name}", 0, pid, k,
-                     path.t[k]) for k in range(len(path.t))]
+    paths = homogenization.drive_material_point(
+        stress, homogenization.initial_load_suite(), n_steps=n_steps)
+    records = [(path.F[k], path.P[k], f"init:{path.name}", 0, pid, k, path.t[k])
+               for pid, path in enumerate(paths) for k in range(len(path.t))]
     raw = data.from_records(records)
     inv = raw.invariant_values(rve_fiber_axis)
     kept = filter_candidates(inv, np.zeros((0, inv.shape[1])),

@@ -37,10 +37,22 @@ def svk_nominal(F):
     return F @ svk_stress(tensors.right_cauchy_green(F))
 
 
+def ogden_energy_from_C(C, params):
+    """Ogden strain energy density as a function of C, batched over leading
+    dims: the potential ``materials.ogden_stress_from_C`` derives from."""
+    _, _, lam, J = materials._principal_stretches(C)
+    lam_iso = lam * J[..., None] ** (-1.0 / 3.0)
+    dev = 0.0
+    for m, a in zip(params.mu, params.alpha):
+        dev = dev + (m / a) * (np.sum(lam_iso**a, axis=-1) - 3.0)
+    vol = 0.25 * params.kappa * (J * J - 2.0 * np.log(J) - 1.0)
+    return dev + vol
+
+
 def ogden_energy(F, params):
     """Ogden strain energy density from the deformation gradient (det F > 0)."""
     tensors.jacobian(F)
-    return materials.ogden_energy_from_C(tensors.right_cauchy_green(F), params)
+    return ogden_energy_from_C(tensors.right_cauchy_green(F), params)
 
 
 def oracle_energy_from_C(C, oracle):
@@ -48,7 +60,7 @@ def oracle_energy_from_C(C, oracle):
     I4 = np.einsum("ij,...ij->...", oracle.structural_tensor,
                    np.asarray(C, dtype=float))
     fiber = 0.5 * oracle.fiber_stiffness * (I4 - 1.0) ** 2
-    return materials.ogden_energy_from_C(C, oracle.matrix) + fiber
+    return ogden_energy_from_C(C, oracle.matrix) + fiber
 
 
 def oracle_energy(F, oracle):
@@ -193,7 +205,7 @@ def cell_energy(solver, sol):
     C = tensors.right_cauchy_green(sol.F_qp)
     psi = np.empty(C.shape[:-2])
     for params, mask in solver.phase_masks:
-        psi[mask] = materials.ogden_energy_from_C(C[mask], params)
+        psi[mask] = ogden_energy_from_C(C[mask], params)
     return float(fem.volume_average(psi, sol.wdet))
 
 

@@ -55,8 +55,8 @@ def _oracle_stress(oracle):
 
 def test_shear_path_returns_prescribed_gradients():
     oracle = materials.OracleParameters()
-    path = hom.drive_material_point(_oracle_stress(oracle),
-                                    hom.shear_case(0, 1, 0.5), n_steps=4)
+    [path] = hom.drive_material_point(_oracle_stress(oracle),
+                                      [hom.shear_case(0, 1, 0.5)], n_steps=4)
     assert path.F.shape == (5, 3, 3)
     for k, t in enumerate(path.t):
         expected = np.eye(3)
@@ -69,7 +69,7 @@ def test_shear_path_returns_prescribed_gradients():
 def test_uniaxial_path_zeroes_lateral_stress():
     oracle = materials.OracleParameters()
     case = hom.uniaxial_case(2, 1.6)
-    path = hom.drive_material_point(_oracle_stress(oracle), case)
+    [path] = hom.drive_material_point(_oracle_stress(oracle), [case])
     tol = 1e-9 * oracle.matrix.initial_shear_modulus
     for k in range(len(path.t)):
         assert abs(path.P[k][0, 0]) <= tol
@@ -81,8 +81,8 @@ def test_uniaxial_path_zeroes_lateral_stress():
 
 def test_uniaxial_compression_across_fiber_converges():
     oracle = materials.OracleParameters()
-    path = hom.drive_material_point(_oracle_stress(oracle),
-                                    hom.uniaxial_case(0, 0.7))
+    [path] = hom.drive_material_point(_oracle_stress(oracle),
+                                      [hom.uniaxial_case(0, 0.7)])
     tol = 1e-9 * oracle.matrix.initial_shear_modulus
     assert abs(path.P[-1][1, 1]) <= tol
     assert abs(path.P[-1][2, 2]) <= tol
@@ -94,14 +94,96 @@ def test_driver_evaluates_the_stress_once_per_deformation():
     seen = []
 
     def stress(F):
-        seen.append(F.tobytes())
+        seen.extend(row.tobytes() for row in np.reshape(F, (-1, 3, 3)))
         return materials.oracle_nominal_stress(F, oracle)
 
-    path = hom.drive_material_point(stress, hom.uniaxial_case(2, 1.6), n_steps=4)
+    [path] = hom.drive_material_point(stress, [hom.uniaxial_case(2, 1.6)],
+                                      n_steps=4)
     assert len(seen) == len(set(seen))
     for F, P in zip(path.F, path.P, strict=True):
         assert F.tobytes() in seen
         np.testing.assert_array_equal(P, materials.oracle_nominal_stress(F, oracle))
+
+
+def _assert_same_path(got, ref):
+    assert got.name == ref.name
+    for name in ("t", "F", "P"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(ref, name))
+
+
+def _alone(stress, cases, n_steps):
+    """Each case driven on its own."""
+    return [hom.drive_material_point(stress, [case], n_steps=n_steps)[0]
+            for case in cases]
+
+
+@pytest.mark.parametrize("n_steps", [1, 12])
+def test_cases_driven_together_follow_their_own_paths(n_steps):
+    stress = _oracle_stress(materials.OracleParameters())
+    cases = hom.initial_load_suite()
+    together = hom.drive_material_point(stress, cases, n_steps=n_steps)
+    for got, ref in zip(together, _alone(stress, cases, n_steps), strict=True):
+        _assert_same_path(got, ref)
+
+
+def _arctan_stress(calls):
+    """Nominal stress: the arctan, entry by entry, of 10 (F - I) with
+    10 (F[0, 0] - 1) added to entry [1, 1]; raises where det F <= 0.  Records
+    each call's deformation gradients in ``calls``.
+
+    In one step of a uniaxial case along the first axis, the free F[1, 1]
+    solves arctan(10 (F[1, 1] - 1) + u0) = 0 from u0 = 10 (stretch - 1).  A
+    full Newton step from u0 > 1.39 lands on a larger residual, and from
+    u0 > 3.6 at F[1, 1] < 0.
+    """
+    def stress(F):
+        calls.append(np.array(F))
+        tensors.jacobian(F)
+        arg = 10.0 * (F - np.eye(3))
+        arg[..., 1, 1] += 10.0 * (F[..., 0, 0] - 1.0)
+        return np.arctan(arg)
+    return stress
+
+
+def _named(case, name):
+    return dataclasses.replace(case, name=name)
+
+
+def test_shortened_and_failed_trials_leave_each_case_its_own_path():
+    overshoots = _named(hom.uniaxial_case(0, 1.2), "overshoots")
+    raises = _named(hom.uniaxial_case(0, 1.5), "raises")
+    cases = [hom.uniaxial_case(0, 1.05), overshoots, hom.shear_case(0, 1, 0.5),
+             raises, hom.equibiaxial_case(0, 2, 1.08), hom.uniaxial_case(0, 1.1)]
+    calls = []
+    together = hom.drive_material_point(_arctan_stress(calls), cases, n_steps=1)
+    for got, ref in zip(together, _alone(_arctan_stress([]), cases, 1),
+                        strict=True):
+        _assert_same_path(got, ref)
+    tol = 1e-9 * materials.MATRIX_RUBBER.initial_shear_modulus
+    for case, path in zip(cases, together):
+        assert np.all(np.abs(path.P[-1][~case.prescribed]) <= tol)
+    # the free entries solve F[1, 1] = 2 - F[0, 0]
+    assert together[1].F[-1, 1, 1] == pytest.approx(0.8, abs=1e-9)
+    assert together[3].F[-1, 1, 1] == pytest.approx(0.5, abs=1e-9)
+    # the first full step of the overshooting case was halved once, that of
+    # the raising case twice, after trials past det F = 0 evaluated row by row
+    tried = np.concatenate([np.reshape(F, (-1, 3, 3)) for F in calls])
+    for stretch, full_below, alpha in ((1.2, 0.5, 0.5), (1.5, 0.0, 0.25)):
+        ours = tried[tried[:, 0, 0] == stretch, 1, 1]
+        full = ours.min()
+        assert full < full_below
+        assert np.any(np.isclose(ours, 1.0 + alpha * (full - 1.0),
+                                 rtol=0.0, atol=1e-12))
+    assert any(F.ndim == 2 for F in calls)
+
+
+def test_a_case_that_cannot_converge_names_itself():
+    # from u0 = 1000 even a 2^-10 step lands at F[1, 1] < 0
+    cases = [hom.uniaxial_case(0, 1.05), _named(hom.uniaxial_case(0, 101.0), "stalls"),
+             hom.uniaxial_case(0, 1.5)]
+    with pytest.raises(NewtonDivergence,
+                       match="line search stalled on path stalls at t=1"):
+        hom.drive_material_point(_arctan_stress([]), cases, n_steps=1)
 
 
 def test_incompressible_single_term_limit_matches_closed_form():
@@ -115,8 +197,8 @@ def test_incompressible_single_term_limit_matches_closed_form():
             tensors.right_cauchy_green(F), params)
 
     lam = 1.5
-    path = hom.drive_material_point(stress, hom.uniaxial_case(0, lam),
-                                    force_scale=G)
+    [path] = hom.drive_material_point(stress, [hom.uniaxial_case(0, lam)],
+                                      force_scale=G)
     closed = G * (lam - lam ** -2)
     assert path.P[-1][0, 0] == pytest.approx(closed, rel=1e-2)
 
@@ -260,11 +342,15 @@ def test_secant_prediction_saves_updates_and_keeps_the_answer():
 
 
 @pytest.mark.parametrize("n_steps", [0, -1, -2])
-@pytest.mark.parametrize("method", ["solve", "solve_macro"])
+@pytest.mark.parametrize("method", ["solve", "solve_macro",
+                                    "drive_material_point"])
 def test_cell_solves_need_at_least_one_increment(method, n_steps):
     if method == "solve":
         solver = hom.VoxelHomogenizer(helpers.homogeneous_rve(2))
         solve = functools.partial(solver.solve, np.diag([1.1, 1.0, 1.0]))
+    elif method == "drive_material_point":
+        solve = functools.partial(hom.drive_material_point, helpers.svk_nominal,
+                                  [hom.uniaxial_case(0, 1.1)])
     else:
         mesh = macro.box_mesh((1.0, 1.0, 1.0), (1, 1, 1))
         bcs = (macro.DisplacementRamp("x1min", (0.0, 0.0, 0.0)),

@@ -133,10 +133,10 @@ def test_homogeneous_bar_matches_material_point_driver():
     stretch, n_steps = 1.25, 5
     state = _uniaxial_bar(stretch, n_steps)
     assert state.completed
-    path = hom.drive_material_point(helpers.svk_nominal,
-                                    hom.uniaxial_case(0, stretch),
-                                    n_steps=n_steps,
-                                    force_scale=helpers.LAME_MU)
+    [path] = hom.drive_material_point(helpers.svk_nominal,
+                                      [hom.uniaxial_case(0, stretch)],
+                                      n_steps=n_steps,
+                                      force_scale=helpers.LAME_MU)
     assert len(state.steps) == n_steps + 1
     for rec, k in zip(state.steps, range(n_steps + 1)):
         P_fe = rec.P_qp.reshape(-1, 3, 3)

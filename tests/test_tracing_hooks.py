@@ -100,14 +100,14 @@ def test_initial_dataset_drives_the_suite_through_the_module(monkeypatch):
     calls = []
     original = homogenization.drive_material_point
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def counted(stress, cases, **kwargs):
+        calls.append([case.name for case in cases])
+        return original(stress, cases, **kwargs)
 
     monkeypatch.setattr(homogenization, "drive_material_point", counted)
     mining.initial_dataset(functools.partial(mining.AnalyticOracle().evaluate_path,
                                              warm_start=False), n_steps=1)
-    assert len(calls) == len(homogenization.initial_load_suite())
+    assert calls == [[case.name for case in homogenization.initial_load_suite()]]
 
 
 def _detected_histories(rng, n_paths):
