@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse.linalg as spla
 
 from . import fem, materials
 from .errors import MatmineError, NewtonDivergence, ZeroMean
@@ -25,13 +26,14 @@ AXIS_NAMES = ("x1", "x2", "x3")
 # ---------------------------------------------------------------------------
 # mixed-control material point driver
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LoadCase:
     """Mixed control at a material point.
 
     ``values`` holds the fully ramped deformation gradient entries where
     ``prescribed`` is True; on the remaining entries the nominal stress is
-    required to vanish and the deformation is free.
+    required to vanish and the deformation is free.  Cases compare by
+    identity, as the array fields give no single truth value.
     """
 
     name: str
@@ -277,8 +279,16 @@ class VoxelHomogenizer:
     here, once, so every update restricts the stiffness by one gather.
     Newton converges once every free nodal force is within 1e-9 G_max h^2
     (G_max the stiffest phase's shear modulus, h = 1/n the voxel edge), in at
-    most 25 updates.  A solve only reads the homogenizer, so concurrent
-    solves may share one.
+    most 25 updates.  Each iterate makes one :func:`materials.ogden_law` call
+    per phase, so its stress and tangent share one eigen-decomposition.
+
+    Construction also condenses the undeformed cell (Miehe, CMAME 2003):
+    ``linear_response`` (n_nodes, 3, 9) is the fluctuation U = -K0^-1 f that
+    equilibrates, to first order at the undeformed cell, each of the nine
+    unit macroscopic displacement gradients, flattened row by row.  That
+    costs one phase tangent per phase at C = I, one stiffness assembly and
+    one sparse factorisation with nine right-hand sides.  A solve only reads
+    the homogenizer, so concurrent solves may share one.
     """
 
     def __init__(self, rve: VoxelRVE):
@@ -296,13 +306,28 @@ class VoxelHomogenizer:
         free = np.ones(3 * self.n_nodes, dtype=bool)
         free[:3] = False
         self.free = fem.FreeDofs(self.grid.pattern, free)
+        self.linear_response = self._linear_response()
 
-    def _per_phase(self, law, C, shape):
-        """``law(C, params)`` of each phase at its quadrature points."""
-        out = np.empty(C.shape[:-2] + shape)
+    def _linear_response(self):
+        """U (n_nodes, 3, 9): the undeformed cell's fluctuation per unit
+        macroscopic displacement gradient."""
+        grid, eye = self.grid, np.eye(3)
+        A0 = np.empty(grid.wdet.shape + (3, 3, 3, 3))
         for params, mask in self.phase_masks:
-            out[mask] = law(C[mask], params)
-        return out
+            T, tangent = materials.ogden_law(eye, params)
+            A0[mask] = fem.nominal_stress_operator(eye, T, tangent())
+        K0 = fem.tangent_matrix(A0, grid.dNdX, grid.wdet, grid.pattern)
+        # nodal forces of the nine unit gradients H, P = A0 : H, as columns
+        f_elem = np.einsum("eq,eqaj,eqijm->eaim", grid.wdet, grid.dNdX,
+                           A0.reshape(A0.shape[:4] + (9,)), optimize=True)
+        dofs = 3 * grid.conn[:, :, None] + np.arange(3)
+        f = np.bincount((9 * dofs[..., None] + np.arange(9)).reshape(-1),
+                        weights=f_elem.reshape(-1),
+                        minlength=27 * self.n_nodes).reshape(-1, 9)
+        mask = self.free.mask
+        U = np.zeros_like(f)
+        U[mask] = spla.spsolve(self.free.restrict(K0), -f[mask], "MMD_AT_PLUS_A")
+        return U.reshape(self.n_nodes, 3, 9)
 
     def _newton(self, F_bar, u_tilde, updates):
         """Equilibrated fluctuation at F_bar: (u_tilde, F, P, residuals).
@@ -311,10 +336,18 @@ class VoxelHomogenizer:
         updates of a solve that raises.
         """
         def law(C):
+            T = np.empty(C.shape)
+            tangents = []
+            for params, mask in self.phase_masks:
+                T[mask], phase_tangent = materials.ogden_law(C[mask], params)
+                tangents.append((mask, phase_tangent))
+
             def tangent():
                 updates.append(None)
-                return self._per_phase(materials.ogden_tangent_fd, C, (6, 6))
-            T = self._per_phase(materials.ogden_stress_from_C, C, (3, 3))
+                out = np.empty(C.shape[:-2] + (6, 6))
+                for mask, phase_tangent in tangents:
+                    out[mask] = phase_tangent()
+                return out
             return T, tangent
 
         return self.grid.newton(
@@ -335,9 +368,13 @@ class VoxelHomogenizer:
         macroscopic deformation linearly from ``start``, a converged
         :class:`VoxelSolution`, or from the undeformed cell when it is None;
         the last increment is F_bar itself.  The first increment's secant
-        prediction runs along ``start``'s own last increment (none from the
-        undeformed cell).  ``iterations`` counts the Newton updates of every
-        attempt, diverged ones included.
+        prediction runs along ``start``'s own last increment.  A ramp from
+        the undeformed cell (F = I and zero fluctuation, with no nonzero
+        last increment; ``start`` None is one) predicts along its linear
+        response instead: its first increment, a macroscopic step dF, starts
+        from the fluctuation ``linear_response`` : dF.  If a predicted start
+        diverges, the increment reruns from the converged one.  ``iterations`` counts the
+        Newton updates of every attempt, diverged ones included.
         """
         F_bar = np.asarray(F_bar, dtype=float)
         if start is None:
@@ -345,6 +382,10 @@ class VoxelHomogenizer:
         else:
             F_0, u_tilde = start.F_bar, start.u_tilde
             step = (start.F_step, start.u_step)
+        if (np.array_equal(F_0, np.eye(3)) and not np.any(u_tilde)
+                and (step is None or not np.any(step[0]))):
+            dF = F_bar - F_0
+            step = (dF, self.linear_response @ dF.reshape(-1))
         updates = []
         # the solution is the last increment's
         *_, (_, (u_tilde, F, P, _), (F_step, u_step)) = fem.ramp(

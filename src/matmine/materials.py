@@ -144,6 +144,19 @@ def ogden_stress_from_C(C, params: OgdenParameters):
     return _spectral_stress(*_principal_stretches(C), params)
 
 
+def ogden_law(C, params: OgdenParameters):
+    """T(C) and its Mandel tangent from one ``eigh``, batched.
+
+    Returns ``(T, tangent)``: ``T`` is :func:`ogden_stress_from_C` and
+    ``tangent()`` is :func:`ogden_tangent_fd` at the same C, both bitwise,
+    and the tangent reuses the stress's eigen-decomposition.  This is the
+    ``law(C) -> (T, tangent)`` form :meth:`fem.HexGrid.newton` iterates with.
+    """
+    lam2, Q, lam, J = _principal_stretches(C)
+    return (_spectral_stress(lam2, Q, lam, J, params),
+            lambda: _principal_frame_tangent(lam2, Q, params))
+
+
 def _spectral_stress(lam2, vecs, lam, J, params):
     """T from the output of :func:`_principal_stretches`."""
     coeff = _ogden_coefficients(lam2, lam, J, params)
@@ -171,6 +184,11 @@ def ogden_tangent_fd(C, params: OgdenParameters):
     fiber term is not isotropic and must not come through here.
     """
     lam2, Q, _, _ = _principal_stretches(C)
+    return _principal_frame_tangent(lam2, Q, params)
+
+
+def _principal_frame_tangent(lam2, Q, params):
+    """:func:`ogden_tangent_fd` from C's eigenvalues and eigenvectors."""
     D = lam2[..., :, None] * np.eye(3)
     tang = stress_tangent_fd(
         lambda X: _spectral_stress(*_jacobi_principal_stretches(X), params), D)

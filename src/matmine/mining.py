@@ -302,7 +302,11 @@ class VoxelOracle:
         converged state, its deformation and fluctuation, in ``substeps``
         increments.  Cold, each ramps from the undeformed cell, in
         ``max(2, substeps)`` increments.  The first state of a history is
-        solved as a cold one with ``substeps`` increments.
+        solved as a cold one with ``substeps`` increments.  A ramp from the
+        undeformed cell, cold or warm from an undeformed state, starts its
+        first increment from the cell's linear response, which the oracle's
+        homogenizer condensed once at construction (one extra cell
+        factorisation); see :meth:`homogenization.VoxelHomogenizer.solve`.
         """
         F = np.asarray(F, dtype=float)
         out = np.empty_like(F)

@@ -9,7 +9,7 @@ import pytest
 import helpers
 import oracles
 from matmine import homogenization as hom
-from matmine import macro, materials, mining, tensors
+from matmine import fem, macro, materials, mining, tensors
 from matmine.errors import NewtonDivergence, ZeroMean
 
 
@@ -45,6 +45,15 @@ def test_shear_case_fully_prescribed():
     expected = np.eye(3)
     expected[1, 2] = 0.5
     assert np.array_equal(case.values, expected)
+
+
+def test_load_cases_compare_by_identity():
+    case = hom.uniaxial_case(0, 1.6)
+    assert case == case
+    assert case in [case]
+    twin = hom.uniaxial_case(0, 1.6)
+    assert case != twin
+    assert twin not in [case]
 
 
 # --- material point driver ---------------------------------------------------
@@ -294,13 +303,18 @@ def test_energy_average_integrates_work_along_path():
 
 def _path_by_hand(solver, F_bar, n_steps, predict=True):
     """The ramp ``helpers.cell_path`` runs, as its own loop: each
-    increment starts from the secant prediction along the one before, or,
-    without ``predict``, from the last converged fluctuation."""
+    increment starts from the secant prediction along the one before, the
+    first one away from the undeformed cell along the cell's linear response,
+    or, without ``predict``, from the last converged fluctuation."""
     u_tilde = np.zeros((solver.n_nodes, 3))
     F_last, F_step, u_step = np.eye(3), np.zeros((3, 3)), np.zeros_like(u_tilde)
     out = []
     for k in range(n_steps + 1):
         F_k = np.eye(3) + (k / n_steps) * (F_bar - np.eye(3))
+        if (np.array_equal(F_last, np.eye(3)) and not np.any(u_tilde)
+                and not np.any(F_step)):
+            F_step = F_k - F_last
+            u_step = solver.linear_response @ F_step.reshape(-1)
         norm2 = np.vdot(F_step, F_step)
         alpha = np.vdot(F_k - F_last, F_step) / norm2 if norm2 > 0.0 else 0.0
         u_0 = u_tilde + alpha * u_step if predict and alpha != 0.0 else u_tilde
@@ -334,6 +348,54 @@ def test_secant_prediction_saves_updates_and_keeps_the_answer():
     solver, F_bar = _ramp_solver()
     predicted = helpers.cell_path(solver, F_bar, n_steps=3)
     plain = _path_by_hand(solver, F_bar, 3, predict=False)
+    for got, ref in zip(predicted, plain, strict=True):
+        np.testing.assert_allclose(got.P_bar, ref.P_bar, rtol=1e-8,
+                                   atol=1e-8 * np.abs(ref.P_bar).max())
+    assert (sum(s.iterations for s in predicted)
+            < sum(s.iterations for s in plain))
+
+
+def test_linear_response_gives_the_homogenized_stiffness_at_rest():
+    # <A0 : (1 + grad U)> against central differences of P_bar at I +- eps E;
+    # the differences err by O(eps^2) ~ 1e-10 of the stiffness and the phase
+    # tangents at C = I by their own FD step, ~1e-10 too, while Newton's
+    # quadratic convergence leaves the cell solves far below that (1e-11 to
+    # 8e-11 measured in all), so 1e-8 of the largest entry is a hundredfold
+    # margin
+    solver = hom.VoxelHomogenizer(hom.fiber_rve(3, 0.5, seed=1))
+    grid, eye = solver.grid, np.eye(3)
+    A0 = np.empty(grid.wdet.shape + (3, 3, 3, 3))
+    for params, mask in solver.phase_masks:
+        A0[mask] = fem.nominal_stress_operator(
+            eye, np.zeros((3, 3)), materials.ogden_tangent_fd(eye, params))
+    L = np.empty((3, 3, 9))
+    for m in range(9):
+        H = np.eye(9)[m].reshape(3, 3)
+        u = solver.linear_response[..., m]
+        grad = fem.deformation_gradients(u[grid.conn], grid.dNdX) - eye + H
+        L[..., m] = fem.volume_average(
+            np.einsum("eqijkl,eqkl->eqij", A0, grad), grid.wdet)
+    eps = 1e-5
+    for k, l in ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)):
+        E = np.zeros((3, 3))
+        E[k, l] = E[l, k] = 1.0
+        fd = (solver.solve(eye + eps * E).P_bar
+              - solver.solve(eye - eps * E).P_bar) / (2.0 * eps)
+        np.testing.assert_allclose(L @ E.reshape(9), fd, rtol=0.0,
+                                   atol=1e-8 * np.abs(L).max())
+
+
+def test_cold_solves_start_from_the_linear_response(monkeypatch):
+    solver = hom.VoxelHomogenizer(hom.fiber_rve(4, 0.3, seed=2))
+    F_1, F_2 = _stretch_history()
+    shear = np.eye(3)
+    shear[0, 2] = 0.1
+    loads = (F_1, F_2, shear, np.diag([0.9, 0.95, 1.15]))
+    predicted = [solver.solve(F_bar, n_steps=2) for F_bar in loads]
+    # a zero response starts the first increment from the undeformed cell
+    monkeypatch.setattr(solver, "linear_response",
+                        np.zeros_like(solver.linear_response))
+    plain = [solver.solve(F_bar, n_steps=2) for F_bar in loads]
     for got, ref in zip(predicted, plain, strict=True):
         np.testing.assert_allclose(got.P_bar, ref.P_bar, rtol=1e-8,
                                    atol=1e-8 * np.abs(ref.P_bar).max())
@@ -477,7 +539,9 @@ def test_principal_frame_tangent_leaves_the_cell_solve_unchanged(monkeypatch):
     solver = hom.VoxelHomogenizer(hom.fiber_rve(4, 0.3, seed=2))
     F_1, _ = _stretch_history()
     principal = solver.solve(F_1, n_steps=2)
-    monkeypatch.setattr(materials, "ogden_tangent_fd", oracles.ogden_tangent_lab_fd)
+    monkeypatch.setattr(materials, "ogden_law", lambda C, params: (
+        materials.ogden_stress_from_C(C, params),
+        lambda: oracles.ogden_tangent_lab_fd(C, params)))
     lab = solver.solve(F_1, n_steps=2)
     assert principal.iterations == lab.iterations > 0
     np.testing.assert_allclose(principal.P_bar, lab.P_bar, rtol=0.0,

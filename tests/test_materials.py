@@ -272,6 +272,33 @@ class TestPrincipalFrameTangent:
             materials.ogden_tangent_fd(C, materials.MATRIX_RUBBER)
 
 
+class TestOgdenLaw:
+    @pytest.mark.parametrize("params", [materials.MATRIX_RUBBER,
+                                        materials.FIBER_STIFF],
+                             ids=["matrix", "fiber"])
+    @pytest.mark.parametrize("state", ["random", "identity", "double"])
+    def test_is_bitwise_the_stress_and_the_tangent(self, params, state):
+        rng = rng0(25)
+        Q = oracles.random_rotation(rng)
+        C = {"random": np.stack([oracles.random_spd(rng) for _ in range(16)]),
+             "identity": np.eye(3),
+             "double": Q @ np.diag([1.3, 0.8, 0.8]) @ Q.T}[state]
+        T, tangent = materials.ogden_law(C, params)
+        np.testing.assert_array_equal(T, materials.ogden_stress_from_C(C, params))
+        np.testing.assert_array_equal(tangent(),
+                                      materials.ogden_tangent_fd(C, params))
+
+    def test_decomposes_C_once(self, monkeypatch):
+        eighs = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh",
+                            lambda C: eighs.append(1) or eigh(C))
+        T, tangent = materials.ogden_law(_tangent_states(rng0(26)),
+                                         materials.MATRIX_RUBBER)
+        tangent()
+        assert len(eighs) == 1
+
+
 class TestJacobiEigen:
     def _check_against_eigh(self, C):
         lam2, V, lam, J = materials._jacobi_principal_stretches(C)

@@ -172,16 +172,21 @@ def test_cell_newton_updates_call_the_fd_tangent_and_spsolve_through_the_modules
             return original(*args, **kwargs)
         return wrapper
 
+    solver = homogenization.VoxelHomogenizer(homogenization.fiber_rve(2, 0.5, seed=1))
+    assert len(solver.phase_masks) == 2
     monkeypatch.setattr(materials, "stress_tangent_fd",
                         counted("tangent", materials.stress_tangent_fd))
     monkeypatch.setattr(scipy.sparse.linalg, "spsolve",
                         counted("spsolve", scipy.sparse.linalg.spsolve))
-    solver = homogenization.VoxelHomogenizer(homogenization.fiber_rve(2, 0.5, seed=1))
-    assert len(solver.phase_masks) == 2
     sol = solver.solve(np.diag([1.05, 1.0, 0.98]))
     assert sol.iterations > 0
     assert calls["spsolve"] == sol.iterations
     assert calls["tangent"] == 2 * sol.iterations
+    # construction condenses the undeformed cell: one tangent per phase at
+    # C = I and one factorisation for the nine right-hand sides
+    calls.update(tangent=0, spsolve=0)
+    homogenization.VoxelHomogenizer(solver.rve)
+    assert calls == {"tangent": 2, "spsolve": 1}
 
 
 def test_macro_newton_calls_the_surrogate_layers_through_the_modules(monkeypatch):
