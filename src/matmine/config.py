@@ -1,8 +1,11 @@
 """Run configuration: one documented INI file covering every pipeline knob.
 
-The default values live in the dataclasses they configure; this module only
-renders them into a commented INI skeleton and parses user files back onto
-those dataclasses, so the file and the code cannot drift apart.  Unknown
+:data:`SPEC` lists every key with its default, read from the objects the
+key configures (phase presets, oracle, training and loop dataclasses) or,
+for ``grid``, ``volume_fraction``, ``placement_seed``, ``substeps``,
+``initial_steps``, ``kind``, ``name``, ``resolution`` and ``n_steps``,
+written there as a literal.  This module renders SPEC into a commented INI
+skeleton and parses user files back onto those objects.  Unknown
 sections or keys are rejected rather than ignored, and so are counts below
 one (cell grid, substeps, mesh resolution, network width, restarts,
 iteration cap, initial-suite steps, threads), a negative step count or
@@ -262,11 +265,13 @@ def make_initial_dataset(rc: RunConfig, oracle):
     """The filtered initial load suite, every stress answered by ``oracle``.
 
     Pass the oracle object the loop gets, so the suite and the mined tuples
-    come from the same microscale model.
+    come from the same microscale model.  The driver's force tolerance
+    scales with the configured matrix's initial shear modulus.
     """
     return mining.initial_dataset(eps_filter=rc.loop.eps_filter,
                                   n_steps=rc.initial_steps,
                                   rve_fiber_axis=rc.loop.rve_fiber_axis,
+                                  force_scale=rc.matrix.initial_shear_modulus,
                                   stress=functools.partial(
                                       oracle.evaluate_path, warm_start=False))
 

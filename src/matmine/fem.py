@@ -173,8 +173,9 @@ class FreeDofs:
     ``pattern``, and ``take`` is the position in K's data of each of its
     entries, found once by restricting a K whose data are those positions.
     :meth:`restrict` then gathers a stiffness's data into that layout, so
-    SuperLU gets the bytes the two slices would give.  Only read after
-    construction, so concurrent solves may share one.
+    SuperLU gets the bytes the two slices would give.  :meth:`solve` is the
+    package's one sparse solve.  Only read after construction, so
+    concurrent solves may share one.
     """
 
     def __init__(self, pattern: StiffnessPattern, mask):
@@ -191,6 +192,22 @@ class FreeDofs:
         """``K[free][:, free]`` as CSC, for a CSR K of this layout."""
         return sp.csc_matrix((K.data[self.take], self.indices, self.indptr),
                              shape=self.shape)
+
+    def solve(self, K, rhs):
+        """x with K[free][:, free] x[free] = rhs[free] and zeros elsewhere.
+
+        ``rhs`` is (n_dofs,) or (n_dofs, m) with m > 1.  Every stiffness of
+        a :class:`HexGrid` is structurally symmetric, so SuperLU factorises
+        the restriction with the symmetric fill-reducing ordering
+        ``"MMD_AT_PLUS_A"`` (minimum degree on K^T + K), which fills less
+        than its default COLAMD on the macro meshes and on the periodic cell
+        alike.  ``spsolve`` is looked up on ``scipy.sparse.linalg`` at each
+        call, so a wrapper installed there sees every solve.
+        """
+        x = np.zeros(rhs.shape)
+        x[self.mask] = spla.spsolve(self.restrict(K), rhs[self.mask],
+                                    "MMD_AT_PLUS_A")
+        return x
 
 
 def tangent_matrix(A, dNdX, wdet, pattern: StiffnessPattern):
@@ -218,11 +235,7 @@ class HexGrid:
     """One hexahedral mesh: shape gradients, weights and stiffness layout.
 
     ``coords`` holds the reference node coordinates per element (E, 8, 3)
-    and ``conn`` the global node ids (E, 8).  Every stiffness on such a mesh
-    is structurally symmetric, so SuperLU factorises it with the symmetric
-    fill-reducing ordering ``"MMD_AT_PLUS_A"`` (minimum degree on K^T + K),
-    which fills less than its default COLAMD on the macro meshes and on the
-    periodic cell alike.
+    and ``conn`` the global node ids (E, 8).
     """
 
     def __init__(self, coords, conn, n_nodes):
@@ -242,7 +255,7 @@ class HexGrid:
         and calls ``tangent()`` only when an update follows, so a law may
         defer or share the tangent's work (:func:`macro.surrogate_law` does).
         ``free`` is a :class:`FreeDofs` of this grid's pattern, built once per
-        free mask by the caller, so an update restricts K by one gather.
+        free mask by the caller; every update is one :meth:`FreeDofs.solve`.
         ``u_affine`` adds an element-gathered displacement (E, 8, 3) to
         ``u``.  Converged once the largest free residual entry of f_int -
         f_ext is at most ``tol``; returns (u, F, P, residuals): the
@@ -273,8 +286,7 @@ class HexGrid:
                 break  # an update now would go unchecked
             A = nominal_stress_operator(F, T, tangent())
             K = tangent_matrix(A, self.dNdX, self.wdet, self.pattern)
-            du = np.zeros(r.size)
-            du[mask] = spla.spsolve(free.restrict(K), -r[mask], "MMD_AT_PLUS_A")
+            du = free.solve(K, -r)
             if not np.all(np.isfinite(du)):
                 raise NewtonDivergence("linear solve produced a non-finite update")
             u = u + du.reshape(-1, 3)

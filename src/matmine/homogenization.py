@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from . import fem, materials
 from .errors import MatmineError, NewtonDivergence, ZeroMean
@@ -274,9 +273,8 @@ class VoxelHomogenizer:
     fluctuation; sharing wrapped node ids enforces periodicity exactly and
     one node is pinned to remove the rigid translation.  The cell is a
     :func:`fem.grid_corners` lattice with its node ids wrapped, and its
-    :class:`fem.HexGrid` factorises the reduced stiffness with the same
-    symmetric ordering as the macro solve; its free-dof restriction is built
-    here, once, so every update restricts the stiffness by one gather.
+    :class:`fem.FreeDofs` is built here, once; its ``solve`` takes every
+    update and the condensation below.
     Newton converges once every free nodal force is within 1e-9 G_max h^2
     (G_max the stiffest phase's shear modulus, h = 1/n the voxel edge), in at
     most 25 updates.  Each iterate makes one :func:`materials.ogden_law` call
@@ -317,17 +315,11 @@ class VoxelHomogenizer:
             T, tangent = materials.ogden_law(eye, params)
             A0[mask] = fem.nominal_stress_operator(eye, T, tangent())
         K0 = fem.tangent_matrix(A0, grid.dNdX, grid.wdet, grid.pattern)
-        # nodal forces of the nine unit gradients H, P = A0 : H, as columns
-        f_elem = np.einsum("eq,eqaj,eqijm->eaim", grid.wdet, grid.dNdX,
-                           A0.reshape(A0.shape[:4] + (9,)), optimize=True)
-        dofs = 3 * grid.conn[:, :, None] + np.arange(3)
-        f = np.bincount((9 * dofs[..., None] + np.arange(9)).reshape(-1),
-                        weights=f_elem.reshape(-1),
-                        minlength=27 * self.n_nodes).reshape(-1, 9)
-        mask = self.free.mask
-        U = np.zeros_like(f)
-        U[mask] = spla.spsolve(self.free.restrict(K0), -f[mask], "MMD_AT_PLUS_A")
-        return U.reshape(self.n_nodes, 3, 9)
+        # nodal forces of the nine unit gradients H = e_k e_l, P = A0 : H
+        f = np.stack([fem.internal_forces(A0[..., k, l], grid.dNdX, grid.wdet,
+                                          grid.conn, self.n_nodes).reshape(-1)
+                      for k in range(3) for l in range(3)], axis=-1)
+        return self.free.solve(K0, -f).reshape(self.n_nodes, 3, 9)
 
     def _newton(self, F_bar, u_tilde, updates):
         """Equilibrated fluctuation at F_bar: (u_tilde, F, P, residuals).

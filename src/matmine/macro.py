@@ -356,9 +356,9 @@ def solve_macro(mesh: MacroMesh, bcs, law, n_steps=10, rel_tol=1e-8,
     raises :class:`FirstStepDivergence`; later it logs a warning and returns
     the partial history reached so far.  The returned state stores per-point
     deformation gradients per converged step (the mining loop's raw
-    material) starting with the undeformed step at t = 0.  The free-dof
-    restriction of the stiffness is built again only when the set of
-    prescribed dofs changes between attempts.
+    material) starting with the undeformed step at t = 0.  No boundary
+    condition changes its prescribed components with t, so the free dofs
+    are found once per solve.
     """
     grid = fem.HexGrid(mesh.element_coords(), mesh.conn, mesh.n_nodes)
     area_scale = float(np.mean(grid.wdet.sum(axis=1)) ** (2.0 / 3.0))
@@ -370,13 +370,10 @@ def solve_macro(mesh: MacroMesh, bcs, law, n_steps=10, rel_tol=1e-8,
     P0 = np.broadcast_to(T0.reshape(3, 3), (E, 8, 3, 3)).copy()
     steps = [StepRecord(0.0, np.zeros((mesh.n_nodes, 3)), identity_F, P0, 0, [])]
 
-    free = None
+    free = fem.FreeDofs(grid.pattern, _load(bcs, 0.0, mesh)[1] == 0.0)
 
     def attempt(g, u_start):
-        nonlocal free
         values, mask, f_ext = g[0], g[1] > 0.0, g[2]
-        if free is None or not np.array_equal(free.mask, ~mask.reshape(-1)):
-            free = fem.FreeDofs(grid.pattern, ~mask)
         return grid.newton(np.where(mask, values, u_start), law, free,
                            force_tol, max_newton, f_ext=f_ext)
 

@@ -147,10 +147,11 @@ def ogden_stress_from_C(C, params: OgdenParameters):
 def ogden_law(C, params: OgdenParameters):
     """T(C) and its Mandel tangent from one ``eigh``, batched.
 
-    Returns ``(T, tangent)``: ``T`` is :func:`ogden_stress_from_C` and
-    ``tangent()`` is :func:`ogden_tangent_fd` at the same C, both bitwise,
-    and the tangent reuses the stress's eigen-decomposition.  This is the
-    ``law(C) -> (T, tangent)`` form :meth:`fem.HexGrid.newton` iterates with.
+    Returns ``(T, tangent)``: ``T`` is :func:`ogden_stress_from_C`, bitwise,
+    and ``tangent()`` the Mandel tangent 2 dT/dC at the same C from
+    :func:`_principal_frame_tangent`, which reuses the stress's
+    eigen-decomposition.  This is the ``law(C) -> (T, tangent)`` form
+    :meth:`fem.HexGrid.newton` iterates with.
     """
     lam2, Q, lam, J = _principal_stretches(C)
     return (_spectral_stress(lam2, Q, lam, J, params),
@@ -170,25 +171,19 @@ def _spectral_stress(lam2, vecs, lam, J, params):
     return T
 
 
-def ogden_tangent_fd(C, params: OgdenParameters):
+def _principal_frame_tangent(lam2, Q, params):
     """Mandel tangent 2 dT/dC of an Ogden phase, differenced in C's principal frame.
 
-    Holds for isotropic laws only: with C = Q D Q^T from one ``eigh``,
-    isotropy gives T(Q X Q^T) = Q T(X) Q^T for every orthogonal Q, so the
-    tangent at C is the tangent at D = diag(lam^2) rotated by
-    :func:`tensors.mandel_rotation` (Miehe, Comput. Struct. 1998).  At D,
-    :func:`stress_tangent_fd` keeps its step and tr/3 scale, and every
-    perturbed D is diagonal or has one off-diagonal pair, which
-    :func:`_jacobi_principal_stretches` diagonalises with one plane
-    rotation.  The oracle law's
-    fiber term is not isotropic and must not come through here.
+    ``lam2`` and ``Q`` are C's eigenvalues and eigenvectors, C = Q D Q^T.
+    Holds for isotropic laws only: isotropy gives T(Q X Q^T) = Q T(X) Q^T
+    for every orthogonal Q, so the tangent at C is the tangent at
+    D = diag(lam^2) rotated by :func:`tensors.mandel_rotation` (Miehe,
+    Comput. Struct. 1998).  At D, :func:`stress_tangent_fd` keeps its step
+    and tr/3 scale, and every perturbed D is diagonal or has one
+    off-diagonal pair, which :func:`_jacobi_principal_stretches`
+    diagonalises with one plane rotation.  The oracle law's fiber term is
+    not isotropic and must not come through here.
     """
-    lam2, Q, _, _ = _principal_stretches(C)
-    return _principal_frame_tangent(lam2, Q, params)
-
-
-def _principal_frame_tangent(lam2, Q, params):
-    """:func:`ogden_tangent_fd` from C's eigenvalues and eigenvectors."""
     D = lam2[..., :, None] * np.eye(3)
     tang = stress_tangent_fd(
         lambda X: _spectral_stress(*_jacobi_principal_stretches(X), params), D)
@@ -247,8 +242,8 @@ def stress_tangent_fd(stress_from_C, C):
     relative 1e-6 times tr(C)/3 per sample; the result is symmetrized, which a thermodynamically
     consistent stress guarantees up to the FD error.  Generic in the stress
     routine; the voxel cell's Ogden phases reach it through
-    :func:`ogden_tangent_fd`, which takes the differences in the principal
-    frame of C.
+    :func:`ogden_law`, which takes the differences in the principal frame
+    of C.
     """
     C = np.asarray(C, dtype=float)
     scale = 1e-6 * np.trace(C, axis1=-2, axis2=-1)[..., None, None] / 3.0

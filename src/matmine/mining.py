@@ -298,40 +298,38 @@ class VoxelOracle:
     def evaluate_path(self, F, warm_start=True):
         """Cell-averaged nominal stresses of a (..., 3, 3) stack.
 
-        Warm, the states are one history: each solve ramps from the last
-        converged state, its deformation and fluctuation, in ``substeps``
-        increments.  Cold, each ramps from the undeformed cell, in
-        ``max(2, substeps)`` increments.  The first state of a history is
-        solved as a cold one with ``substeps`` increments.  A ramp from the
-        undeformed cell, cold or warm from an undeformed state, starts its
-        first increment from the cell's linear response, which the oracle's
-        homogenizer condensed once at construction (one extra cell
-        factorisation); see :meth:`homogenization.VoxelHomogenizer.solve`.
+        Every solve takes ``substeps`` increments.  Warm, the states are one
+        history: each solve ramps from the last converged state, its
+        deformation and fluctuation, and the first state is solved as a cold
+        one.  Cold, each ramps from the undeformed cell, whose first
+        increment starts from the linear response the homogenizer condensed
+        at construction; see :meth:`homogenization.VoxelHomogenizer.solve`.
         """
         F = np.asarray(F, dtype=float)
         out = np.empty_like(F)
-        n_steps = self.substeps if warm_start else max(2, self.substeps)
         sol = None
         for idx in np.ndindex(F.shape[:-2]):
-            sol = self.homogenizer.solve(F[idx], n_steps=n_steps,
+            sol = self.homogenizer.solve(F[idx], n_steps=self.substeps,
                                          start=sol if warm_start else None)
             out[idx] = sol.P_bar
         return out
 
 
 def initial_dataset(stress, eps_filter=0.01, n_steps=12,
-                    rve_fiber_axis=(0.0, 0.0, 1.0)):
+                    rve_fiber_axis=(0.0, 0.0, 1.0), force_scale=None):
     """Drive the initial load suite and dedup it into the starting dataset.
 
     ``stress`` maps (..., 3, 3) stacks to nominal stresses row by row,
     normally an oracle's ``evaluate_path`` with ``warm_start=False``; the 18
-    cases are driven in lockstep, one stacked call per Newton stage.  The raw
-    suite shares its undeformed state across all paths and its gentler load
-    levels crowd together, so the same greedy filter used for mined data
-    thins it here; ranges come from the raw suite itself.
+    cases are driven in lockstep, one stacked call per Newton stage, with
+    the driver's ``force_scale``.  The raw suite shares its undeformed state
+    across all paths and its gentler load levels crowd together, so the same
+    greedy filter used for mined data thins it here; ranges come from the
+    raw suite itself.
     """
     paths = homogenization.drive_material_point(
-        stress, homogenization.initial_load_suite(), n_steps=n_steps)
+        stress, homogenization.initial_load_suite(), n_steps=n_steps,
+        force_scale=force_scale)
     records = [(path.F[k], path.P[k], f"init:{path.name}", 0, pid, k, path.t[k])
                for pid, path in enumerate(paths) for k in range(len(path.t))]
     raw = data.from_records(records)
@@ -350,8 +348,9 @@ def enrich(dataset: data.DataSet, detected, oracle, macro_fiber_axis,
     (the undeformed step excluded, the dataset holds it already) are filtered
     greedily in canonical order (path id, then step) against the dataset's
     invariant image and against each other, and only admitted states go to
-    the oracle.  Histories whose oracle evaluation fails are skipped with a
-    warning.  Returns (new tuples, pre-filter candidate count).
+    the oracle, one job per history on a pool of ``threads`` threads.
+    Histories whose oracle evaluation fails are skipped with a warning.
+    Returns (new tuples, pre-filter candidate count).
     """
     M_rve = tensors.structural_tensor(rve_fiber_axis)
     known = dataset.invariant_values(rve_fiber_axis)
@@ -377,12 +376,8 @@ def enrich(dataset: data.DataSet, detected, oracle, macro_fiber_axis,
     jobs = [(s, idxs, series[s][[meta[i][1] for i in idxs]])
             for s, idxs in sorted(by_series.items())]
 
-    if threads > 1 and len(jobs) > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(
-                lambda job: _try_series(oracle, job[2]), jobs))
-    else:
-        results = [_try_series(oracle, job[2]) for job in jobs]
+    with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
+        results = list(pool.map(lambda job: _try_series(oracle, job[2]), jobs))
 
     records = []
     for (s, idxs, F_kept), P_path in zip(jobs, results):

@@ -133,8 +133,8 @@ def ogden_stress_einsum(C, params):
 def ogden_tangent_lab_fd(C, params):
     """Ogden Mandel tangent by central differences in the lab frame.
 
-    The reference for ``materials.ogden_tangent_fd``, which takes the same
-    differences in the principal frame of C.
+    The reference for the tangent of ``materials.ogden_law``, which takes
+    the same differences in the principal frame of C.
     """
     return materials.stress_tangent_fd(
         lambda X: materials.ogden_stress_from_C(X, params), C)

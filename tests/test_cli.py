@@ -77,6 +77,27 @@ class TestConfig:
                                           getattr(stress_map, name))
         assert list(ours.source) == list(stress_map.source)
 
+    @pytest.mark.parametrize("s", [1e6, 1e-6])
+    def test_initial_dataset_scales_with_the_moduli(self, s):
+        # every modulus times s scales the stress by s and leaves the
+        # deformations, so the driver's tolerance must scale with it too
+        rc = config.load_config(None)
+        ref = config.make_initial_dataset(rc, config.make_oracle(rc))
+        rc = config.load_config(None, overrides={
+            ("material", "mu"): [s * m for m in rc.matrix.mu],
+            ("material", "kappa"): s * rc.matrix.kappa,
+            ("material", "fiber_mu"): [s * m for m in rc.fiber.mu],
+            ("material", "fiber_kappa"): s * rc.fiber.kappa,
+            ("oracle", "fiber_stiffness"): s * rc.oracle.fiber_stiffness})
+        got = config.make_initial_dataset(rc, config.make_oracle(rc))
+        for name in ("iteration", "path_id", "step", "t"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(ref, name))
+        assert list(got.source) == list(ref.source)
+        np.testing.assert_allclose(got.F, ref.F, rtol=0.0,
+                                   atol=1e-12 * np.abs(ref.F).max())
+        np.testing.assert_allclose(got.P / s, ref.P, rtol=0.0,
+                                   atol=1e-12 * np.abs(ref.P).max())
+
     @pytest.mark.parametrize("text", [
         "[nosuch]\nx = 1\n",
         "[loop]\nepsilon = 3\n",

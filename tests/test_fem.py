@@ -113,6 +113,29 @@ def test_free_dof_restriction_gives_the_bytes_of_two_slices(case):
     assert got.has_canonical_format
 
 
+@pytest.mark.parametrize("columns", [(), (9,)], ids=["vector", "nine"])
+@pytest.mark.parametrize("case", [_box_with_dirichlet_sides, _periodic_cell],
+                         ids=["box", "periodic-cell"])
+def test_free_dof_solve_is_the_two_slice_spsolve_in_zeros(case, columns):
+    grid, mask = case()
+    free = fem.FreeDofs(grid.pattern, mask)
+    rng = rng0(15)
+    F, T, L = _random_point_state(rng, grid.wdet.shape)
+    # a positive definite material tangent keeps the restricted K regular
+    L = L + 50.0 * np.eye(6)
+    A = fem.nominal_stress_operator(F, T, L)
+    K = fem.tangent_matrix(A, grid.dNdX, grid.wdet, grid.pattern)
+    rhs = rng.normal(size=(K.shape[0],) + columns)
+    mask = mask.reshape(-1)
+    want = np.zeros(rhs.shape)
+    want[mask] = fem.spla.spsolve(K[mask][:, mask].tocsc(), rhs[mask],
+                                  "MMD_AT_PLUS_A")
+    got = free.solve(K, rhs)
+    assert got.shape == rhs.shape
+    np.testing.assert_array_equal(_bits(got), _bits(want))
+    assert np.all(got[~mask] == 0.0) and np.all(np.isfinite(got))
+
+
 def test_nominal_stress_operator_single_point():
     F, T, L = _random_point_state(rng0(11), ())
     A = fem.nominal_stress_operator(F, T, L)

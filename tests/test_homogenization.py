@@ -367,7 +367,7 @@ def test_linear_response_gives_the_homogenized_stiffness_at_rest():
     A0 = np.empty(grid.wdet.shape + (3, 3, 3, 3))
     for params, mask in solver.phase_masks:
         A0[mask] = fem.nominal_stress_operator(
-            eye, np.zeros((3, 3)), materials.ogden_tangent_fd(eye, params))
+            eye, np.zeros((3, 3)), materials.ogden_law(eye, params)[1]())
     L = np.empty((3, 3, 9))
     for m in range(9):
         H = np.eye(9)[m].reshape(3, 3)

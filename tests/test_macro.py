@@ -224,6 +224,23 @@ def test_a_cutback_halves_every_later_increment(monkeypatch):
     assert np.diff([rec.t for rec in state.steps]).tolist() == [0.25] + [0.125] * 6
 
 
+@pytest.mark.parametrize("diverging, n_increments", [((), 4), ((1,), 7)],
+                         ids=["plain", "cutback"])
+def test_a_solve_finds_its_free_dofs_once(monkeypatch, diverging, n_increments):
+    built = []
+    init = fem.FreeDofs.__init__
+
+    def counting_init(self, *args):
+        built.append(1)
+        init(self, *args)
+
+    monkeypatch.setattr(fem.FreeDofs, "__init__", counting_init)
+    _diverging_on(monkeypatch, diverging)
+    state = macro.solve_macro(*_stretch_box(), SVK, n_steps=4, max_cutbacks=1)
+    assert state.completed and len(state.steps) == 1 + n_increments
+    assert len(built) == 1
+
+
 def test_the_cutback_budget_covers_the_whole_solve(monkeypatch):
     # increment 1 (t = 0.5) diverges and is retried at t = 0.375; increment 3
     # (t = 0.5 again) is the second divergence of the solve

@@ -576,11 +576,13 @@ def test_voxel_oracle_answers_single_states_and_batches_alike():
     np.testing.assert_array_equal(single, batched[0])
 
 
-def test_voxel_oracle_warm_history_starts_like_a_cold_state():
-    # with the default two substeps, the first state of a history and a cold
-    # state are both one two-increment solve from the undeformed cell
-    oracle = mining.VoxelOracle(homogenization.fiber_rve(2, 0.25, seed=5))
-    assert oracle.substeps == 2
+@pytest.mark.parametrize("substeps", [1, 2, 3])
+def test_voxel_oracle_warm_history_starts_like_a_cold_state(substeps):
+    # the first state of a history and a cold state are both one solve of
+    # ``substeps`` increments from the undeformed cell; the cell has one
+    # fiber column, so its fluctuation and its answer depend on the ramp
+    oracle = mining.VoxelOracle(homogenization.fiber_rve(2, 0.5, seed=1),
+                                substeps=substeps)
     F = np.array([[1.08, 0.03, 0.0], [0.0, 0.96, 0.02], [0.01, 0.0, 0.98]])
     history = np.stack([F, F @ F])
     warm = oracle.evaluate_path(history)
