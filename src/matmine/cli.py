@@ -211,6 +211,8 @@ def _print_loop_table(result):
 
 
 def cmd_validate(args):
+    if not 0.0 <= args.tol < np.inf:
+        raise InvalidConfig(f"--tol must be a finite number at least 0, got {args.tol}")
     rc = _run_config(args)
     model = surrogate.load_model(args.model)
     ds = _load_dataset(args.dataset)

@@ -9,8 +9,9 @@ skeleton and parses user files back onto those objects.  Unknown
 sections or keys are rejected rather than ignored, and so are counts below
 one (cell grid, substeps, mesh resolution, network width, restarts,
 iteration cap, initial-suite steps, threads), a negative step count or
-seed, a volume fraction outside [0, 1], a training fraction outside (0, 1]
-and material values the material classes refuse.
+seed, a volume fraction outside [0, 1], a training fraction outside (0, 1],
+a symmetry tolerance that is negative or not finite, and material values
+the material classes refuse, among them any that is not finite.
 
 ``python3 -m matmine.config`` prints the annotated default file.
 """
@@ -214,6 +215,8 @@ def load_config(path=None, overrides=None):
             raise InvalidConfig("volume_fraction must lie in [0, 1]")
         if not 0.0 < parser["training"].getfloat("train_fraction") <= 1.0:
             raise InvalidConfig("train_fraction must lie in (0, 1]")
+        if not 0.0 <= parser["training"].getfloat("symmetry_tolerance") < np.inf:
+            raise InvalidConfig("symmetry_tolerance must be a finite number at least 0")
         train_cfg = training.TrainingConfig(
             n_neurons=parser["network"].getint("n_neurons"),
             restarts=parser["training"].getint("restarts"),

@@ -2,26 +2,26 @@
 
 A data tuple pairs a deformation gradient with the nominal stress the
 microscale oracle returned for it, plus provenance (which loop iteration and
-macro path produced it).  The on-disk format is line-delimited: one record
-per tuple with provenance, pseudo-time and the 18 tensor components written
-as shortest round-trip decimal literals, so a load followed by a save is
-byte-identical.
+macro path produced it).  The on-disk format is UTF-8 whatever the locale,
+one line per tuple with fields split on ASCII whitespace: provenance,
+pseudo-time and the 18 tensor components as shortest round-trip decimal
+literals, so a load followed by a save is byte-identical.
 
-A loaded set keeps the file it read as one bytes buffer, with the span of
-each record's 19 numbers in it, and the values parsed from them.  The text
-covers the rows the set starts with: :meth:`DataSet.merged_with` keeps the
-left operand's and :meth:`DataSet.subset` keeps none.  :func:`save_kbase`
-writes a covered row's stored text again when its numbers are bitwise those
+A loaded set keeps the file it read as one bytes buffer, with the byte span
+of each record's 19 numbers in it, and the values parsed from them.  The
+text covers the rows the set starts with: :meth:`DataSet.merged_with` keeps
+the left operand's and :meth:`DataSet.subset` keeps none.  :func:`save_kbase`
+writes a covered row's stored bytes again when its numbers are bitwise those
 values and formats every other row afresh, so saving a large loaded base
-with rows appended costs per new or changed row, and unchanged records keep
-a hand-edited literal such as ``1.50`` as it was read.
+with rows appended costs per new or changed row, and every unchanged record
+keeps a hand-edited literal such as ``1.50`` as it was read.
 """
 
 from __future__ import annotations
 
 import array
+import io
 import json
-import locale
 import os
 import re
 from contextlib import contextmanager
@@ -41,9 +41,9 @@ _N_NUMBERS = _N_FIELDS - 4
 class _RecordText:
     """The numeric fields of the loaded records a set starts with, as read.
 
-    ``span[i]`` is the ``[start, end)`` of row ``i``'s 19 numbers (pseudo-time,
-    F, P) in ``buffer``, ``(-1, -1)`` for a line that is not ASCII;
-    ``values[i]`` are the numbers parsed from that text.
+    ``span[i]`` is the ``[start, end)`` byte range of row ``i``'s 19 numbers
+    (pseudo-time, F, P) in ``buffer``; ``values[i]`` are the numbers parsed
+    from those bytes.
     """
 
     buffer: bytes
@@ -169,11 +169,11 @@ def write_json(path, doc, sort_keys=False):
 
 
 def save_kbase(dataset: DataSet, path):
-    """Write the knowledge base as line-delimited records with a version header.
+    """Write the knowledge base as UTF-8 records with a version header.
 
     A row covered by loaded record text whose 19 numbers are bitwise the
     values that text was parsed from (``-0.0`` differs from ``0.0``) is
-    written with that text; every other row's numbers are formatted as
+    written with those bytes; every other row's numbers are formatted as
     shortest round-trip literals.  A source is written with each whitespace
     character as ``_`` and a leading ``#``, which would start a comment, as
     ``_#``.
@@ -184,7 +184,7 @@ def save_kbase(dataset: DataSet, path):
                                         np.zeros((0, _N_NUMBERS)))
     fresh = np.ones(len(dataset), dtype=bool)
     covered = len(text.span)
-    fresh[:covered] = text.span[:, 0] < 0
+    fresh[:covered] = False
     for col, read in zip(columns, np.split(text.values, [1, 10], axis=1)):
         fresh[:covered] |= (col[:covered].view(np.int64)
                             != read.view(np.int64)).any(axis=1)
@@ -193,19 +193,20 @@ def save_kbase(dataset: DataSet, path):
     starts, stops = np.zeros((2, len(dataset)), dtype=int)
     starts[:covered], stops[:covered] = text.span.T
     fields = {}
-    with atomic_write(path) as fh:
-        fh.write(f"# {KBASE_VERSION}\n")
-        fh.write("# source iteration path step t F(9 row-major) P(9 row-major)\n")
+    with atomic_write(path, "wb") as fh:
+        fh.write(f"# {KBASE_VERSION}\n".encode())
+        fh.write(b"# source iteration path step t F(9 row-major) P(9 row-major)\n")
         for src, it, pid, stp, new, a, b in zip(
                 dataset.source, dataset.iteration.tolist(),
                 dataset.path_id.tolist(), dataset.step.tolist(), fresh.tolist(),
                 starts.tolist(), stops.tolist()):
-            if src not in fields:   # escape each distinct source once
+            if src not in fields:   # escape and encode each distinct source once
                 name = re.sub(r"\s", "_", str(src)) or "unknown"
-                fields[src] = "_" + name if name.startswith("#") else name
-            numeric = (" ".join(map(repr, next(formatted))) if new
-                       else text.buffer[a:b].decode("ascii"))
-            fh.write(f"{fields[src]} {it} {pid} {stp} {numeric}\n")
+                fields[src] = ("_" + name if name.startswith("#")
+                               else name).encode()
+            numeric = (" ".join(map(repr, next(formatted))).encode() if new
+                       else text.buffer[a:b])
+            fh.write(b"%s %d %d %d %s\n" % (fields[src], it, pid, stp, numeric))
 
 
 def _check_finite(values, line_nos, path):
@@ -215,30 +216,13 @@ def _check_finite(values, line_nos, path):
         raise CorruptRecord("non-finite value", line_nos[np.argmax(bad)], path)
 
 
-def _lines(buffer, encoding, path):
-    """``(offset, line)`` for each line of the bytes ``buffer`` read from
-    ``path``, decoded one at a time."""
-    start = 0
-    while start < len(buffer):
-        stop = buffer.find(b"\n", start)
-        if stop < 0:
-            stop = len(buffer)
-        try:
-            line = buffer[start:stop].decode(encoding)
-        except UnicodeDecodeError:
-            raise CorruptRecord(f"not {encoding} text",
-                                buffer.count(b"\n", 0, start) + 1, path) from None
-        yield start, line
-        start = stop + 1
-
-
 def load_kbase(path):
     """Read a knowledge base written by :func:`save_kbase`.
 
     Raises :class:`FormatVersionMismatch` for a missing or unknown header and
-    :class:`CorruptRecord` (with line number) for malformed records; both
-    messages name ``path``.  The file's bytes stay with the set as its
-    record text.
+    :class:`CorruptRecord` (with line number) for malformed records, such as
+    a source that is not UTF-8; both messages name ``path``.  The file's
+    bytes stay with the set as its record text.
     """
     sources, labels, line_nos = [], [], []
     numbers, spans = array.array("d"), array.array("q")
@@ -246,35 +230,37 @@ def load_kbase(path):
         buffer = fh.read()
     if b"\r" in buffer:   # newlines as text mode reads them
         buffer = buffer.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    lines = _lines(buffer, locale.getpreferredencoding(False), path)
-    first = next(lines, (0, ""))[1].strip()
+    lines = io.BytesIO(buffer)
+    header = lines.readline()
+    start = len(header)
+    try:
+        first = header.decode().strip()
+    except UnicodeDecodeError:
+        raise CorruptRecord("not UTF-8 text", 1, path) from None
     if first != f"# {KBASE_VERSION}":
         raise FormatVersionMismatch(
             f"{path}: expected header '# {KBASE_VERSION}', found {first!r}")
-    for line_no, (start, line) in enumerate(lines, start=2):
+    for line_no, line in enumerate(lines, start=2):
         parts = line.split(None, 4)
-        if not parts or parts[0].startswith("#"):
-            continue
-        numeric = parts[4].rstrip() if len(parts) == 5 else ""
-        fields = numeric.split()
-        try:
-            if len(fields) != _N_NUMBERS:
-                raise ValueError(f"expected {_N_FIELDS} fields, "
-                                 f"found {len(parts[:4]) + len(fields)}")
-            labels.append((int(parts[1]), int(parts[2]), int(parts[3])))
-            numbers.extend(map(float, fields))
-        except ValueError as exc:
-            # an inf or NaN on an earlier line is the first fault
-            _check_finite(np.frombuffer(numbers)[:_N_NUMBERS * len(line_nos)]
-                          .reshape(-1, _N_NUMBERS), line_nos, path)
-            raise CorruptRecord(str(exc), line_no, path) from None
-        sources.append(parts[0])
-        line_nos.append(line_no)
-        if line.isascii():   # offsets in characters are offsets in bytes
+        if parts and not parts[0].startswith(b"#"):
+            numeric = parts[4].rstrip() if len(parts) == 5 else b""
+            fields = numeric.split()
+            try:
+                if len(fields) != _N_NUMBERS:
+                    raise ValueError(f"expected {_N_FIELDS} fields, "
+                                     f"found {len(parts[:4]) + len(fields)}")
+                labels.append((int(parts[1]), int(parts[2]), int(parts[3])))
+                numbers.extend(map(float, fields))
+                sources.append(parts[0].decode())
+            except ValueError as exc:   # UnicodeDecodeError is one too
+                # an inf or NaN on an earlier line is the first fault
+                _check_finite(np.frombuffer(numbers)[:_N_NUMBERS * len(line_nos)]
+                              .reshape(-1, _N_NUMBERS), line_nos, path)
+                raise CorruptRecord(str(exc), line_no, path) from None
+            line_nos.append(line_no)
             stop = start + len(line.rstrip())
             spans.extend((stop - len(numeric), stop))
-        else:
-            spans.extend((-1, -1))
+        start += len(line)
     values = np.frombuffer(numbers).reshape(-1, _N_NUMBERS)
     _check_finite(values, line_nos, path)
     labels = np.array(labels, dtype=int).reshape(-1, 3)

@@ -44,6 +44,8 @@ class OgdenParameters:
         object.__setattr__(self, "kappa", float(self.kappa))
         if len(self.mu) == 0 or len(self.mu) != len(self.alpha):
             raise InvalidMaterialParameters("mu and alpha must be equally sized, non-empty")
+        if not np.isfinite(self.mu + self.alpha + (self.kappa,)).all():
+            raise InvalidMaterialParameters("mu, alpha and kappa must be finite")
         for m, a in zip(self.mu, self.alpha):
             if not (a < -1.0 or a >= 2.0):
                 raise InvalidMaterialParameters(f"exponent {a} in the excluded band (-1, 2)")
@@ -206,12 +208,12 @@ class OracleParameters:
     fiber_stiffness: float = 450.0
 
     def __post_init__(self):
-        if self.fiber_stiffness <= 0.0:
-            raise InvalidMaterialParameters("fiber_stiffness must be positive")
+        if not 0.0 < self.fiber_stiffness < np.inf:
+            raise InvalidMaterialParameters("fiber_stiffness must be positive and finite")
         axis = np.asarray(self.fiber_axis, dtype=float)
         n = np.linalg.norm(axis)
-        if n < 1e-12:
-            raise InvalidMaterialParameters("fiber_axis must have nonzero length")
+        if not 1e-12 <= n < np.inf:
+            raise InvalidMaterialParameters("fiber_axis must have finite, nonzero length")
         object.__setattr__(self, "fiber_axis", tuple(axis / n))
 
     @property

@@ -275,7 +275,7 @@ def save_kbase_reference(dataset, path):
     """
     numbers = np.concatenate([dataset.t[:, None], dataset.F.reshape(-1, 9),
                               dataset.P.reshape(-1, 9)], axis=1)
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# {data.KBASE_VERSION}\n")
         fh.write("# source iteration path step t F(9 row-major) P(9 row-major)\n")
         for src, it, pid, stp, row in zip(

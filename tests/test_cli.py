@@ -124,6 +124,13 @@ class TestConfig:
         "[material]\nkappa = -1\n",
         "[material]\nalpha = 1.5\n",
         "[oracle]\nfiber_stiffness = 0\n",
+        "[material]\nkappa = nan\n",
+        "[material]\nkappa = inf\n",
+        "[material]\nmu = nan 29.04 0.0098\n",
+        "[oracle]\nfiber_stiffness = nan\n",
+        "[oracle]\nfiber_axis = nan 0 1\n",
+        "[training]\nsymmetry_tolerance = -1\n",
+        "[training]\nsymmetry_tolerance = nan\n",
     ])
     def test_bad_files_rejected(self, tmp_path, text):
         p = tmp_path / "bad.ini"
@@ -295,9 +302,11 @@ class TestExitCodes:
         (None, ["detect", "--dataset", "{art}/kb.txt", "--state", "{art}/kb.txt"]),
         (_npz_without_version, ["convert", "--state", "{bad}"]),
         (None, ["convert", "--state", "{art}/state.npz", "--step", "99"]),
+        (None, ["validate", "--model", "{art}/model.json", "--dataset",
+                "{art}/kb.txt", "--state", "{art}/state.npz", "--tol", "nan"]),
     ], ids=["model-without-fields", "model-not-an-object", "npz-as-model",
             "npz-as-dataset", "kbase-as-state", "npz-without-version",
-            "step-out-of-range"])
+            "step-out-of-range", "validate-tol-nan"])
     def test_malformed_input_is_one_error_line(self, art, tmp_path, capsys,
                                                write, argv):
         bad = tmp_path / "bad"

@@ -524,9 +524,18 @@ def test_enrich_runs_with_thread_pool():
     times = np.linspace(0.0, 1.0, 4)
     detected = [mining.DetectedPath(p, 3, times, paths[p]) for p in range(6)]
     # the voxel oracle's threads share one homogenizer; a short switch
-    # interval makes them interleave inside its solves
-    for oracle in (mining.AnalyticOracle(),
-                   mining.VoxelOracle(homogenization.fiber_rve(2, 0.25, seed=5))):
+    # interval makes them interleave inside its solves, and a cell with a
+    # fiber column makes those solves take Newton updates
+    voxel = mining.VoxelOracle(homogenization.fiber_rve(2, 0.5, seed=1))
+    solve, updates = voxel.homogenizer.solve, []
+
+    def counted(*args, **kwargs):
+        solution = solve(*args, **kwargs)
+        updates.append(solution.iterations)
+        return solution
+
+    voxel.homogenizer.solve = counted
+    for oracle in (mining.AnalyticOracle(), voxel):
         serial, n1 = mining.enrich(ds, detected, oracle, E1, E3, threads=1)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -538,6 +547,7 @@ def test_enrich_runs_with_thread_pool():
         np.testing.assert_array_equal(serial.F, pooled.F)
         np.testing.assert_array_equal(serial.P, pooled.P)
         assert serial.path_id.tolist() == pooled.path_id.tolist()
+    assert sum(updates) > 0
 
 
 def test_voxel_oracle_builds_its_cell_once(monkeypatch):
@@ -925,6 +935,15 @@ class TestKnowledgeBase:
             data.load_kbase(p)
         assert str(err.value).startswith(f"{p}: line 1: not ")
 
+        data.save_kbase(ds, p)
+        lines = p.read_bytes().split(b"\n")
+        lines[3] = lines[3].replace(b"mined:", "mined:gewölbe-".encode("latin-1"))
+        p.write_bytes(b"\n".join(lines))
+        with pytest.raises(CorruptRecord) as err:
+            data.load_kbase(p)
+        assert err.value.line_no == 4
+        assert str(err.value).startswith(f"{p}: line 4: ")
+
     def test_a_fifo_is_written_in_place(self, tmp_path):
         # a FIFO or a device cannot be replaced atomically; renaming the
         # temporary file over it would leave a regular file in its place
@@ -968,7 +987,7 @@ class TestRecordText:
         oracles.save_kbase_reference(ds, tmp_path / "want.txt")
         assert (tmp_path / "got.txt").read_bytes() == \
             (tmp_path / "want.txt").read_bytes()
-        return (tmp_path / "got.txt").read_text()
+        return (tmp_path / "got.txt").read_text(encoding="utf-8")
 
     def test_loaded_subsets_and_merges_write_the_fresh_bytes(self, tmp_path):
         ds = self._loaded(tmp_path)
@@ -1024,7 +1043,7 @@ class TestRecordText:
         ds = TestKnowledgeBase()._dataset(61, 5)
         ds.source[2] = "mined:gewölbe"
         data.save_kbase(ds, tmp_path / "lf.txt")
-        text = (tmp_path / "lf.txt").read_text()
+        text = (tmp_path / "lf.txt").read_text(encoding="utf-8")
         (tmp_path / "other.txt").write_bytes(
             text.replace("\n", newline).encode())
         back = data.load_kbase(tmp_path / "other.txt")
@@ -1062,6 +1081,22 @@ class TestRecordText:
         data.save_kbase(reread.subset([0, 2]), tmp_path / "got.txt")
         assert (tmp_path / "got.txt").read_bytes() == \
             (tmp_path / "want.txt").read_bytes()
+
+    def test_a_non_ascii_row_keeps_its_hand_edited_literal(self, tmp_path):
+        ds = TestKnowledgeBase()._dataset(64, 3)
+        ds.source[1] = "mined:gewölbe"
+        path = tmp_path / "hand.txt"
+        data.save_kbase(ds, path)
+        lines = path.read_bytes().split(b"\n")
+        for row in (2, 3):   # an ASCII row and the non-ASCII one
+            parts = lines[row].split(b" ")
+            parts[4] = b"0.50"
+            lines[row] = b" ".join(parts)
+        path.write_bytes(b"\n".join(lines))
+        back = data.load_kbase(path)
+        assert back.source == ds.source and back.t[:2].tolist() == [0.5, 0.5]
+        data.save_kbase(back, tmp_path / "again.txt")
+        assert (tmp_path / "again.txt").read_bytes() == path.read_bytes()
 
     def test_only_the_rows_a_loaded_base_starts_with_keep_their_text(
             self, tmp_path):
