@@ -24,15 +24,16 @@ from .errors import (CorruptRecord, EmptyDataSet, FirstStepDivergence,
 
 log = logging.getLogger("matmine")
 
-_OVERRIDE_FLAGS = (
-    ("seed", ("training", "seed")),
-    ("geometry", ("geometry", "name")),
-    ("oracle", ("oracle", "kind")),
-    ("eps_detect", ("loop", "eps_detect")),
-    ("eps_filter", ("loop", "eps_filter")),
-    ("n_max", ("loop", "n_max")),
-    ("threads", ("loop", "threads")),
-)
+# override flag (``--n-max`` for ``n_max``) -> the config.SPEC row it overrides
+_OVERRIDE_FLAGS = {
+    "seed": ("training", "seed"),
+    "geometry": ("geometry", "name"),
+    "oracle": ("oracle", "kind"),
+    "eps_detect": ("loop", "eps_detect"),
+    "eps_filter": ("loop", "eps_filter"),
+    "n_max": ("loop", "n_max"),
+    "threads": ("loop", "threads"),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -59,27 +60,16 @@ def _add_common(p, *files):
                        help=_FILE_FLAGS[name])
     p.add_argument("--config", metavar="FILE",
                    help="INI run configuration; defaults apply when omitted")
-    p.add_argument("--seed", type=int, help="override the training seed")
-    p.add_argument("--geometry", choices=macro.GEOMETRY_NAMES,
-                   help="override the macro geometry")
-    p.add_argument("--oracle", choices=("analytic", "voxel"),
-                   help="override the oracle backend")
-    p.add_argument("--eps-detect", type=float, dest="eps_detect",
-                   help="override the detection tolerance")
-    p.add_argument("--eps-filter", type=float, dest="eps_filter",
-                   help="override the dedup tolerance")
-    p.add_argument("--n-max", type=int, dest="n_max",
-                   help="override the loop iteration budget")
-    p.add_argument("--threads", type=int,
-                   help="override the oracle evaluation thread count")
+    for name, (section, key) in _OVERRIDE_FLAGS.items():
+        default, comment = config.SPEC[section][key]
+        p.add_argument("--" + name.replace("_", "-"), type=type(default),
+                       help=f"{comment} (overrides [{section}] {key})")
 
 
 def _run_config(args):
-    overrides = {}
-    for attr, target in _OVERRIDE_FLAGS:
-        value = getattr(args, attr, None)
-        if value is not None:
-            overrides[target] = value
+    overrides = {target: getattr(args, name)
+                 for name, target in _OVERRIDE_FLAGS.items()
+                 if getattr(args, name) is not None}
     return config.load_config(args.config, overrides)
 
 
@@ -191,19 +181,21 @@ def cmd_run(args):
                                  rc.loop, out_dir=args.out)
     except MaxIterationsExceeded as exc:
         if getattr(exc, "result", None) is not None:
-            _print_loop_table(exc.result)
+            _finish_run(exc.result, problem, args.out)
             print(f"not converged: {exc} (artifacts in {args.out})")
         raise
-    if result.final_state is not None:
-        macro.save_state(result.final_state, problem.mesh,
-                         os.path.join(args.out, "state.npz"),
-                         meta={"geometry": problem.name, "completed": True})
-    _print_loop_table(result)
+    _finish_run(result, problem, args.out)
     print(f"converged in {len(result.iterations)} iterations, "
           f"{len(result.dataset)} tuples -> {args.out}")
 
 
-def _print_loop_table(result):
+def _finish_run(result, problem, out_dir):
+    """Save the last solve's state next to the loop's artifacts, print the table."""
+    state = result.final_state
+    if state is not None:
+        macro.save_state(state, problem.mesh, os.path.join(out_dir, "state.npz"),
+                         meta={"geometry": problem.name,
+                               "completed": bool(state.completed)})
     print("iter  tuples  detected  admitted  t_end  repeats")
     for r in result.iterations:
         print(f"{r.iteration:4d}  {r.dataset_size:6d}  {r.detected_paths:8d}  "

@@ -1,17 +1,16 @@
 """Run configuration: one documented INI file covering every pipeline knob.
 
-:data:`SPEC` lists every key with its default, read from the objects the
-key configures (phase presets, oracle, training and loop dataclasses) or,
-for ``grid``, ``volume_fraction``, ``placement_seed``, ``substeps``,
-``initial_steps``, ``kind``, ``name``, ``resolution`` and ``n_steps``,
-written there as a literal.  This module renders SPEC into a commented INI
-skeleton and parses user files back onto those objects.  Unknown
-sections or keys are rejected rather than ignored, and so are counts below
-one (cell grid, substeps, mesh resolution, network width, restarts,
-iteration cap, initial-suite steps, threads), a negative step count or
-seed, a volume fraction outside [0, 1], a training fraction outside (0, 1],
-a symmetry tolerance that is negative or not finite, and material values
-the material classes refuse, among them any that is not finite.
+:data:`SPEC` is the one declaration of every run setting: each key with its
+default value and comment.  A default is read from the object the key
+configures (phase presets, oracle, training and loop dataclasses) or, for the
+settings :class:`RunConfig` holds itself, written there as a literal.  This
+module renders SPEC into a commented INI skeleton and parses user files, read
+as UTF-8, back onto those objects, each value as its default's type.  Unknown
+sections or keys are rejected rather than ignored.  Every range is checked by
+the object the setting configures, so a count below one, a negative seed, a
+fraction outside its interval or a material value the material classes
+refuse fails the same way whether it comes from a file, a flag or a caller
+building the object directly.
 
 ``python3 -m matmine.config`` prints the annotated default file.
 """
@@ -39,66 +38,76 @@ def _fmt(value):
     return str(value)
 
 
+def _parse(default, text):
+    """``text`` read as a value of ``default``'s type."""
+    if isinstance(default, bool):
+        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+    if isinstance(default, tuple):
+        return tuple(float(v) for v in text.split())
+    return type(default)(text)
+
+
 _MATRIX = materials.MATRIX_RUBBER
 _FIBER = materials.FIBER_STIFF
 _ORACLE = materials.OracleParameters()
 _TRAIN = training.TrainingConfig()
 _LOOP = mining.LoopConfig()
 
-# section -> list of (key, default string, comment)
+# section -> key -> (default, comment)
 SPEC = {
-    "material": [
-        ("mu", _fmt(_MATRIX.mu), "Ogden shear coefficients of the soft phase [kPa]"),
-        ("alpha", _fmt(_MATRIX.alpha), "Ogden exponents of the soft phase"),
-        ("kappa", _fmt(_MATRIX.kappa), "bulk modulus of the soft phase [kPa]"),
-        ("fiber_mu", _fmt(_FIBER.mu), "Ogden shear coefficients of the stiff phase [kPa]"),
-        ("fiber_alpha", _fmt(_FIBER.alpha), "Ogden exponents of the stiff phase"),
-        ("fiber_kappa", _fmt(_FIBER.kappa), "bulk modulus of the stiff phase [kPa]"),
-    ],
-    "oracle": [
-        ("kind", "analytic", "microscale oracle backend: analytic | voxel"),
-        ("fiber_stiffness", _fmt(_ORACLE.fiber_stiffness),
-         "fiber-stretch penalty of the analytic oracle [kPa]"),
-        ("fiber_axis", _fmt(_ORACLE.fiber_axis),
-         "microscale fiber direction (frame mined tuples are stored in)"),
-        ("grid", "8", "voxel cells per edge (voxel kind)"),
-        ("volume_fraction", "0.3", "stiff-column probability (voxel kind)"),
-        ("placement_seed", "0", "fiber placement seed (voxel kind)"),
-        ("substeps", "2", "load substeps per oracle evaluation (voxel kind)"),
-    ],
-    "network": [
-        ("n_neurons", _fmt(_TRAIN.n_neurons), "hidden-layer width"),
-        ("anisotropy", _TRAIN.anisotropy, "material symmetry: transverse | isotropic"),
-        ("growth_mode", _fmt(_TRAIN.growth_mode),
-         "constrain signs so energy grows toward extreme volume changes"),
-    ],
-    "training": [
-        ("restarts", _fmt(_TRAIN.restarts), "independent fits; the best one wins"),
-        ("seed", _fmt(_TRAIN.seed), "base seed for splits and restarts"),
-        ("train_fraction", _fmt(_TRAIN.train_fraction),
-         "share of tuples used for fitting, rest is held out"),
-        ("max_iterations", _fmt(_TRAIN.max_iterations),
-         "L-BFGS iteration cap per restart; a restart that converges stops sooner"),
-        ("symmetry_tolerance", _fmt(_TRAIN.symmetry_tolerance),
-         "max |P - P^T F^-T F^T| accepted when converting targets"),
-    ],
-    "loop": [
-        ("eps_detect", _fmt(_LOOP.eps_detect),
-         "invariant-space tolerance flagging unknown states"),
-        ("eps_filter", _fmt(_LOOP.eps_filter),
-         "tighter tolerance deduplicating admitted states"),
-        ("n_max", _fmt(_LOOP.n_max), "outer iteration budget"),
-        ("inner_repeats", _fmt(_LOOP.inner_repeats),
-         "retrain attempts per iteration when the solve dies undetected"),
-        ("threads", _fmt(_LOOP.threads), "parallel oracle path evaluations"),
-        ("initial_steps", "12", "increments per initial-suite load case"),
-    ],
-    "geometry": [
-        ("name", "cuboid-hole",
-         "macro problem: cuboid-hole | torsion-bar | cook-membrane"),
-        ("resolution", "1", "mesh refinement multiplier"),
-        ("n_steps", "0", "load increments; 0 keeps the geometry's builtin count"),
-    ],
+    "material": {
+        "mu": (_MATRIX.mu, "Ogden shear coefficients of the soft phase [kPa]"),
+        "alpha": (_MATRIX.alpha, "Ogden exponents of the soft phase"),
+        "kappa": (_MATRIX.kappa, "bulk modulus of the soft phase [kPa]"),
+        "fiber_mu": (_FIBER.mu, "Ogden shear coefficients of the stiff phase [kPa]"),
+        "fiber_alpha": (_FIBER.alpha, "Ogden exponents of the stiff phase"),
+        "fiber_kappa": (_FIBER.kappa, "bulk modulus of the stiff phase [kPa]"),
+    },
+    "oracle": {
+        "kind": ("analytic", "microscale oracle backend: analytic | voxel"),
+        "fiber_stiffness": (_ORACLE.fiber_stiffness,
+                            "fiber-stretch penalty of the analytic oracle [kPa]"),
+        "fiber_axis": (_ORACLE.fiber_axis,
+                       "microscale fiber direction (frame mined tuples are stored in)"),
+        "grid": (8, "voxel cells per edge (voxel kind)"),
+        "volume_fraction": (0.3, "stiff-column probability (voxel kind)"),
+        "placement_seed": (0, "fiber placement seed (voxel kind)"),
+        "substeps": (2, "load substeps per oracle evaluation (voxel kind)"),
+    },
+    "network": {
+        "n_neurons": (_TRAIN.n_neurons, "hidden-layer width"),
+        "anisotropy": (_TRAIN.anisotropy, "material symmetry: transverse | isotropic"),
+        "growth_mode": (_TRAIN.growth_mode,
+                        "constrain signs so energy grows toward extreme volume changes"),
+    },
+    "training": {
+        "restarts": (_TRAIN.restarts, "independent fits; the best one wins"),
+        "seed": (_TRAIN.seed, "base seed for splits and restarts"),
+        "train_fraction": (_TRAIN.train_fraction,
+                           "share of tuples used for fitting, rest is held out"),
+        "max_iterations": (_TRAIN.max_iterations,
+                           "L-BFGS iteration cap per restart; a restart that "
+                           "converges stops sooner"),
+        "symmetry_tolerance": (_TRAIN.symmetry_tolerance,
+                               "max |P - P^T F^-T F^T| accepted when converting targets"),
+    },
+    "loop": {
+        "eps_detect": (_LOOP.eps_detect,
+                       "invariant-space tolerance flagging unknown states"),
+        "eps_filter": (_LOOP.eps_filter,
+                       "tighter tolerance deduplicating admitted states"),
+        "n_max": (_LOOP.n_max, "outer iteration budget"),
+        "inner_repeats": (_LOOP.inner_repeats,
+                          "retrain attempts per iteration when the solve dies undetected"),
+        "threads": (_LOOP.threads, "parallel oracle path evaluations"),
+        "initial_steps": (12, "increments per initial-suite load case"),
+    },
+    "geometry": {
+        "name": ("cuboid-hole",
+                 "macro problem: cuboid-hole | torsion-bar | cook-membrane"),
+        "resolution": (1, "mesh refinement multiplier"),
+        "n_steps": (0, "load increments; 0 keeps the geometry's builtin count"),
+    },
 }
 
 
@@ -109,38 +118,19 @@ def default_text():
     out.write("# Command-line flags override these values.\n")
     for section, entries in SPEC.items():
         out.write(f"\n[{section}]\n")
-        for key, value, comment in entries:
-            out.write(f"# {comment}\n{key} = {value}\n")
+        for key, (value, comment) in entries.items():
+            out.write(f"# {comment}\n{key} = {_fmt(value)}\n")
     return out.getvalue()
-
-
-def _parser_with_defaults():
-    parser = configparser.ConfigParser(interpolation=None)
-    parser.read_dict({s: {k: v for k, v, _ in entries}
-                      for s, entries in SPEC.items()})
-    return parser
-
-
-def _check_known(parser):
-    for section in parser.sections():
-        if section not in SPEC:
-            raise InvalidConfig(f"unknown section [{section}]")
-        known = {k for k, _, _ in SPEC[section]}
-        for key in parser[section]:
-            if key not in known:
-                raise InvalidConfig(f"unknown key '{key}' in [{section}]")
-
-
-def _floats(text):
-    try:
-        return tuple(float(v) for v in text.split())
-    except ValueError as exc:
-        raise InvalidConfig(str(exc)) from None
 
 
 @dataclass
 class RunConfig:
-    """Everything the CLI needs, parsed and cross-validated."""
+    """Everything the CLI needs, checked on construction.
+
+    The objects it holds check their own settings; this class checks the
+    rest and that the voxel oracle, which grows its fibers along z, is
+    asked for that axis.
+    """
 
     matrix: materials.OgdenParameters
     fiber: materials.OgdenParameters
@@ -157,99 +147,76 @@ class RunConfig:
     resolution: int
     n_steps: int
 
-
-def load_config(path=None, overrides=None):
-    """Parse an INI file (or just the defaults) into a :class:`RunConfig`.
-
-    ``overrides`` maps ``(section, key)`` to replacement string values and is
-    applied after the file, which is how command-line flags win.
-    """
-    parser = _parser_with_defaults()
-    if path is not None:
-        with open(path) as fh:
-            try:
-                parser.read_file(fh)
-            except configparser.Error as exc:
-                raise InvalidConfig(str(exc)) from None
-    _check_known(parser)
-    for (section, key), value in (overrides or {}).items():
-        parser[section][key] = _fmt(value)
-
-    try:
-        matrix = materials.OgdenParameters(
-            mu=_floats(parser["material"]["mu"]),
-            alpha=_floats(parser["material"]["alpha"]),
-            kappa=parser["material"].getfloat("kappa"))
-        fiber = materials.OgdenParameters(
-            mu=_floats(parser["material"]["fiber_mu"]),
-            alpha=_floats(parser["material"]["fiber_alpha"]),
-            kappa=parser["material"].getfloat("fiber_kappa"))
-        kind = parser["oracle"]["kind"]
-        if kind not in ("analytic", "voxel"):
-            raise InvalidConfig(f"oracle kind must be analytic or voxel, got {kind!r}")
-        axis = _floats(parser["oracle"]["fiber_axis"])
-        if len(axis) != 3:
-            raise InvalidConfig("fiber_axis needs three components")
-        oracle = materials.OracleParameters(
-            matrix=matrix, fiber_axis=axis,
-            fiber_stiffness=parser["oracle"].getfloat("fiber_stiffness"))
-        if kind == "voxel" and not np.allclose(oracle.fiber_axis, (0.0, 0.0, 1.0)):
+    def __post_init__(self):
+        if self.oracle_kind not in ("analytic", "voxel"):
+            raise InvalidConfig(
+                f"oracle kind must be analytic or voxel, got {self.oracle_kind!r}")
+        for name in ("voxel_grid", "substeps", "initial_steps", "resolution"):
+            if getattr(self, name) < 1:
+                raise InvalidConfig(f"{name} must be at least 1")
+        for name in ("placement_seed", "n_steps"):
+            if getattr(self, name) < 0:
+                raise InvalidConfig(f"{name} must be at least 0")
+        if not 0.0 <= self.volume_fraction <= 1.0:
+            raise InvalidConfig("volume_fraction must lie in [0, 1]")
+        if self.geometry not in macro.GEOMETRY_NAMES:
+            raise InvalidConfig(f"geometry must be one of {macro.GEOMETRY_NAMES}, "
+                                f"got {self.geometry!r}")
+        if (self.oracle_kind == "voxel"
+                and not np.allclose(self.oracle.fiber_axis, (0.0, 0.0, 1.0))):
             raise InvalidConfig(
                 "the voxel oracle grows fibers along 0 0 1; rotate the macro "
                 "problem instead of the cell")
-        for section, key in (("oracle", "substeps"), ("oracle", "grid"),
-                             ("network", "n_neurons"),
-                             ("training", "restarts"),
-                             ("training", "max_iterations"),
-                             ("loop", "initial_steps"), ("loop", "threads"),
-                             ("geometry", "resolution")):
-            if parser[section].getint(key) < 1:
-                raise InvalidConfig(f"{key} must be at least 1")
-        for section, key in (("training", "seed"), ("oracle", "placement_seed")):
-            if parser[section].getint(key) < 0:
-                raise InvalidConfig(f"{key} must be at least 0")
-        if parser["geometry"].getint("n_steps") < 0:
-            raise InvalidConfig("n_steps must be at least 0 (0 keeps the "
-                                "geometry's builtin count)")
-        if not 0.0 <= parser["oracle"].getfloat("volume_fraction") <= 1.0:
-            raise InvalidConfig("volume_fraction must lie in [0, 1]")
-        if not 0.0 < parser["training"].getfloat("train_fraction") <= 1.0:
-            raise InvalidConfig("train_fraction must lie in (0, 1]")
-        if not 0.0 <= parser["training"].getfloat("symmetry_tolerance") < np.inf:
-            raise InvalidConfig("symmetry_tolerance must be a finite number at least 0")
-        train_cfg = training.TrainingConfig(
-            n_neurons=parser["network"].getint("n_neurons"),
-            restarts=parser["training"].getint("restarts"),
-            seed=parser["training"].getint("seed"),
-            growth_mode=parser["network"].getboolean("growth_mode"),
-            anisotropy=parser["network"]["anisotropy"],
-            train_fraction=parser["training"].getfloat("train_fraction"),
-            max_iterations=parser["training"].getint("max_iterations"),
-            symmetry_tolerance=parser["training"].getfloat("symmetry_tolerance"))
-        if train_cfg.anisotropy not in ("transverse", "isotropic"):
-            raise InvalidConfig("anisotropy must be transverse or isotropic")
-        loop_cfg = mining.LoopConfig(
-            eps_detect=parser["loop"].getfloat("eps_detect"),
-            eps_filter=parser["loop"].getfloat("eps_filter"),
-            n_max=parser["loop"].getint("n_max"),
-            inner_repeats=parser["loop"].getint("inner_repeats"),
-            rve_fiber_axis=oracle.fiber_axis,
-            threads=parser["loop"].getint("threads"))
-        geometry = parser["geometry"]["name"]
-        if geometry not in macro.GEOMETRY_NAMES:
-            raise InvalidConfig(
-                f"geometry must be one of {macro.GEOMETRY_NAMES}, got {geometry!r}")
+
+
+def load_config(path=None, overrides=None):
+    """Parse a UTF-8 INI file (or just the defaults) into a :class:`RunConfig`.
+
+    ``overrides`` maps ``(section, key)`` to replacement values and is
+    applied after the file, which is how command-line flags win.  Every
+    value is read as its SPEC default's type; a malformed or out-of-range
+    one raises :class:`InvalidConfig`.
+    """
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_dict(dict.fromkeys(SPEC, {}))
+    if path is not None:
+        try:
+            with open(path, encoding="utf-8") as fh:
+                parser.read_file(fh)
+        except UnicodeDecodeError as exc:
+            raise InvalidConfig(f"{path} is not UTF-8: {exc}") from None
+        except configparser.Error as exc:
+            raise InvalidConfig(str(exc)) from None
+    values = {section: {key: default for key, (default, _) in entries.items()}
+              for section, entries in SPEC.items()}
+    try:
+        for (section, key), value in (overrides or {}).items():
+            parser[section][key] = _fmt(value)
+        for section in parser.sections():
+            if section not in SPEC:
+                raise InvalidConfig(f"unknown section [{section}]")
+            for key, text in parser.items(section):
+                if key not in SPEC[section]:
+                    raise InvalidConfig(f"unknown key '{key}' in [{section}]")
+                values[section][key] = _parse(SPEC[section][key][0], text)
+
+        # the matrix's mu, alpha and kappa, then the fiber's
+        material = list(values["material"].values())
+        oracle, loop, geometry = values["oracle"], values["loop"], values["geometry"]
+        initial_steps = loop.pop("initial_steps")
+        matrix = materials.OgdenParameters(*material[:3])
+        params = materials.OracleParameters(matrix, oracle["fiber_axis"],
+                                            oracle["fiber_stiffness"])
         return RunConfig(
-            matrix=matrix, fiber=fiber, oracle_kind=kind, oracle=oracle,
-            voxel_grid=parser["oracle"].getint("grid"),
-            volume_fraction=parser["oracle"].getfloat("volume_fraction"),
-            placement_seed=parser["oracle"].getint("placement_seed"),
-            substeps=parser["oracle"].getint("substeps"),
-            training=train_cfg, loop=loop_cfg,
-            initial_steps=parser["loop"].getint("initial_steps"),
-            geometry=geometry,
-            resolution=parser["geometry"].getint("resolution"),
-            n_steps=parser["geometry"].getint("n_steps"))
+            matrix=matrix, fiber=materials.OgdenParameters(*material[3:]),
+            oracle_kind=oracle["kind"], oracle=params,
+            voxel_grid=oracle["grid"], volume_fraction=oracle["volume_fraction"],
+            placement_seed=oracle["placement_seed"], substeps=oracle["substeps"],
+            training=training.TrainingConfig(**values["network"],
+                                             **values["training"]),
+            loop=mining.LoopConfig(rve_fiber_axis=params.fiber_axis, **loop),
+            initial_steps=initial_steps, geometry=geometry["name"],
+            resolution=geometry["resolution"], n_steps=geometry["n_steps"])
     except (ValueError, KeyError, InvalidMaterialParameters) as exc:
         raise InvalidConfig(f"bad configuration value: {exc}") from None
 

@@ -211,6 +211,8 @@ class OracleParameters:
         if not 0.0 < self.fiber_stiffness < np.inf:
             raise InvalidMaterialParameters("fiber_stiffness must be positive and finite")
         axis = np.asarray(self.fiber_axis, dtype=float)
+        if axis.shape != (3,):
+            raise InvalidMaterialParameters("fiber_axis needs three components")
         n = np.linalg.norm(axis)
         if not 1e-12 <= n < np.inf:
             raise InvalidMaterialParameters("fiber_axis must have finite, nonzero length")

@@ -421,8 +421,8 @@ class LoopConfig:
     def __post_init__(self):
         if not 0.0 < self.eps_filter < self.eps_detect < 1.0:
             raise ValueError("need 0 < eps_filter < eps_detect < 1")
-        if self.n_max < 1 or self.inner_repeats < 1:
-            raise ValueError("n_max and inner_repeats must be at least 1")
+        if min(self.n_max, self.inner_repeats, self.threads) < 1:
+            raise ValueError("n_max, inner_repeats and threads must be at least 1")
 
 
 @dataclass

@@ -25,9 +25,9 @@ import numpy as np
 from . import tensors
 from .data import DataSet, write_json
 from .errors import AsymmetricStressTarget, EmptyDataSet, NoFeasibleRestart
-from .surrogate import (DET_SLOT, NormalizationBounds, SurrogateModel,
-                        check_growth_condition, fix_energy_offset, sigmoid,
-                        softplus)
+from .surrogate import (ANISOTROPY_MODES, DET_SLOT, NormalizationBounds,
+                        SurrogateModel, check_growth_condition,
+                        fix_energy_offset, sigmoid, softplus)
 
 # plain (unweighted) component order (11, 22, 33, 23, 13, 12)
 _ROWS = tensors.MANDEL_ROWS
@@ -44,6 +44,19 @@ class TrainingConfig:
     train_fraction: float = 0.8
     max_iterations: int = 4000
     symmetry_tolerance: float = 1e-8
+
+    def __post_init__(self):
+        if min(self.n_neurons, self.restarts, self.max_iterations) < 1:
+            raise ValueError("n_neurons, restarts and max_iterations must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be at least 0")
+        if self.anisotropy not in ANISOTROPY_MODES:
+            raise ValueError(f"anisotropy must be one of {ANISOTROPY_MODES}, "
+                             f"got {self.anisotropy!r}")
+        if not 0.0 < self.train_fraction <= 1.0:
+            raise ValueError("train_fraction must lie in (0, 1]")
+        if not 0.0 <= self.symmetry_tolerance < np.inf:
+            raise ValueError("symmetry_tolerance must be a finite number at least 0")
 
 
 @dataclass

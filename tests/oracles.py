@@ -77,11 +77,6 @@ def fd_hessian_mandel(grad, C, h=1e-6):
     return H
 
 
-def fd_stress_tangent_mandel(stress, C, h=1e-6):
-    """Alias spelling for tangents: Mandel FD of a stress function of C."""
-    return fd_hessian_mandel(stress, C, h)
-
-
 def tensor4_to_mandel(T):
     """Map a minor-symmetric (...,3,3,3,3) tensor to its (...,6,6) matrix."""
     T = np.asarray(T, dtype=float)

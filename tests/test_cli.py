@@ -8,9 +8,10 @@ import shlex
 import numpy as np
 import pytest
 
-from matmine import cli, config, data, macro, mining, surrogate, training
+from matmine import (cli, config, data, macro, materials, mining, surrogate,
+                     training)
 from matmine.errors import (FirstStepDivergence, InvalidConfig,
-                            MaxIterationsExceeded)
+                            InvalidMaterialParameters, MaxIterationsExceeded)
 
 import oracles
 
@@ -131,12 +132,43 @@ class TestConfig:
         "[oracle]\nfiber_axis = nan 0 1\n",
         "[training]\nsymmetry_tolerance = -1\n",
         "[training]\nsymmetry_tolerance = nan\n",
+        "[DEFAULT]\nseed = 3\n[training]\n",
     ])
     def test_bad_files_rejected(self, tmp_path, text):
         p = tmp_path / "bad.ini"
         p.write_text(text)
         with pytest.raises(InvalidConfig):
             config.load_config(p)
+
+    @pytest.mark.parametrize("build, error", [
+        (lambda: training.TrainingConfig(restarts=0), ValueError),
+        (lambda: training.TrainingConfig(n_neurons=0), ValueError),
+        (lambda: mining.LoopConfig(threads=0), ValueError),
+        (lambda: materials.OracleParameters(fiber_axis=(1.0, 0.0)),
+         InvalidMaterialParameters),
+    ], ids=["restarts-0", "n_neurons-0", "threads-0", "two-component-axis"])
+    def test_objects_refuse_out_of_range_values(self, build, error):
+        with pytest.raises(error):
+            build()
+
+    def test_utf8_comment_loads_under_any_locale(self, tmp_path):
+        p = tmp_path / "utf8.ini"
+        p.write_bytes("[network]\n# Gr\u00f6\u00dfe der Schicht\nn_neurons = 3\n"
+                      .encode("utf-8"))
+        assert config.load_config(p).training.n_neurons == 3
+
+    def test_non_utf8_file_is_one_error_line(self, tmp_path, capsys):
+        p = tmp_path / "latin1.ini"
+        p.write_bytes(b"[network]\n# \xff\nn_neurons = 3\n")
+        capsys.readouterr()
+        assert cli.main(["init-data", "--config", str(p),
+                         "--out", str(tmp_path / "kb.txt")]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {p} ")
+        assert "Traceback" not in err
+        assert [line for line in err.splitlines()
+                if line.startswith("error:")] == [err.strip()]
+        assert not (tmp_path / "kb.txt").exists()
 
 
 @pytest.fixture(scope="module")
@@ -354,6 +386,20 @@ class TestExitCodes:
                          "--dataset", str(art / "kb.txt"),
                          "--out", str(tmp_path / "runout")])
         assert code == 2
+
+    def test_exhausted_run_still_writes_a_valid_state(self, art, tmp_path):
+        out = tmp_path / "runout"
+        ini = str(art / "tiny.ini")
+        assert cli.main(["run", "--config", ini, "--dataset", str(art / "kb.txt"),
+                         "--n-max", "1", "--out", str(out)]) == 2
+        _, _, meta = macro.load_state(out / "state.npz")
+        report = json.loads((out / "loop_report.json").read_text())
+        assert meta["completed"] == report["iterations"][-1]["completed"]
+        assert cli.main(["validate", "--config", ini,
+                         "--model", str(out / "model.json"),
+                         "--dataset", str(out / "kbase.txt"),
+                         "--state", str(out / "state.npz"),
+                         "--out", str(tmp_path / "val.json")]) == 0
 
     @pytest.mark.parametrize("command", ["enrich", "validate"])
     def test_empty_dataset(self, art, tmp_path, capsys, command):

@@ -128,6 +128,32 @@ def test_filter_accepts_a_single_row_or_no_rows_as_existing():
         assert mining.filter_candidates(cand, empty, ranges, 0.3) == want
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_novelty_passes_ignore_row_order_and_repeats_in_the_base(seed):
+    # the ranges and the exact metric depend only on the set of base rows
+    rng = rng0(seed)
+    ds = random_dataset(rng, 60)
+    paths = random_walk_paths(rng, 40, 5)
+    times = np.linspace(0.0, 1.0, 6)
+    cand = tensors.invariants(
+        tensors.right_cauchy_green(paths[:, 1:].reshape(-1, 3, 3)),
+        tensors.structural_tensor(E3))
+
+    def passes(base):
+        known = base.invariant_values(E3)
+        detected = mining.detect_new_paths(base, paths, times, E1, E3, eps=0.05)
+        return ([(d.point_id, d.last_step) for d in detected],
+                mining.filter_candidates(cand, known,
+                                         mining.coordinate_ranges(known), 0.05))
+
+    detected, admitted = passes(ds)
+    assert 0 < len(detected) < len(paths)
+    assert 0 < len(admitted) < len(cand)
+    assert passes(ds.subset(rng.permutation(len(ds)))) == (detected, admitted)
+    repeated = np.append(np.arange(len(ds)), rng.integers(len(ds)))
+    assert passes(ds.subset(repeated)) == (detected, admitted)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**31 - 1))
 def test_filter_postcondition_pairwise_distinct(seed):
