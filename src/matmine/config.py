@@ -38,13 +38,19 @@ def _fmt(value):
     return str(value)
 
 
-def _parse(default, text):
-    """``text`` read as a value of ``default``'s type."""
-    if isinstance(default, bool):
-        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
-    if isinstance(default, tuple):
-        return tuple(float(v) for v in text.split())
-    return type(default)(text)
+def _parse(section, key, text):
+    """``text`` read as a value of the type of ``[section] key``'s default."""
+    default = SPEC[section][key][0]
+    try:
+        if isinstance(default, bool):
+            return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+        if isinstance(default, tuple):
+            return tuple(float(v) for v in text.split())
+        return type(default)(text)
+    except (KeyError, ValueError):
+        what = {bool: "not a boolean", tuple: "invalid float"}.get(
+            type(default), f"invalid {type(default).__name__}")
+        raise InvalidConfig(f"[{section}] {key}: {what} {text!r}") from None
 
 
 _MATRIX = materials.MATRIX_RUBBER
@@ -186,7 +192,8 @@ def load_config(path=None, overrides=None):
         except UnicodeDecodeError as exc:
             raise InvalidConfig(f"{path} is not UTF-8: {exc}") from None
         except configparser.Error as exc:
-            raise InvalidConfig(str(exc)) from None
+            # configparser's message spans lines; it names the file and line
+            raise InvalidConfig(" ".join(str(exc).split())) from None
     values = {section: {key: default for key, (default, _) in entries.items()}
               for section, entries in SPEC.items()}
     try:
@@ -198,7 +205,7 @@ def load_config(path=None, overrides=None):
             for key, text in parser.items(section):
                 if key not in SPEC[section]:
                     raise InvalidConfig(f"unknown key '{key}' in [{section}]")
-                values[section][key] = _parse(SPEC[section][key][0], text)
+                values[section][key] = _parse(section, key, text)
 
         # the matrix's mu, alpha and kappa, then the fiber's
         material = list(values["material"].values())

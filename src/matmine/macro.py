@@ -432,7 +432,8 @@ def load_state(path):
 
     Raises :class:`FormatVersionMismatch` for a file that is not a state
     archive of this version and :class:`CorruptRecord` for one with missing
-    or malformed entries.
+    or malformed entries, an inf or NaN in ``t``, ``u``, ``F`` or ``P``
+    among them.
     """
     try:
         z = np.load(path, allow_pickle=False)
@@ -448,9 +449,13 @@ def load_state(path):
                     f"unsupported state file version {version!r} in {path}")
             mesh = MacroMesh(z["nodes"], z["conn"])
             _box_node_sets(mesh)
-            steps = [StepRecord(float(z["t"][k]), z["u"][k], z["F"][k],
-                                z["P"][k], int(z["iterations"][k]), [])
-                     for k in range(len(z["t"]))]
+            t, u, F, P = (np.asarray(z[key], dtype=float)
+                          for key in ("t", "u", "F", "P"))
+            if not all(np.isfinite(x).all() for x in (t, u, F, P)):
+                raise CorruptRecord("an inf or NaN in t, u, F or P", path=path)
+            iterations = z["iterations"]
+            steps = [StepRecord(float(t[k]), u[k], F[k], P[k],
+                                int(iterations[k]), []) for k in range(len(t))]
             meta = json.loads(str(z["meta"]))
             return MacroState(steps, float(z["t_goal"])), mesh, meta
         except KeyError as exc:

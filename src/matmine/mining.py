@@ -58,34 +58,32 @@ def _far(a, b, ranges, tol):
 class _ScaledTree:
     """kd-tree of ``rows`` in the scaled coordinates ``(x - lo) / ranges``.
 
-    ``lo`` is the per-coordinate minimum of ``rows`` (0 where that is not
-    finite) and ``ranges`` are positive; in these coordinates the Chebyshev
-    distance is the metric up to rounding.  With ``u = eps / 2``, a scaled
-    coordinate carries a relative error of at most ``2u``, so a scaled
-    difference is off from ``(a - b) / r`` by at most ``4u S`` plus ``u`` of
-    itself, while ``|a - b| / r`` as computed is off by at most ``2u`` of
-    itself; as a distance is at most ``2S``, the two disagree by less than
-    ``6 eps S``, ``S >= 1`` bounding the scaled magnitudes of the tree rows
-    and of ``reach``, which holds every row that will be looked up.
-    ``margin = 64 eps S`` covers that gap, and the tree's pruning, which
-    compares the same rounded differences, with an order of magnitude to
-    spare.  Rows with an inf or NaN after scaling stay out of the tree:
-    ``in_tree`` and ``out_tree`` index the two kinds.
+    Rows are finite: the program builds no other kind, and the loaders
+    refuse files that hold an inf or NaN, so a non-finite value in ``rows``
+    or in ``reach``, which holds every row that will be looked up, raises
+    :class:`ValueError`.  ``ranges`` are coordinate ranges, made positive
+    here by :func:`_positive`, and ``lo`` is the per-coordinate minimum of
+    ``rows``; in these coordinates the Chebyshev distance is the metric up
+    to rounding.  With ``u = eps / 2``, a scaled coordinate carries a
+    relative error of at most ``2u``, so a scaled difference is off from
+    ``(a - b) / r`` by at most ``4u S`` plus ``u`` of itself, while
+    ``|a - b| / r`` as computed is off by at most ``2u`` of itself; as a
+    distance is at most ``2S``, the two disagree by less than ``6 eps S``,
+    ``S >= 1`` bounding the scaled magnitudes of the tree rows and of
+    ``reach``.  ``margin = 64 eps S`` covers that gap, and the tree's
+    pruning, which compares the same rounded differences, with an order of
+    magnitude to spare.
     """
 
     def __init__(self, rows, ranges, reach):
-        self.rows, self.ranges = rows, ranges
-        lo = rows.min(axis=0, initial=np.inf)
-        lo[~np.isfinite(lo)] = 0.0
-        self.lo = lo
+        if not (np.isfinite(rows).all() and np.isfinite(reach).all()):
+            raise ValueError("the novelty search takes finite rows only")
+        self.rows, self.ranges = rows, _positive(ranges)
+        self.lo = rows.min(axis=0) if len(rows) else 0.0
         scaled = self.scale(rows)
-        finite = np.isfinite(scaled).all(axis=1)
-        self.in_tree, self.out_tree = np.flatnonzero(finite), np.flatnonzero(~finite)
-        scaled = scaled[finite]
-        reach = self.scale(reach)
-        reach = reach[np.isfinite(reach).all(axis=1)]
         self.margin = 64.0 * np.finfo(float).eps * max(
-            1.0, np.abs(scaled).max(initial=0.0), np.abs(reach).max(initial=0.0))
+            1.0, np.abs(scaled).max(initial=0.0),
+            np.abs(self.scale(reach)).max(initial=0.0))
         self.tree = cKDTree(scaled)
 
     def scale(self, x):
@@ -94,23 +92,14 @@ class _ScaledTree:
     def close_pairs(self, queries, tol):
         """Index pairs (query, row) that are not farther apart than ``tol``.
 
-        The tree proposes every finite pair within ``tol + margin``; those
-        proposals, and every pair with a non-finite side, are settled by the
-        exact expression.  A pair may be listed twice.
+        The tree proposes every pair within ``tol + margin``, and the exact
+        expression settles each proposal.
         """
-        q = self.scale(queries)
-        finite = np.isfinite(q).all(axis=1)
-        ok, odd = np.flatnonzero(finite), np.flatnonzero(~finite)
-        balls = self.tree.query_ball_point(q[ok], tol + self.margin, p=np.inf)
-        counts = [len(ball) for ball in balls]
-        hits = np.fromiter(itertools.chain.from_iterable(balls), dtype=np.intp,
-                           count=sum(counts))
-        qi = np.concatenate([np.repeat(ok, counts),
-                             np.repeat(odd, len(self.rows)),
-                             np.repeat(np.arange(len(queries)), len(self.out_tree))])
-        rj = np.concatenate([self.in_tree[hits],
-                             np.tile(np.arange(len(self.rows)), len(odd)),
-                             np.tile(self.out_tree, len(queries))])
+        balls = self.tree.query_ball_point(self.scale(queries), tol + self.margin,
+                                           p=np.inf)
+        qi = np.repeat(np.arange(len(queries)), [len(ball) for ball in balls])
+        rj = np.fromiter(itertools.chain.from_iterable(balls), dtype=np.intp,
+                         count=len(qi))
         close = ~_far(queries[qi], self.rows[rj], self.ranges, tol)
         return qi[close], rj[close]
 
@@ -124,38 +113,30 @@ def distinct_mask(candidates, existing, ranges, tol):
     constant across the dataset still vetoes closeness when it moves.  A
     candidate ``c`` is distinct when its distance to every existing row
     ``e``, ``(np.abs(c - e) / ranges).max()``, exceeds ``tol`` strictly.
+    Candidates and existing rows must be finite (:class:`ValueError`).
 
     The search runs on a :class:`_ScaledTree` of the existing rows, whose
     ``margin`` bounds the rounding of its distances.  One nearest-neighbour
     query settles most candidates: a neighbour beyond ``tol + margin`` makes
     one distinct, one at or below ``tol - margin`` makes it not distinct.
-    The rest stay open, and one :meth:`_ScaledTree.close_pairs` call settles
-    them by the expression above: those with a neighbour in between, those
-    with an inf or NaN (after scaling), and every candidate when some
-    existing row has one.  A NaN distance never exceeds ``tol``, so a NaN
-    candidate is not distinct.  The answers are thus bit for bit those of
-    the dense pairwise scan.
+    Only the candidates with a neighbour in between stay open, and one
+    :meth:`_ScaledTree.close_pairs` call settles them by the expression
+    above, so the answers are bit for bit those of the dense pairwise scan.
 
     The sequential passes of :func:`filter_candidates` and
     :func:`detect_new_paths` call this once, for their static pass, and
     settle the rest on one more tree built the same way.
     """
     candidates = np.atleast_2d(np.asarray(candidates, dtype=float))
-    existing = np.asarray(existing, dtype=float)
+    existing = np.atleast_2d(np.asarray(existing, dtype=float))
     if existing.size == 0:
-        return np.ones(len(candidates), dtype=bool)
-    existing = np.atleast_2d(existing)
-    ranges = _positive(ranges)
+        existing = existing.reshape(0, candidates.shape[1])
 
     near = _ScaledTree(existing, ranges, candidates)
-    query = near.scale(candidates)
-    finite = np.isfinite(query).all(axis=1)
-    query[~finite] = 0.0  # forced open below
-    d, _ = near.tree.query(query, p=np.inf,
+    d, _ = near.tree.query(near.scale(candidates), p=np.inf,
                            distance_upper_bound=tol + near.margin)
-    out = (d > tol - near.margin) | ~finite
-    open_ = np.flatnonzero(out & (np.isfinite(d) | ~finite
-                                  | (len(near.out_tree) > 0)))
+    out = d > tol - near.margin
+    open_ = np.flatnonzero(out & np.isfinite(d))
     qi, _ = near.close_pairs(candidates[open_], tol)
     out[open_[qi]] = False
     return out
@@ -175,7 +156,7 @@ def filter_candidates(candidates, existing, ranges, tol):
     candidates = np.atleast_2d(np.asarray(candidates, dtype=float))
     static = np.flatnonzero(distinct_mask(candidates, existing, ranges, tol))
     rows = candidates[static]
-    i, j = _ScaledTree(rows, _positive(ranges), rows).close_pairs(rows, tol)
+    i, j = _ScaledTree(rows, ranges, rows).close_pairs(rows, tol)
     later = i < j
     order = np.argsort(i[later], kind="stable")
     i, j = i[later][order], j[later][order]
@@ -246,7 +227,7 @@ def _novel_prefixes(step_inv, known, ranges, tol):
     n_points, n_steps = step_inv.shape[:2]
     rows = step_inv.reshape(-1, step_inv.shape[-1])
     flagged = np.flatnonzero(distinct_mask(rows, known, ranges, tol))
-    near = _ScaledTree(rows[flagged], _positive(ranges), rows)
+    near = _ScaledTree(rows[flagged], ranges, rows)
     stale = np.zeros(len(flagged), dtype=bool)
     bounds = np.searchsorted(flagged, np.arange(n_points + 1) * n_steps)
     out = []

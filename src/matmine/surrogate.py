@@ -297,7 +297,7 @@ def check_growth_condition(model: SurrogateModel):
 
 
 def save_model(model: SurrogateModel, path):
-    doc = {
+    data.write_json(path, {
         "format_version": FORMAT_VERSION,
         "anisotropy": model.anisotropy,
         "n_neurons": model.n_neurons,
@@ -309,10 +309,7 @@ def save_model(model: SurrogateModel, path):
         "energy_offset": model.energy_offset,
         "bounds_lower": model.bounds.lower.tolist(),
         "bounds_upper": model.bounds.upper.tolist(),
-    }
-    with data.atomic_write(path) as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    })
 
 
 def load_model(path):
@@ -320,7 +317,8 @@ def load_model(path):
 
     Raises :class:`FormatVersionMismatch` for a file that is not a model of
     this format and :class:`CorruptRecord` for one with missing or
-    malformed fields.
+    malformed fields, a weight, bias, offset or bound that is not finite
+    among them.
     """
     try:
         with open(path) as fh:
@@ -332,6 +330,10 @@ def load_model(path):
         raise FormatVersionMismatch(
             f"expected {FORMAT_VERSION!r}, found {version!r} in {path}")
     try:
+        for key in ("gate_weights", "input_weights", "reciprocal_weights",
+                    "biases", "energy_offset", "bounds_lower", "bounds_upper"):
+            if not np.isfinite(np.array(doc[key], dtype=float)).all():
+                raise CorruptRecord(f"{key} is not finite", path=path)
         return SurrogateModel(
             anisotropy=doc["anisotropy"],
             gate_weights=np.array(doc["gate_weights"], dtype=float),

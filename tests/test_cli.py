@@ -279,9 +279,25 @@ class TestPipeline:
         assert "POINTS" in lines[4]
 
 
-def _npz_without_version(path):
+def _npz_without_version(path, art):
     with open(path, "wb") as fh:
         np.savez(fh, t=np.zeros(2))
+
+
+def _model_with_a_nan_weight(path, art):
+    doc = json.loads((art / "model.json").read_text())
+    doc["gate_weights"][0] = float("nan")
+    path.write_text(json.dumps(doc))  # Python's json writes the NaN
+
+
+def _state_with(key, value):
+    def write(path, art):
+        with np.load(art / "state.npz") as z:
+            entries = dict(z)
+        entries[key].flat[-1] = value
+        with open(path, "wb") as fh:
+            np.savez(fh, **entries)
+    return write
 
 
 class TestExitCodes:
@@ -307,14 +323,20 @@ class TestExitCodes:
         assert cli.main(["solve", "--config", str(bad),
                          "--model", str(art / "model.json")]) == 4
 
-    @pytest.mark.parametrize("flags, extra", [
-        (["--seed", "-1"], ""),
-        ([], "\n[material]\nkappa = -1\n"),
-    ], ids=["negative-seed", "negative-kappa"])
+    @pytest.mark.parametrize("flags, text, message", [
+        (["--seed", "-1"], TINY, "seed"),
+        ([], TINY + "\n[material]\nkappa = -1\n", "kappa"),
+        ([], TINY.replace("restarts = 1", "seed = 1.5"),
+         "[training] seed: invalid int '1.5'"),
+        ([], TINY.replace("n_neurons = 3", "growth_mode = maybe"),
+         "[network] growth_mode: not a boolean 'maybe'"),
+        ([], "no header\n" + TINY, "'{ini}', line: 1"),
+    ], ids=["negative-seed", "negative-kappa", "float-seed", "bad-boolean",
+            "no-section-header"])
     def test_bad_value_is_one_error_line(self, art, tmp_path, capsys, flags,
-                                         extra):
+                                         text, message):
         ini = tmp_path / "bad.ini"
-        ini.write_text(TINY + extra)
+        ini.write_text(text)
         capsys.readouterr()
         assert cli.main(["train", "--config", str(ini),
                          "--dataset", str(art / "kb.txt"), *flags,
@@ -323,12 +345,14 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert [line for line in err.splitlines()
                 if line.startswith("error:")] == [err.strip()]
+        assert message.format(ini=ini) in err
         assert not (tmp_path / "model.json").exists()
 
     @pytest.mark.parametrize("write, argv", [
-        (lambda p: p.write_text('{"format_version": "surrogate-v1"}'),
+        (lambda p, art: p.write_text('{"format_version": "surrogate-v1"}'),
          ["solve", "--model", "{bad}"]),
-        (lambda p: p.write_text("[1, 2]"), ["solve", "--model", "{bad}"]),
+        (lambda p, art: p.write_text("[1, 2]"), ["solve", "--model", "{bad}"]),
+        (_model_with_a_nan_weight, ["solve", "--model", "{bad}"]),
         (None, ["solve", "--model", "{art}/state.npz"]),
         (None, ["train", "--dataset", "{art}/state.npz"]),
         (None, ["detect", "--dataset", "{art}/kb.txt", "--state", "{art}/kb.txt"]),
@@ -336,14 +360,21 @@ class TestExitCodes:
         (None, ["convert", "--state", "{art}/state.npz", "--step", "99"]),
         (None, ["validate", "--model", "{art}/model.json", "--dataset",
                 "{art}/kb.txt", "--state", "{art}/state.npz", "--tol", "nan"]),
-    ], ids=["model-without-fields", "model-not-an-object", "npz-as-model",
-            "npz-as-dataset", "kbase-as-state", "npz-without-version",
-            "step-out-of-range", "validate-tol-nan"])
+        (_state_with("F", np.nan),
+         ["detect", "--dataset", "{art}/kb.txt", "--state", "{bad}"]),
+        (_state_with("P", np.inf),
+         ["detect", "--dataset", "{art}/kb.txt", "--state", "{bad}"]),
+        (_state_with("F", np.nan), ["validate", "--model", "{art}/model.json",
+                                    "--dataset", "{art}/kb.txt", "--state", "{bad}"]),
+    ], ids=["model-without-fields", "model-not-an-object", "model-nan-weight",
+            "npz-as-model", "npz-as-dataset", "kbase-as-state",
+            "npz-without-version", "step-out-of-range", "validate-tol-nan",
+            "state-nan-F-detect", "state-inf-P-detect", "state-nan-F-validate"])
     def test_malformed_input_is_one_error_line(self, art, tmp_path, capsys,
                                                write, argv):
         bad = tmp_path / "bad"
         if write is not None:
-            write(bad)
+            write(bad, art)
         argv = [a.format(art=art, bad=bad) for a in argv]
         if argv[0] != "convert":
             argv += ["--config", str(art / "tiny.ini")]

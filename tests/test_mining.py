@@ -210,29 +210,35 @@ def test_distinct_mask_matches_reference_at_the_tolerance_boundary(seed):
     assert got.tolist() == want
 
 
-def test_distinct_mask_keeps_the_dense_answer_for_non_finite_rows():
-    # the dense scan's answers: a NaN distance never exceeds tol, an infinite
-    # one always does, and inf - inf is NaN
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_novelty_passes_refuse_non_finite_rows(bad):
     rng = rng0(45)
     existing = rng.normal(size=(20, 3))
     ranges = mining.coordinate_ranges(existing)
-    far = existing[0] + 10.0 * ranges
-    cand = np.array([existing[0], existing[0], existing[0], existing[0], far])
-    cand[1, 1] = np.nan
-    cand[2, 0] = np.inf
-    cand[3] = [np.inf, -np.inf, np.nan]
-    got = mining.distinct_mask(cand, existing, ranges, 0.1)
-    assert got.tolist() == [False, False, True, False, True]
+    cand = existing[:5] + 0.5
+    odd_cand, odd_existing = cand.copy(), existing.copy()
+    odd_cand[2, 1] = bad
+    odd_existing[7, 0] = bad
+    for c, e in ((odd_cand, existing), (odd_cand, existing[:0]),
+                 (cand, odd_existing)):
+        with pytest.raises(ValueError, match="finite"):
+            mining.distinct_mask(c, e, ranges, 0.1)
+        with pytest.raises(ValueError, match="finite"):
+            mining.filter_candidates(c, e, ranges, 0.1)
 
-    with_inf = np.vstack([existing, existing[1]])
-    with_inf[-1, 0] = np.inf
-    with np.errstate(invalid="ignore"):
-        got = mining.distinct_mask(cand, with_inf, ranges, 0.1)
-    assert got.tolist() == [False, False, False, False, True]
-
-    with_nan = np.vstack([existing, [np.nan, 0.0, 0.0]])
-    got = mining.distinct_mask(cand, with_nan, ranges, 0.1)
-    assert got.tolist() == [False] * 5
+    ds = random_dataset(rng, 20)
+    paths = random_walk_paths(rng, 4, 3)
+    times = np.linspace(0.0, 1.0, 4)
+    assert mining.detect_new_paths(ds, paths, times, E1, E3)
+    odd_paths = paths.copy()
+    odd_paths[2, 3, 2, 2] = bad
+    odd_ds = random_dataset(rng, 20)
+    odd_ds.F[4, 2, 2] = bad
+    for base, path in ((ds, odd_paths), (odd_ds, paths)):
+        # the invariants of a non-finite F warn before the search refuses it
+        with np.errstate(invalid="ignore", over="ignore"), \
+                pytest.raises(ValueError, match="finite"):
+            mining.detect_new_paths(base, path, times, E1, E3)
 
 
 def test_detection_claims_states_only_once_per_sweep():
@@ -268,17 +274,12 @@ def test_detection_claims_states_only_once_per_sweep():
 EDGE_RANGES = np.array([1.0, 2.0, 0.5, 0.0])
 
 
-def edge_rows(rng, n, non_finite=True):
+def edge_rows(rng, n):
     """Rows on a grid of eighths, so that with ``EDGE_RANGES`` and a tol of
     0.125 or 0.25 many distances fall exactly on tol; a quarter of them
-    repeat other rows and, with ``non_finite``, an eighth hold an inf, a
-    -inf or a NaN."""
+    repeat other rows."""
     rows = rng.integers(-6, 7, size=(n, 4)) / 8.0
     rows[rng.integers(n, size=n // 4)] = rows[rng.integers(n, size=n // 4)]
-    if non_finite:
-        odd = rng.choice(n, size=max(1, n // 8), replace=False)
-        rows[odd, rng.integers(4, size=len(odd))] = rng.choice(
-            [np.inf, -np.inf, np.nan], size=len(odd))
     return rows
 
 
@@ -291,19 +292,14 @@ def with_step0(step_inv):
 def test_filter_matches_greedy_reference_on_edge_rows(seed):
     rng = rng0(600 + seed)
     cand = edge_rows(rng, 60)
-    with_inf = edge_rows(rng, 12, non_finite=False)
-    with_inf[3, 1] = -np.inf
-    with_nan = edge_rows(rng, 12, non_finite=False)
-    with_nan[5, 2] = np.nan
     admitted = []
-    with np.errstate(invalid="ignore"):
-        for existing in (np.zeros((0, 4)), edge_rows(rng, 1, non_finite=False),
-                         with_inf, with_nan):
-            for tol in (0.125, 0.25):
-                got = mining.filter_candidates(cand, existing, EDGE_RANGES, tol)
-                assert got == oracles.filter_bruteforce(cand, existing,
-                                                        EDGE_RANGES, tol)
-                admitted.append(len(got))
+    for existing in (np.zeros((0, 4)), edge_rows(rng, 1), edge_rows(rng, 12),
+                     cand):
+        for tol in (0.125, 0.25):
+            got = mining.filter_candidates(cand, existing, EDGE_RANGES, tol)
+            assert got == oracles.filter_bruteforce(cand, existing,
+                                                    EDGE_RANGES, tol)
+            admitted.append(len(got))
     assert 0 < max(admitted) < len(cand) and min(admitted) == 0
 
 
@@ -312,17 +308,15 @@ def test_detection_sweep_matches_reverse_scan_reference_on_edge_rows(seed):
     rng = rng0(610 + seed)
     step_inv = edge_rows(rng, 16 * 5).reshape(16, 5, 4)
     step_inv[12:] = step_inv[rng.integers(12, size=4)]  # repeated histories
-    known = edge_rows(rng, 10, non_finite=False)
-    with_inf = np.vstack([known, [0.0, np.inf, 0.0, 0.0]])
+    known = edge_rows(rng, 10)
     hits = []
-    with np.errstate(invalid="ignore"):
-        for base in (known, with_inf):
-            for tol in (0.125, 0.25):
-                got = mining._novel_prefixes(step_inv, base, EDGE_RANGES, tol)
-                want = oracles.detect_bruteforce(with_step0(step_inv), list(base),
-                                                 EDGE_RANGES, tol)
-                assert got == want
-                hits.append(len(got))
+    for base in (known, np.vstack([known, step_inv[0, 2]])):
+        for tol in (0.125, 0.25):
+            got = mining._novel_prefixes(step_inv, base, EDGE_RANGES, tol)
+            want = oracles.detect_bruteforce(with_step0(step_inv), list(base),
+                                             EDGE_RANGES, tol)
+            assert got == want
+            hits.append(len(got))
     assert 0 < min(hits) and max(hits) < 16
 
 
