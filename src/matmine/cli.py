@@ -73,6 +73,16 @@ def _run_config(args):
     return config.load_config(args.config, overrides)
 
 
+def _load_state(path, rc):
+    """The state archive at ``path``, if solved on the configured geometry."""
+    state, _, meta = macro.load_state(path)
+    solved = meta.get("geometry")
+    if solved != rc.geometry:
+        raise InvalidConfig(f"{path} was solved on geometry {solved!r}, "
+                            f"the configuration names {rc.geometry!r}")
+    return state
+
+
 def _load_dataset(path):
     ds = data.load_kbase(path)
     log.info("loaded %d tuples from %s", len(ds), path)
@@ -119,14 +129,14 @@ def cmd_solve(args):
 def cmd_detect(args):
     rc = _run_config(args)
     ds = _load_dataset(args.dataset)
-    state, _, meta = macro.load_state(args.state)
+    state = _load_state(args.state, rc)
     problem = config.make_problem(rc)
     paths, times = macro.collect_deformations(state)
     detected = mining.detect_new_paths(ds, paths, times, problem.fiber_axis,
                                        rc.loop.rve_fiber_axis,
                                        rc.loop.eps_detect)
     records = []
-    source = f"detected:{meta.get('geometry', problem.name)}"
+    source = f"detected:{problem.name}"
     for d in detected:
         for k in range(1, d.last_step + 1):
             records.append((d.F[k], np.zeros((3, 3)), source, 0,
@@ -208,7 +218,7 @@ def cmd_validate(args):
     rc = _run_config(args)
     model = surrogate.load_model(args.model)
     ds = _load_dataset(args.dataset)
-    state, _, _ = macro.load_state(args.state)
+    state = _load_state(args.state, rc)
     problem = config.make_problem(rc)
     oracle = config.make_oracle(rc)
     paths, times = macro.collect_deformations(state)

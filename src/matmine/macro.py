@@ -457,6 +457,8 @@ def load_state(path):
             steps = [StepRecord(float(t[k]), u[k], F[k], P[k],
                                 int(iterations[k]), []) for k in range(len(t))]
             meta = json.loads(str(z["meta"]))
+            if not isinstance(meta, dict):
+                raise CorruptRecord("meta is not a JSON object", path=path)
             return MacroState(steps, float(z["t_goal"])), mesh, meta
         except KeyError as exc:
             raise CorruptRecord(f"{path} has no entry {exc}") from None

@@ -69,60 +69,26 @@ FIBER_STIFF = OgdenParameters(mu=(1000.0,), alpha=(2.0,),
                               kappa=bulk_from_shear(1000.0, 0.40))
 
 
+# central-difference step of :func:`stress_tangent_fd` relative to tr(C)/3,
+# and the eigenvalue gap below which the shear block takes its coalescent limit
+_FD_STEP = 1e-6
+
+
 def _principal_stretches(C):
     """Squared principal stretches, principal directions, stretches and J.
 
     One ``eigh`` of C, batched; a non-positive eigenvalue raises.
     """
     lam2, vecs = np.linalg.eigh(np.asarray(C, dtype=float))
-    return _stretches(lam2, vecs)
+    return (lam2, vecs) + _stretches(lam2)
 
 
-def _stretches(lam2, vecs):
-    """Complete an eigen-decomposition of C to (lam2, vecs, lam, J)."""
+def _stretches(lam2):
+    """Stretches and J from C's eigenvalues; a non-positive eigenvalue raises."""
     if np.any(lam2 <= 0.0):
         raise NonPositiveJacobian("C has a non-positive eigenvalue")
     lam = np.sqrt(lam2)
-    J = lam[..., 0] * lam[..., 1] * lam[..., 2]
-    return lam2, vecs, lam, J
-
-
-def _jacobi_principal_stretches(C):
-    """:func:`_principal_stretches` by plane rotations, for near-diagonal C.
-
-    Every matrix of the batch must be diagonal or have one nonzero
-    off-diagonal pair, which one Jacobi rotation in that pair's plane
-    zeroes exactly; a C with more pairs comes back wrong.  A plane whose
-    entry is zero in every matrix is skipped, so a diagonal C returns its
-    diagonal and the identity untouched.  That is at most one rotation per
-    plane, where LAPACK's per-matrix ``eigh`` costs far more on large
-    batches.  The eigenvalues come unsorted.
-    """
-    A = np.array(C, dtype=float)
-    V = np.zeros_like(A)
-    V[..., [0, 1, 2], [0, 1, 2]] = 1.0
-    for p, q in ((0, 1), (0, 2), (1, 2)):
-        apq = A[..., p, q].copy()
-        if not np.any(apq):
-            continue
-        r = 3 - p - q
-        # t = tan of the angle that zeroes A_pq, the smaller root
-        diff = A[..., q, q] - A[..., p, p]
-        den = np.abs(diff) + np.hypot(diff, 2.0 * apq)
-        t = (2.0 * apq * np.where(diff < 0.0, -1.0, 1.0)
-             / np.where(den == 0.0, 1.0, den))
-        c = 1.0 / np.sqrt(1.0 + t * t)
-        s = t * c
-        A[..., p, p] -= t * apq
-        A[..., q, q] += t * apq
-        A[..., p, q] = A[..., q, p] = 0.0
-        arp, arq = A[..., r, p].copy(), A[..., r, q].copy()
-        A[..., r, p] = A[..., p, r] = c * arp - s * arq
-        A[..., r, q] = A[..., q, r] = s * arp + c * arq
-        vp, vq = V[..., :, p].copy(), V[..., :, q].copy()
-        V[..., :, p] = c[..., None] * vp - s[..., None] * vq
-        V[..., :, q] = s[..., None] * vp + c[..., None] * vq
-    return _stretches(A[..., [0, 1, 2], [0, 1, 2]], V)
+    return lam, lam[..., 0] * lam[..., 1] * lam[..., 2]
 
 
 def _ogden_coefficients(lam2, lam, J, params):
@@ -143,29 +109,31 @@ def _ogden_coefficients(lam2, lam, J, params):
 
 def ogden_stress_from_C(C, params: OgdenParameters):
     """Second Piola-Kirchhoff stress T(C), batched over leading dims."""
-    return _spectral_stress(*_principal_stretches(C), params)
+    lam2, vecs, lam, J = _principal_stretches(C)
+    return _spectral_sum(_ogden_coefficients(lam2, lam, J, params), vecs)
 
 
 def ogden_law(C, params: OgdenParameters):
     """T(C) and its Mandel tangent from one ``eigh``, batched.
 
     Returns ``(T, tangent)``: ``T`` is :func:`ogden_stress_from_C`, bitwise,
-    and ``tangent()`` the Mandel tangent 2 dT/dC at the same C from
-    :func:`_principal_frame_tangent`, which reuses the stress's
-    eigen-decomposition.  This is the ``law(C) -> (T, tangent)`` form
+    and ``tangent()`` the Mandel tangent 2 dT/dC at the same C, which
+    :func:`_principal_frame_tangent` forms from the stress's eigenvalues,
+    eigenvectors and principal stresses: a differenced normal block and a
+    closed-form shear block.  This is the ``law(C) -> (T, tangent)`` form
     :meth:`fem.HexGrid.newton` iterates with.
     """
     lam2, Q, lam, J = _principal_stretches(C)
-    return (_spectral_stress(lam2, Q, lam, J, params),
-            lambda: _principal_frame_tangent(lam2, Q, params))
+    beta = _ogden_coefficients(lam2, lam, J, params)
+    return (_spectral_sum(beta, Q),
+            lambda: _principal_frame_tangent(lam2, Q, beta, params))
 
 
-def _spectral_stress(lam2, vecs, lam, J, params):
-    """T from the output of :func:`_principal_stretches`."""
-    coeff = _ogden_coefficients(lam2, lam, J, params)
-    # sum_b coeff_b v_b v_b^T, accumulated from zero in the order and with
-    # the products the three-operand einsum forms, so its result is
-    # bitwise the einsum's at a third of the cost
+def _spectral_sum(coeff, vecs):
+    """sum_b coeff_b v_b v_b^T over the eigenvectors ``vecs[..., :, b]``."""
+    # accumulated from zero in the order and with the products the
+    # three-operand einsum forms, so its result is bitwise the einsum's at a
+    # third of the cost
     T = 0.0
     for b in range(3):
         v = vecs[..., b]
@@ -173,22 +141,35 @@ def _spectral_stress(lam2, vecs, lam, J, params):
     return T
 
 
-def _principal_frame_tangent(lam2, Q, params):
-    """Mandel tangent 2 dT/dC of an Ogden phase, differenced in C's principal frame.
+def _principal_stresses(X, params):
+    """diag(beta) at the eigenvalues diag(X); reads only X's diagonal, and a
+    non-positive entry raises :class:`NonPositiveJacobian`."""
+    lam2 = X[..., [0, 1, 2], [0, 1, 2]]
+    return _ogden_coefficients(lam2, *_stretches(lam2), params)[..., :, None] * np.eye(3)
 
-    ``lam2`` and ``Q`` are C's eigenvalues and eigenvectors, C = Q D Q^T.
-    Holds for isotropic laws only: isotropy gives T(Q X Q^T) = Q T(X) Q^T
-    for every orthogonal Q, so the tangent at C is the tangent at
-    D = diag(lam^2) rotated by :func:`tensors.mandel_rotation` (Miehe,
-    Comput. Struct. 1998).  At D, :func:`stress_tangent_fd` keeps its step
-    and tr/3 scale, and every perturbed D is diagonal or has one
-    off-diagonal pair, which :func:`_jacobi_principal_stretches`
-    diagonalises with one plane rotation.  The oracle law's fiber term is
-    not isotropic and must not come through here.
+
+def _principal_frame_tangent(lam2, Q, beta, params):
+    """Mandel tangent 2 dT/dC of an Ogden phase, formed in C's principal frame.
+
+    C = Q diag(lam2) Q^T and T = Q diag(beta) Q^T.  For an isotropic law the
+    principal-frame tangent has two uncoupled blocks (Miehe, Comput. Struct.
+    1998), rotated to the lab by :func:`tensors.mandel_rotation`: the normal
+    block 2 dbeta/dlam2, :func:`stress_tangent_fd` of
+    :func:`_principal_stresses`, whose shear columns difference to exactly
+    zero; and one shear entry 2 (beta_p - beta_q) / (lam2_p - lam2_q) per
+    pair, which takes the coalescent limit (C_pp + C_qq)/2 - C_pq of the
+    normal block, error O(gap^2), where the gap is within the difference step
+    ``_FD_STEP`` tr(C)/3.  The oracle's fiber term is not isotropic.
     """
-    D = lam2[..., :, None] * np.eye(3)
-    tang = stress_tangent_fd(
-        lambda X: _spectral_stress(*_jacobi_principal_stretches(X), params), D)
+    tang = stress_tangent_fd(lambda X: _principal_stresses(X, params),
+                             lam2[..., :, None] * np.eye(3))
+    # shear slots 3, 4, 5 <-> pairs (1, 2), (0, 2), (0, 1)
+    p, q = tensors.MANDEL_ROWS[3:], tensors.MANDEL_COLS[3:]
+    gap = lam2[..., p] - lam2[..., q]
+    near = np.abs(gap) <= _FD_STEP * np.sum(lam2, axis=-1, keepdims=True) / 3.0
+    limit = 0.5 * (tang[..., p, p] + tang[..., q, q]) - tang[..., p, q]
+    divided = 2.0 * (beta[..., p] - beta[..., q]) / np.where(near, 1.0, gap)
+    tang[..., [3, 4, 5], [3, 4, 5]] = np.where(near, limit, divided)
     Q6 = tensors.mandel_rotation(Q)
     tang = Q6 @ tang @ np.swapaxes(Q6, -1, -2)
     return 0.5 * (tang + np.swapaxes(tang, -1, -2))
@@ -243,14 +224,14 @@ def stress_tangent_fd(stress_from_C, C):
     """Mandel tangent 2 dT/dC of a stress routine by central differences.
 
     ``stress_from_C`` maps (...,3,3) -> (...,3,3).  The step is the fixed
-    relative 1e-6 times tr(C)/3 per sample; the result is symmetrized, which a thermodynamically
-    consistent stress guarantees up to the FD error.  Generic in the stress
-    routine; the voxel cell's Ogden phases reach it through
-    :func:`ogden_law`, which takes the differences in the principal frame
-    of C.
+    relative ``_FD_STEP`` times tr(C)/3 per sample; the result is symmetrized,
+    which a thermodynamically consistent stress guarantees up to the FD
+    error.  Generic in the stress routine; the voxel cell's Ogden phases
+    reach it through :func:`ogden_law`, which differences only their
+    principal stresses, in the principal frame of C.
     """
     C = np.asarray(C, dtype=float)
-    scale = 1e-6 * np.trace(C, axis1=-2, axis2=-1)[..., None, None] / 3.0
+    scale = _FD_STEP * np.trace(C, axis1=-2, axis2=-1)[..., None, None] / 3.0
     cols = []
     for a in range(6):
         dC = scale * tensors.mandel_to_sym(np.eye(6)[a])

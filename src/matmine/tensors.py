@@ -257,9 +257,7 @@ def rotation_aligning(a, b):
         n -= np.dot(n, b) * b
         n /= np.linalg.norm(n)
         return 2.0 * np.outer(n, n) - np.eye(3)
-    n = c / s
-    nn = np.outer(n, n)
-    return nn + np.cos(angle) * (np.eye(3) - nn) + np.sin(angle) * cross_matrix(n)
+    return rotation_about(c, angle)
 
 
 def rotation_about(axis, angle):

@@ -366,10 +366,16 @@ class TestExitCodes:
          ["detect", "--dataset", "{art}/kb.txt", "--state", "{bad}"]),
         (_state_with("F", np.nan), ["validate", "--model", "{art}/model.json",
                                     "--dataset", "{art}/kb.txt", "--state", "{bad}"]),
+        (None, ["detect", "--dataset", "{art}/kb.txt", "--state",
+                "{art}/state.npz", "--geometry", "torsion-bar"]),
+        (_state_with("meta", "[1, 2]"),
+         ["validate", "--model", "{art}/model.json", "--dataset", "{art}/kb.txt",
+          "--state", "{bad}"]),
     ], ids=["model-without-fields", "model-not-an-object", "model-nan-weight",
             "npz-as-model", "npz-as-dataset", "kbase-as-state",
             "npz-without-version", "step-out-of-range", "validate-tol-nan",
-            "state-nan-F-detect", "state-inf-P-detect", "state-nan-F-validate"])
+            "state-nan-F-detect", "state-inf-P-detect", "state-nan-F-validate",
+            "state-of-another-geometry", "state-meta-not-an-object"])
     def test_malformed_input_is_one_error_line(self, art, tmp_path, capsys,
                                                write, argv):
         bad = tmp_path / "bad"
@@ -385,6 +391,19 @@ class TestExitCodes:
         assert [line for line in err.splitlines()
                 if line.startswith("error:")] == [err.strip()]
         assert not (tmp_path / "out").exists()
+
+    def test_a_state_of_another_geometry_names_both(self, art, tmp_path, capsys):
+        capsys.readouterr()
+        assert cli.main(["validate", "--config", str(art / "tiny.ini"),
+                         "--geometry", "torsion-bar",
+                         "--model", str(art / "model.json"),
+                         "--dataset", str(art / "kb.txt"),
+                         "--state", str(art / "state.npz"),
+                         "--out", str(tmp_path / "val.json")]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "'cuboid-hole'" in err and "'torsion-bar'" in err
+        assert not (tmp_path / "val.json").exists()
 
     def test_a_bad_enrich_input_is_named(self, art, tmp_path, capsys):
         bad = tmp_path / "paths.txt"

@@ -535,6 +535,21 @@ def test_an_increment_whose_two_starts_diverge_is_cut_back(monkeypatch):
     np.testing.assert_array_equal(sol.F_bar, F_2)
 
 
+@pytest.mark.parametrize("axis", [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (1.0, -2.0, 0.5)])
+def test_cell_response_is_objective(axis):
+    # a rigid rotation Q on top of F_bar turns P_bar with it; small turns
+    # only, since the ramp interpolates F linearly and a large Q makes its
+    # intermediate states nearly singular
+    solver = hom.VoxelHomogenizer(hom.fiber_rve(4, 0.3, seed=2))
+    F_1, _ = _stretch_history()
+    Q = tensors.rotation_about(axis, 0.25)
+    plain = solver.solve(F_1, n_steps=2)
+    turned = solver.solve(Q @ F_1, n_steps=2)
+    assert plain.iterations > 0 and turned.iterations > 0
+    np.testing.assert_allclose(turned.P_bar, Q @ plain.P_bar, rtol=0.0,
+                               atol=1e-8 * np.abs(plain.P_bar).max())
+
+
 def test_principal_frame_tangent_leaves_the_cell_solve_unchanged(monkeypatch):
     solver = hom.VoxelHomogenizer(hom.fiber_rve(4, 0.3, seed=2))
     F_1, _ = _stretch_history()

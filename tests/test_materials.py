@@ -240,6 +240,12 @@ def _tangent_states(rng):
     states += [np.eye(3), 1.21 * np.eye(3),
                np.diag([1.3, 0.8, 0.8]), Q @ np.diag([1.3, 0.8, 0.8]) @ Q.T,
                np.eye(3) + noise + noise.T]
+    # eigenvalue gaps of 0.5, 1 and 2 difference steps, where the shear
+    # block switches to its coalescent limit, and a triple within one step;
+    # the step is 1e-6 tr(C)/3, and tr(C)/3 = 1 for these four
+    step = 1e-6
+    states += [Q @ np.diag([1.2, 1.2 + k * step, 0.6]) @ Q.T for k in (0.5, 1.0, 2.0)]
+    states += [Q @ np.diag([1.0, 1.0 + 0.5 * step, 1.0 - 0.5 * step]) @ Q.T]
     return np.stack(states)
 
 
@@ -271,6 +277,30 @@ class TestPrincipalFrameTangent:
         with pytest.raises(NonPositiveJacobian):
             materials.ogden_law(C, materials.MATRIX_RUBBER)[1]()
 
+    def test_a_perturbed_eigenvalue_at_or_below_zero_rejected(self):
+        # the difference step 1e-6 tr(C)/3 exceeds the smallest eigenvalue
+        C = np.stack([np.eye(3), np.diag([4e-7, 1.0, 1.0])])
+        T, tangent = materials.ogden_law(C, materials.MATRIX_RUBBER)
+        assert np.isfinite(T).all()
+        with pytest.raises(NonPositiveJacobian):
+            tangent()
+
+    @pytest.mark.parametrize("params", [materials.MATRIX_RUBBER,
+                                        materials.FIBER_STIFF],
+                             ids=["matrix", "fiber"])
+    def test_normal_and_shear_blocks_do_not_couple(self, params):
+        # in C's principal frame: the normal block differenced, the shear
+        # block diagonal, every entry between them exactly zero
+        lam2 = np.linalg.eigvalsh(_tangent_states(rng0(24)))
+        lam, J = materials._stretches(lam2)
+        beta = materials._ogden_coefficients(lam2, lam, J, params)
+        tang = materials._principal_frame_tangent(
+            lam2, np.broadcast_to(np.eye(3), lam2.shape + (3,)), beta, params)
+        np.testing.assert_array_equal(tang[:, :3, 3:], 0.0)
+        np.testing.assert_array_equal(tang[:, 3:, :3], 0.0)
+        shear = tang[:, 3:, 3:]
+        np.testing.assert_array_equal(shear, shear * np.eye(3))
+
 
 class TestOgdenLaw:
     @pytest.mark.parametrize("params", [materials.MATRIX_RUBBER,
@@ -301,62 +331,3 @@ class TestOgdenLaw:
                                          materials.MATRIX_RUBBER)
         tangent()
         assert len(eighs) == 1
-
-
-class TestJacobiEigen:
-    def _check_against_eigh(self, C):
-        lam2, V, lam, J = materials._jacobi_principal_stretches(C)
-        ref = np.linalg.eigh(C)[0]
-        np.testing.assert_allclose(np.sort(lam2, axis=-1), ref, rtol=1e-14, atol=0.0)
-        np.testing.assert_allclose(np.einsum("...ib,...b,...jb->...ij", V, lam2, V),
-                                   C, rtol=0.0, atol=1e-14 * np.abs(C).max())
-        np.testing.assert_allclose(lam * lam, lam2, rtol=1e-15)
-        np.testing.assert_allclose(J * J, np.linalg.det(C), rtol=1e-13)
-        return lam2, V
-
-    def test_diagonal_input_takes_no_rotation(self):
-        C = np.stack([np.diag([1.3, 0.7, 1.1]), np.eye(3), np.diag([0.9, 0.9, 2.0])])
-        lam2, V = self._check_against_eigh(C)
-        np.testing.assert_array_equal(lam2, C[:, [0, 1, 2], [0, 1, 2]])
-        np.testing.assert_array_equal(V, np.broadcast_to(np.eye(3), C.shape))
-
-    @pytest.mark.parametrize("pair", [(0, 1), (0, 2), (1, 2)])
-    def test_one_pair_input_turns_only_its_plane(self, pair):
-        p, q = pair
-        r = 3 - p - q
-        rng = rng0(23)
-        C = np.zeros((8, 3, 3))
-        C[:, [0, 1, 2], [0, 1, 2]] = rng.uniform(0.5, 2.0, size=(8, 3))
-        C[0, p, p] = C[0, q, q]  # an equal diagonal pair, a 45 degree turn
-        C[:, p, q] = C[:, q, p] = 1e-6 * rng.normal(size=8)
-        C[1, p, q] = C[1, q, p] = 0.0
-        lam2, V = self._check_against_eigh(C)
-        np.testing.assert_array_equal(lam2[:, r], C[:, r, r])
-        np.testing.assert_array_equal(V[:, r, r], 1.0)
-        np.testing.assert_array_equal(V[:, r, [p, q]], 0.0)
-        np.testing.assert_array_equal(V[:, [p, q], r], 0.0)
-        np.testing.assert_array_equal(V[1], np.eye(3))
-
-    def test_tangent_hands_it_at_most_one_pair_per_matrix(self, monkeypatch):
-        # the one-rotation solver is exact only on what the Ogden tangent
-        # gives it: matrices with at most one nonzero off-diagonal pair
-        batches = []
-        jacobi = materials._jacobi_principal_stretches
-
-        def recorded(C):
-            batches.append(np.array(C))
-            return jacobi(C)
-
-        monkeypatch.setattr(materials, "_jacobi_principal_stretches", recorded)
-        materials.ogden_law(_tangent_states(rng0(24)), materials.MATRIX_RUBBER)[1]()
-        monkeypatch.undo()
-        assert len(batches) == 12
-        for C in batches:
-            pairs = np.count_nonzero(C[:, [0, 0, 1], [1, 2, 2]], axis=-1)
-            assert pairs.max() <= 1
-            self._check_against_eigh(C)
-
-    def test_non_positive_eigenvalue_rejected(self):
-        with pytest.raises(NonPositiveJacobian):
-            materials._jacobi_principal_stretches(
-                np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
