@@ -209,11 +209,16 @@ def save_kbase(dataset: DataSet, path):
             fh.write(b"%s %d %d %d %s\n" % (fields[src], it, pid, stp, numeric))
 
 
-def _check_finite(values, line_nos, path):
-    """Raise :class:`CorruptRecord` at the first record with an inf or NaN."""
-    bad = ~np.isfinite(values).all(axis=-1)
+def _check_records(values, line_nos, path):
+    """Raise :class:`CorruptRecord` at the first record with an inf or NaN,
+    or with det F <= 0."""
+    finite = np.isfinite(values).all(axis=-1)
+    bad = ~finite
+    bad[finite] = np.linalg.det(values[finite, 1:10].reshape(-1, 3, 3)) <= 0.0
     if bad.any():
-        raise CorruptRecord("non-finite value", line_nos[np.argmax(bad)], path)
+        k = np.argmax(bad)
+        raise CorruptRecord("det F <= 0" if finite[k] else "non-finite value",
+                            line_nos[k], path)
 
 
 def load_kbase(path):
@@ -221,8 +226,9 @@ def load_kbase(path):
 
     Raises :class:`FormatVersionMismatch` for a missing or unknown header and
     :class:`CorruptRecord` (with line number) for malformed records, such as
-    a source that is not UTF-8; both messages name ``path``.  The file's
-    bytes stay with the set as its record text.
+    a source that is not UTF-8, an inf or NaN, or an F with det F <= 0; both
+    messages name ``path``.  The file's bytes stay with the set as its
+    record text.
     """
     sources, labels, line_nos = [], [], []
     numbers, spans = array.array("d"), array.array("q")
@@ -253,8 +259,8 @@ def load_kbase(path):
                 numbers.extend(map(float, fields))
                 sources.append(parts[0].decode())
             except ValueError as exc:   # UnicodeDecodeError is one too
-                # an inf or NaN on an earlier line is the first fault
-                _check_finite(np.frombuffer(numbers)[:_N_NUMBERS * len(line_nos)]
+                # a bad value on an earlier line is the first fault
+                _check_records(np.frombuffer(numbers)[:_N_NUMBERS * len(line_nos)]
                               .reshape(-1, _N_NUMBERS), line_nos, path)
                 raise CorruptRecord(str(exc), line_no, path) from None
             line_nos.append(line_no)
@@ -262,7 +268,7 @@ def load_kbase(path):
             spans.extend((stop - len(numeric), stop))
         start += len(line)
     values = np.frombuffer(numbers).reshape(-1, _N_NUMBERS)
-    _check_finite(values, line_nos, path)
+    _check_records(values, line_nos, path)
     labels = np.array(labels, dtype=int).reshape(-1, 3)
     text = _RecordText(buffer, np.frombuffer(spans, dtype=np.int64).reshape(-1, 2),
                        values)

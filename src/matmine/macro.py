@@ -1,12 +1,13 @@
 """Macroscopic boundary value problems on coarse hexahedral meshes.
 
 The solver ramps the load program and runs the total-Lagrangian Newton
-iteration of :class:`fem.HexGrid` per increment, with the trained surrogate
-supplying stress and analytic tangent at every quadrature point.  Besides the
-solver itself this module ships three built-in benchmark geometries (a
-perforated plate under tension, a perforated bar under torsion and a tapered
-cantilever under dead load), simple structured mesh generation with voxel
-carving for the holes, and the deformation capture the mining loop feeds on.
+iteration of :class:`fem.HexGrid` per increment, with a law, normally the
+trained surrogate, supplying stress and tangent at every quadrature point.
+Besides the solver itself this module ships three built-in benchmark
+geometries (a perforated plate under tension, a perforated bar under torsion
+and a tapered cantilever under dead load), simple structured mesh generation
+with voxel carving for the holes, and the deformation capture the mining
+loop feeds on.
 """
 
 from __future__ import annotations
@@ -338,11 +339,7 @@ def surrogate_law(model, fiber_axis):
     is bitwise that of a separate :func:`surrogate.model_tangent` call.
     """
     M = tensors.structural_tensor(fiber_axis)
-
-    def law(C):
-        return surrogate.model_stress(model, C, M, with_tangent=True)
-
-    return law
+    return lambda C: surrogate.model_stress(model, C, M)
 
 
 def solve_macro(mesh: MacroMesh, bcs, law, n_steps=10, rel_tol=1e-8,
@@ -432,8 +429,8 @@ def load_state(path):
 
     Raises :class:`FormatVersionMismatch` for a file that is not a state
     archive of this version and :class:`CorruptRecord` for one with missing
-    or malformed entries, an inf or NaN in ``t``, ``u``, ``F`` or ``P``
-    among them.
+    or malformed entries, an inf or NaN in ``t``, ``u``, ``F`` or ``P`` or
+    an F with det F <= 0 among them.
     """
     try:
         z = np.load(path, allow_pickle=False)
@@ -451,8 +448,10 @@ def load_state(path):
             _box_node_sets(mesh)
             t, u, F, P = (np.asarray(z[key], dtype=float)
                           for key in ("t", "u", "F", "P"))
-            if not all(np.isfinite(x).all() for x in (t, u, F, P)):
-                raise CorruptRecord("an inf or NaN in t, u, F or P", path=path)
+            if (not all(np.isfinite(x).all() for x in (t, u, F, P))
+                    or np.any(np.linalg.det(F) <= 0.0)):
+                raise CorruptRecord("an inf or NaN in t, u, F or P, or a det F <= 0",
+                                    path=path)
             iterations = z["iterations"]
             steps = [StepRecord(float(t[k]), u[k], F[k], P[k],
                                 int(iterations[k]), []) for k in range(len(t))]

@@ -3,9 +3,10 @@ analytic fiber-reinforced oracle used as the default microscale stand-in.
 
 Stress measure throughout is the second Piola-Kirchhoff tensor T = 2 dpsi/dC;
 the nominal (first Piola-Kirchhoff) stress follows as P = F T with the first
-index spatial.  Energies and stresses are functions of C, batched over
-leading dimensions; only the oracle's nominal stress takes F.  Units:
-stresses and moduli in kPa, lengths dimensionless.
+index spatial.  Each material is one law C -> (T, tangent), batched over
+leading dimensions, in the form :meth:`fem.HexGrid.newton` iterates with;
+:func:`tensors.nominal_stress` turns a law into P(F).  Units: stresses and
+moduli in kPa, lengths dimensionless.
 """
 
 from __future__ import annotations
@@ -74,15 +75,6 @@ FIBER_STIFF = OgdenParameters(mu=(1000.0,), alpha=(2.0,),
 _FD_STEP = 1e-6
 
 
-def _principal_stretches(C):
-    """Squared principal stretches, principal directions, stretches and J.
-
-    One ``eigh`` of C, batched; a non-positive eigenvalue raises.
-    """
-    lam2, vecs = np.linalg.eigh(np.asarray(C, dtype=float))
-    return (lam2, vecs) + _stretches(lam2)
-
-
 def _stretches(lam2):
     """Stretches and J from C's eigenvalues; a non-positive eigenvalue raises."""
     if np.any(lam2 <= 0.0):
@@ -107,23 +99,17 @@ def _ogden_coefficients(lam2, lam, J, params):
     return coeff / lam2
 
 
-def ogden_stress_from_C(C, params: OgdenParameters):
-    """Second Piola-Kirchhoff stress T(C), batched over leading dims."""
-    lam2, vecs, lam, J = _principal_stretches(C)
-    return _spectral_sum(_ogden_coefficients(lam2, lam, J, params), vecs)
-
-
 def ogden_law(C, params: OgdenParameters):
     """T(C) and its Mandel tangent from one ``eigh``, batched.
 
-    Returns ``(T, tangent)``: ``T`` is :func:`ogden_stress_from_C`, bitwise,
+    Returns ``(T, tangent)``: ``T`` is the second Piola-Kirchhoff stress,
     and ``tangent()`` the Mandel tangent 2 dT/dC at the same C, which
     :func:`_principal_frame_tangent` forms from the stress's eigenvalues,
     eigenvectors and principal stresses: a differenced normal block and a
-    closed-form shear block.  This is the ``law(C) -> (T, tangent)`` form
-    :meth:`fem.HexGrid.newton` iterates with.
+    closed-form shear block.
     """
-    lam2, Q, lam, J = _principal_stretches(C)
+    lam2, Q = np.linalg.eigh(np.asarray(C, dtype=float))
+    lam, J = _stretches(lam2)
     beta = _ogden_coefficients(lam2, lam, J, params)
     return (_spectral_sum(beta, Q),
             lambda: _principal_frame_tangent(lam2, Q, beta, params))
@@ -204,20 +190,25 @@ class OracleParameters:
         return tensors.structural_tensor(self.fiber_axis)
 
 
-def oracle_stress_from_C(C, oracle: OracleParameters):
-    """T = 2 dpsi/dC of the oracle: Ogden part plus 2 c (I4 - 1) M."""
+def oracle_law(C, oracle: OracleParameters):
+    """T(C) and its Mandel tangent of the oracle, in :func:`ogden_law`'s form.
+
+    T is the Ogden part plus the fiber term 2 c (I4 - 1) M, added last; the
+    fiber's tangent 4 c m m^T, m the Mandel vector of M, joins the Ogden
+    tangent.
+    """
     M = oracle.structural_tensor
     I4 = np.einsum("ij,...ij->...", M, np.asarray(C, dtype=float))
     fiber = 2.0 * oracle.fiber_stiffness * (I4 - 1.0)[..., None, None] * M
-    return ogden_stress_from_C(C, oracle.matrix) + fiber
+    T, ogden_tangent = ogden_law(C, oracle.matrix)
+    m = tensors.sym_to_mandel(M)
+    fiber_tangent = 4.0 * oracle.fiber_stiffness * np.outer(m, m)
+    return T + fiber, lambda: ogden_tangent() + fiber_tangent
 
 
 def oracle_nominal_stress(F, oracle: OracleParameters):
     """P = F T, the work pair of F, batched."""
-    F = np.asarray(F, dtype=float)
-    tensors.jacobian(F)
-    T = oracle_stress_from_C(tensors.right_cauchy_green(F), oracle)
-    return np.einsum("...ik,...kj->...ij", F, T)
+    return tensors.nominal_stress(F, lambda C: oracle_law(C, oracle))
 
 
 def stress_tangent_fd(stress_from_C, C):

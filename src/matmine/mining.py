@@ -462,7 +462,8 @@ def run_loop(problem: macro.MacroProblem, oracle, initial_data: data.DataSet,
     yields no detections; exceeding ``n_max`` iterations or stalling raises
     :class:`MaxIterationsExceeded` with the partial result attached as
     ``exc.result``.  With ``out_dir`` set, the model, dataset and report are
-    rewritten after every iteration, so an aborted run can resume from disk.
+    rewritten after every iteration.  A run restarted on its ``kbase.txt``
+    (``matmine run --dataset``) numbers iterations and seeds from 1 again.
     """
     lc = loop_config if loop_config is not None else LoopConfig()
     dataset = initial_data
@@ -580,9 +581,9 @@ def validate_coverage(model: surrogate.SurrogateModel, dataset: data.DataSet,
 
     complete = not uncovered.any()
     F_probe = F_rve if complete else F_rve[uncovered]
-    M = tensors.structural_tensor(rve_fiber_axis)
     P_oracle = oracle.evaluate_path(F_probe, warm_start=False)
-    P_model = surrogate.model_nominal_stress(model, F_probe, M)
+    P_model = tensors.nominal_stress(F_probe,
+                                     macro.surrogate_law(model, rve_fiber_axis))
     norm_oracle = np.linalg.norm(P_oracle.reshape(len(F_probe), -1), axis=1)
     norm_model = np.linalg.norm(P_model.reshape(len(F_probe), -1), axis=1)
     err = np.linalg.norm((P_model - P_oracle).reshape(len(F_probe), -1), axis=1)

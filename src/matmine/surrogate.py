@@ -11,10 +11,10 @@ carried as an independent extra coordinate so compression states can steer
 the energy growth.  Stress and tangent follow from the chain rule through
 the invariant gradients and hessians, which keeps the model objective and
 materially symmetric by construction.  Both start from one first-derivative
-pass: ``model_stress(..., with_tangent=True)`` is the law a Newton solve
-calls, returning T with a callable that forms the tangent at the same C from
-that pass, so an update forms det C and C^-1 once.  :func:`sigmoid` is the
-one logistic function training uses as well.
+pass: ``model_stress`` is the law a Newton solve calls, returning T with a
+callable that forms the tangent at the same C from that pass, so an update
+forms det C and C^-1 once.  :func:`sigmoid` is the one logistic function
+training uses as well.
 """
 
 from __future__ import annotations
@@ -203,18 +203,16 @@ def model_energy(model: SurrogateModel, C, M=None):
                                            softplus(z))
 
 
-def model_stress(model: SurrogateModel, C, M=None, with_tangent=False):
-    """Second Piola-Kirchhoff stress T = 2 dpsi/dC, batched.
+def model_stress(model: SurrogateModel, C, M=None):
+    """Second Piola-Kirchhoff stress T = 2 dpsi/dC and its tangent, batched.
 
-    With ``with_tangent`` it returns ``(T, tangent)``, where ``tangent()``
-    is :func:`model_tangent` at this C from this call's first-derivative
-    pass, bitwise what a separate call gives.
+    Returns ``(T, tangent)``: ``tangent()`` is :func:`model_tangent` at this
+    C from this call's first-derivative pass, bitwise what a separate call
+    gives.
     """
     first = _first_derivatives(model, C, M)
-    T = 2.0 * np.einsum("...k,...kij->...ij", first.g1, first.G)
-    if with_tangent:
-        return T, lambda: model_tangent(model, C, M, first)
-    return T
+    return (2.0 * np.einsum("...k,...kij->...ij", first.g1, first.G),
+            lambda: model_tangent(model, C, M, first))
 
 
 def model_tangent(model: SurrogateModel, C, M=None, first=None):
@@ -234,14 +232,6 @@ def model_tangent(model: SurrogateModel, C, M=None, first=None):
         (model.gate_weights * sig * (1.0 - sig))[..., None] * V)
     spread = np.einsum("...k,...kab->...ab", g1, H, optimize=True)
     return 4.0 * (curv + spread)
-
-
-def model_nominal_stress(model: SurrogateModel, F, M=None):
-    """P = F T from the deformation gradient, batched."""
-    F = np.asarray(F, dtype=float)
-    tensors.jacobian(F)
-    T = model_stress(model, tensors.right_cauchy_green(F), M)
-    return np.einsum("...ik,...kj->...ij", F, T)
 
 
 def fix_energy_offset(model: SurrogateModel, M=None):
@@ -317,8 +307,9 @@ def load_model(path):
 
     Raises :class:`FormatVersionMismatch` for a file that is not a model of
     this format and :class:`CorruptRecord` for one with missing or
-    malformed fields, a weight, bias, offset or bound that is not finite
-    among them.
+    malformed fields, a weight, bias, offset or bound that is not finite, a
+    ``growth_mode`` that is not a JSON boolean and an ``n_neurons`` that
+    disagrees with the gate weights among them.
     """
     try:
         with open(path) as fh:
@@ -330,21 +321,24 @@ def load_model(path):
         raise FormatVersionMismatch(
             f"expected {FORMAT_VERSION!r}, found {version!r} in {path}")
     try:
-        for key in ("gate_weights", "input_weights", "reciprocal_weights",
-                    "biases", "energy_offset", "bounds_lower", "bounds_upper"):
-            if not np.isfinite(np.array(doc[key], dtype=float)).all():
+        fields = {key: np.array(doc[key], dtype=float) for key in (
+            "gate_weights", "input_weights", "reciprocal_weights", "biases",
+            "energy_offset", "bounds_lower", "bounds_upper")}
+        for key, value in fields.items():
+            if not np.isfinite(value).all():
                 raise CorruptRecord(f"{key} is not finite", path=path)
-        return SurrogateModel(
-            anisotropy=doc["anisotropy"],
-            gate_weights=np.array(doc["gate_weights"], dtype=float),
-            input_weights=np.array(doc["input_weights"], dtype=float),
-            reciprocal_weights=np.array(doc["reciprocal_weights"], dtype=float),
-            biases=np.array(doc["biases"], dtype=float),
-            energy_offset=float(doc["energy_offset"]),
-            bounds=NormalizationBounds(np.array(doc["bounds_lower"], dtype=float),
-                                       np.array(doc["bounds_upper"], dtype=float)),
-            growth_mode=bool(doc["growth_mode"]),
-        )
+        if not isinstance(doc["growth_mode"], bool):
+            raise CorruptRecord("growth_mode is not a JSON boolean", path=path)
+        del fields["energy_offset"]
+        model = SurrogateModel(
+            doc["anisotropy"], energy_offset=float(doc["energy_offset"]),
+            bounds=NormalizationBounds(fields.pop("bounds_lower"),
+                                       fields.pop("bounds_upper")),
+            growth_mode=doc["growth_mode"], **fields)
+        if doc["n_neurons"] != model.n_neurons:
+            raise CorruptRecord(f"n_neurons is {doc['n_neurons']!r}, but there are "
+                                f"{model.n_neurons} gate weights", path=path)
+        return model
     except KeyError as exc:
         raise CorruptRecord(f"{path} has no field {exc}") from None
     except (TypeError, ValueError) as exc:

@@ -66,6 +66,13 @@ def jacobian(F):
     return J
 
 
+def nominal_stress(F, law):
+    """P = F T(C) of ``law(C) -> (T, tangent)``, batched, once det F > 0."""
+    F = np.asarray(F, dtype=float)
+    jacobian(F)
+    return np.einsum("...ik,...kj->...ij", F, law(right_cauchy_green(F))[0])
+
+
 def right_cauchy_green(F):
     """C = F^T F, batched."""
     F = np.asarray(F, dtype=float)

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse.linalg
 
-from matmine import fem, homogenization, materials, surrogate, tensors
+from matmine import fem, homogenization, macro, materials, surrogate, tensors
 
 import oracles
 
@@ -33,14 +33,23 @@ def law(stress, tangent):
 SVK = law(svk_stress, svk_tangent)
 
 
-def svk_nominal(F):
-    return F @ svk_stress(tensors.right_cauchy_green(F))
+def reaction(state, mesh, node_set):
+    """Net internal force on ``node_set`` per step of a macro ``state``, (steps, 3).
+
+    The sum of ``fem.internal_forces`` over the set's nodes: the force the
+    boundary condition there holds against the body.
+    """
+    grid = fem.HexGrid(mesh.element_coords(), mesh.conn, mesh.n_nodes)
+    nodes = mesh.node_sets[node_set]
+    return np.stack([fem.internal_forces(rec.P_qp, grid.dNdX, grid.wdet, mesh.conn,
+                                         mesh.n_nodes)[nodes].sum(axis=0)
+                     for rec in state.steps])
 
 
 def ogden_energy_from_C(C, params):
     """Ogden strain energy density as a function of C, batched over leading
-    dims: the potential ``materials.ogden_stress_from_C`` derives from."""
-    _, _, lam, J = materials._principal_stretches(C)
+    dims: the potential of ``materials.ogden_law``'s stress."""
+    lam, J = materials._stretches(np.linalg.eigh(np.asarray(C, dtype=float))[0])
     lam_iso = lam * J[..., None] ** (-1.0 / 3.0)
     dev = 0.0
     for m, a in zip(params.mu, params.alpha):
@@ -68,9 +77,9 @@ def oracle_energy(F, oracle):
     return oracle_energy_from_C(tensors.right_cauchy_green(F), oracle)
 
 
-def oracle_stress(F, oracle):
-    tensors.jacobian(F)
-    return materials.oracle_stress_from_C(tensors.right_cauchy_green(F), oracle)
+def model_law(model, M=None):
+    """The law of ``macro.surrogate_law`` for a structural tensor ``M``."""
+    return lambda C: surrogate.model_stress(model, C, M)
 
 
 def random_model(rng, mode="transverse", n_neurons=5, growth=False):
@@ -129,11 +138,11 @@ class ModelOracle:
 
     def __init__(self, model, fiber_axis=(0.0, 0.0, 1.0)):
         self.model = model
-        self.M = tensors.structural_tensor(fiber_axis)
+        self.law = macro.surrogate_law(model, fiber_axis)
 
     def evaluate_path(self, F, warm_start=True):
         del warm_start  # pointwise
-        return surrogate.model_nominal_stress(self.model, F, self.M)
+        return tensors.nominal_stress(F, self.law)
 
 
 @dataclass(frozen=True)

@@ -115,7 +115,7 @@ def ogden_stress_principal(F, params):
 def ogden_stress_einsum(C, params):
     """Ogden T(C) with its spectral sum as one three-operand einsum.
 
-    ``materials.ogden_stress_from_C`` forms the sum term by term; this is
+    ``materials.ogden_law`` forms the sum term by term; this is
     the form its result must equal bit for bit.
     """
     lam2, vecs = np.linalg.eigh(np.asarray(C, dtype=float))
@@ -132,7 +132,7 @@ def ogden_tangent_lab_fd(C, params):
     the same differences in the principal frame of C.
     """
     return materials.stress_tangent_fd(
-        lambda X: materials.ogden_stress_from_C(X, params), C)
+        lambda X: materials.ogden_law(X, params)[0], C)
 
 
 def _dyad44(A, B):

@@ -290,6 +290,34 @@ def _model_with_a_nan_weight(path, art):
     path.write_text(json.dumps(doc))  # Python's json writes the NaN
 
 
+def _model_with(key, value):
+    def write(path, art):
+        doc = json.loads((art / "model.json").read_text())
+        doc[key] = value
+        path.write_text(json.dumps(doc))
+    return write
+
+
+def _kbase_with_F(F):
+    """kb.txt with the first record's F replaced."""
+    def write(path, art):
+        lines = (art / "kb.txt").read_bytes().splitlines(keepends=True)
+        k = next(i for i, line in enumerate(lines) if not line.startswith(b"#"))
+        fields = lines[k].split()
+        fields[5:14] = [b"%r" % float(x) for x in np.ravel(F)]
+        lines[k] = b" ".join(fields) + b"\n"
+        path.write_bytes(b"".join(lines))
+    return write
+
+
+def _state_with_a_reflected_F(path, art):
+    with np.load(art / "state.npz") as z:
+        entries = dict(z)
+    entries["F"][-1, 0, 0, 2] *= -1.0   # one quadrature point's third row
+    with open(path, "wb") as fh:
+        np.savez(fh, **entries)
+
+
 def _state_with(key, value):
     def write(path, art):
         with np.load(art / "state.npz") as z:
@@ -371,11 +399,23 @@ class TestExitCodes:
         (_state_with("meta", "[1, 2]"),
          ["validate", "--model", "{art}/model.json", "--dataset", "{art}/kb.txt",
           "--state", "{bad}"]),
+        (_model_with("growth_mode", "false"), ["solve", "--model", "{bad}"]),
+        (_model_with("n_neurons", 15), ["solve", "--model", "{bad}"]),
+        (_kbase_with_F(np.diag([1.0, 1.0, 0.0])), ["train", "--dataset", "{bad}"]),
+        (_kbase_with_F(np.diag([1.0, 1.0, -1.0])), ["train", "--dataset", "{bad}"]),
+        (_state_with_a_reflected_F,
+         ["detect", "--dataset", "{art}/kb.txt", "--state", "{bad}"]),
+        (_state_with_a_reflected_F,
+         ["validate", "--model", "{art}/model.json", "--dataset", "{art}/kb.txt",
+          "--state", "{bad}"]),
     ], ids=["model-without-fields", "model-not-an-object", "model-nan-weight",
             "npz-as-model", "npz-as-dataset", "kbase-as-state",
             "npz-without-version", "step-out-of-range", "validate-tol-nan",
             "state-nan-F-detect", "state-inf-P-detect", "state-nan-F-validate",
-            "state-of-another-geometry", "state-meta-not-an-object"])
+            "state-of-another-geometry", "state-meta-not-an-object",
+            "model-growth-mode-a-string", "model-n-neurons-disagrees",
+            "kbase-singular-F", "kbase-reflected-F", "state-reflected-F-detect",
+            "state-reflected-F-validate"])
     def test_malformed_input_is_one_error_line(self, art, tmp_path, capsys,
                                                write, argv):
         bad = tmp_path / "bad"

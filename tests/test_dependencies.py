@@ -1,12 +1,16 @@
-"""The package imports nothing but the standard library, numpy and scipy."""
+"""The package imports nothing but the standard library, numpy and scipy,
+and defines no module-level function or class that nothing uses."""
 
 import ast
+import collections
 import pathlib
+import re
 import sys
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "matmine"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "matmine"
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "scipy", "matmine"}
 
 
@@ -22,3 +26,22 @@ def _imported_roots(tree):
 def test_imports_stay_within_stdlib_numpy_and_scipy(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert sorted(set(_imported_roots(tree)) - ALLOWED) == []
+
+
+def test_every_module_level_function_and_class_is_used():
+    # a name counts as used when it occurs in the Python sources of src/,
+    # tests/, perfbench/ or scripts/ anywhere but on its own definition line
+    texts = [p.read_text(encoding="utf-8") for d in ("src", "tests", "perfbench", "scripts")
+             for p in sorted((ROOT / d).rglob("*.py"))]
+    words = collections.Counter(w for text in texts
+                                for w in re.findall(r"[A-Za-z_]\w*", text))
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        lines = text.splitlines()
+        for node in ast.parse(text, filename=str(path)).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                own = re.findall(rf"\b{node.name}\b", lines[node.lineno - 1])
+                if words[node.name] == len(own):
+                    unused.append(f"{path.name}:{node.lineno} {node.name}")
+    assert unused == []

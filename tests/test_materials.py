@@ -46,14 +46,14 @@ class TestOgden:
     def test_energy_and_stress_vanish_at_identity(self):
         for p in (materials.MATRIX_RUBBER, materials.FIBER_STIFF):
             assert helpers.ogden_energy(np.eye(3), p) == 0.0
-            assert np.all(materials.ogden_stress_from_C(np.eye(3), p) == 0.0)
+            assert np.all(materials.ogden_law(np.eye(3), p)[0] == 0.0)
 
     def test_stress_is_energy_gradient(self):
         rng = rng0(10)
         p = materials.MATRIX_RUBBER
         for _ in range(10):
             C = oracles.random_spd(rng)
-            T = materials.ogden_stress_from_C(C, p)
+            T = materials.ogden_law(C, p)[0]
             ref = 2.0 * oracles.fd_gradient(
                 lambda X: helpers.ogden_energy_from_C(X, p), C)
             assert np.allclose(T, ref, rtol=0.0, atol=1e-5 * max(1.0, np.abs(ref).max()))
@@ -65,14 +65,14 @@ class TestOgden:
         cases += [np.diag([2.0, 2.0, 0.5]), np.diag([1.3, 1.3, 1.3])]
         for F in cases:
             T_scalar = oracles.ogden_stress_principal(F, p)
-            T_batch = materials.ogden_stress_from_C(tensors.right_cauchy_green(F), p)
+            T_batch = materials.ogden_law(tensors.right_cauchy_green(F), p)[0]
             assert np.allclose(T_scalar, T_batch, rtol=1e-11, atol=1e-11)
         # near-degenerate pair: the pair's eigenvectors are ill-conditioned,
         # the stress is within O(gap * modulus) of the coalescent one
         gap = 1e-12
         F = np.eye(3) + gap * np.diag([1.0, 0.0, 0.0])
         T_scalar = oracles.ogden_stress_principal(F, p)
-        T_batch = materials.ogden_stress_from_C(tensors.right_cauchy_green(F), p)
+        T_batch = materials.ogden_law(tensors.right_cauchy_green(F), p)[0]
         assert np.allclose(T_scalar, T_batch, atol=100.0 * gap * 1e3)
 
     @pytest.mark.parametrize("params", [materials.MATRIX_RUBBER,
@@ -88,7 +88,7 @@ class TestOgden:
         cases = [tensors.right_cauchy_green(F), tensors.right_cauchy_green(F[0]),
                  np.eye(3), double, Q @ double @ Q.T]
         for C in cases:
-            T = materials.ogden_stress_from_C(C, params)
+            T = materials.ogden_law(C, params)[0]
             ref = oracles.ogden_stress_einsum(C, params)
             assert T.shape == ref.shape
             # equal bytes, signed zeros included
@@ -99,7 +99,7 @@ class TestOgden:
         lam = 1.2
         F = lam * np.eye(3)
         J = lam**3
-        T = materials.ogden_stress_from_C(tensors.right_cauchy_green(F), p)
+        T = materials.ogden_law(tensors.right_cauchy_green(F), p)[0]
         expected = 0.5 * p.kappa * (J * J - 1.0) / lam**2 * np.eye(3)
         assert np.allclose(T, expected, rtol=1e-12)
         psi = helpers.ogden_energy(F, p)
@@ -110,16 +110,16 @@ class TestOgden:
         F = np.eye(3)
         F[0, 1] = gamma
         for p in (materials.MATRIX_RUBBER, materials.FIBER_STIFF):
-            T = materials.ogden_stress_from_C(tensors.right_cauchy_green(F), p)
+            T = materials.ogden_law(tensors.right_cauchy_green(F), p)[0]
             assert np.isclose(T[0, 1], p.initial_shear_modulus * gamma, rtol=1e-4)
 
     def test_batched_evaluation_matches_loop(self):
         rng = rng0(12)
         p = materials.FIBER_STIFF
         C = np.stack([oracles.random_spd(rng) for _ in range(7)])
-        batch = materials.ogden_stress_from_C(C, p)
+        batch = materials.ogden_law(C, p)[0]
         for i in range(7):
-            assert np.allclose(batch[i], materials.ogden_stress_from_C(C[i], p))
+            assert np.allclose(batch[i], materials.ogden_law(C[i], p)[0])
         e_batch = helpers.ogden_energy_from_C(C, p)
         for i in range(7):
             assert np.isclose(e_batch[i], helpers.ogden_energy_from_C(C[i], p))
@@ -129,7 +129,7 @@ class TestOgden:
         with pytest.raises(NonPositiveJacobian):
             helpers.ogden_energy(np.diag([1.0, -1.0, 1.0]), p)
         with pytest.raises(NonPositiveJacobian):
-            materials.ogden_stress_from_C(np.diag([1.0, 0.0, 1.0]), p)
+            materials.ogden_law(np.diag([1.0, 0.0, 1.0]), p)[0]
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**31 - 1))
@@ -152,12 +152,33 @@ class TestOracle:
         o = materials.OracleParameters(fiber_axis=(0.0, 0.0, 2.0))
         assert np.allclose(o.fiber_axis, (0.0, 0.0, 1.0))
 
+    def test_law_stress_is_the_ogden_stress_plus_the_fiber_term(self):
+        # bitwise, the fiber term added last, on a random batch and at C = I
+        rng = rng0(17)
+        o = materials.OracleParameters(fiber_axis=(0.3, -0.2, 0.9))
+        M = o.structural_tensor
+        for C in (np.stack([oracles.random_spd(rng) for _ in range(64)]), np.eye(3)):
+            I4 = np.einsum("ij,...ij->...", M, C)
+            fiber = 2.0 * o.fiber_stiffness * (I4 - 1.0)[..., None, None] * M
+            ref = materials.ogden_law(C, o.matrix)[0] + fiber
+            T = materials.oracle_law(C, o)[0]
+            assert T.shape == ref.shape and T.tobytes() == ref.tobytes()
+
+    def test_law_tangent_matches_differences_of_its_stress(self):
+        C = _tangent_states(rng0(18))
+        o = materials.OracleParameters(fiber_axis=(0.3, -0.2, 0.9))
+        tang = materials.oracle_law(C, o)[1]()
+        ref = materials.stress_tangent_fd(lambda X: materials.oracle_law(X, o)[0], C)
+        assert tang.shape == ref.shape == (len(C), 6, 6)
+        for t, r in zip(tang, ref):
+            np.testing.assert_allclose(t, r, rtol=0.0, atol=1e-7 * np.abs(r).max())
+
     def test_stress_is_energy_gradient(self):
         rng = rng0(13)
         o = materials.OracleParameters()
         for _ in range(10):
             C = oracles.random_spd(rng)
-            T = materials.oracle_stress_from_C(C, o)
+            T = materials.oracle_law(C, o)[0]
             ref = 2.0 * oracles.fd_gradient(
                 lambda X: helpers.oracle_energy_from_C(X, o), C)
             assert np.allclose(T, ref, rtol=0.0, atol=1e-5 * np.abs(ref).max())
@@ -165,7 +186,7 @@ class TestOracle:
     def test_reference_state_stress_free(self):
         o = materials.OracleParameters()
         assert helpers.oracle_energy(np.eye(3), o) == 0.0
-        assert np.all(helpers.oracle_stress(np.eye(3), o) == 0.0)
+        assert np.all(materials.oracle_law(np.eye(3), o)[0] == 0.0)
         assert np.all(materials.oracle_nominal_stress(np.eye(3), o) == 0.0)
 
     def test_fiber_direction_is_stiffer(self):
@@ -213,9 +234,9 @@ class TestTangentFD:
         o = materials.OracleParameters()
         C = oracles.random_spd(rng)
         tang = materials.stress_tangent_fd(
-            lambda X: materials.oracle_stress_from_C(X, o), C)
+            lambda X: materials.oracle_law(X, o)[0], C)
         ref = 2.0 * oracles.fd_hessian_mandel(
-            lambda X: materials.oracle_stress_from_C(X, o), C)
+            lambda X: materials.oracle_law(X, o)[0], C)
         assert np.allclose(tang, ref, rtol=0.0, atol=1e-3 * np.abs(ref).max())
         assert np.allclose(tang, tang.T, atol=1e-6 * np.abs(tang).max())
 
@@ -224,11 +245,11 @@ class TestTangentFD:
         p = materials.MATRIX_RUBBER
         C = np.stack([oracles.random_spd(rng) for _ in range(4)])
         tang = materials.stress_tangent_fd(
-            lambda X: materials.ogden_stress_from_C(X, p), C)
+            lambda X: materials.ogden_law(X, p)[0], C)
         assert tang.shape == (4, 6, 6)
         for i in range(4):
             single = materials.stress_tangent_fd(
-                lambda X: materials.ogden_stress_from_C(X, p), C[i])
+                lambda X: materials.ogden_law(X, p)[0], C[i])
             assert np.allclose(tang[i], single, rtol=1e-10, atol=1e-8)
 
 
@@ -316,7 +337,7 @@ class TestOgdenLaw:
              "identity": np.eye(3),
              "double": Q @ np.diag([1.3, 0.8, 0.8]) @ Q.T}[state]
         T, tangent = materials.ogden_law(C, params)
-        np.testing.assert_array_equal(T, materials.ogden_stress_from_C(C, params))
+        np.testing.assert_array_equal(T, oracles.ogden_stress_einsum(C, params))
         tang, ref = tangent(), oracles.ogden_tangent_lab_fd(C, params)
         assert tang.shape == ref.shape
         for t, r in zip(tang.reshape(-1, 6, 6), ref.reshape(-1, 6, 6)):

@@ -665,7 +665,7 @@ def _bar_problem(stretch, n_steps):
 @pytest.fixture(scope="module")
 def synthetic_truth():
     truth = helpers.one_neuron_model(growth_mode=True)
-    stress = lambda F: surrogate.model_nominal_stress(truth, F)
+    stress = lambda F: tensors.nominal_stress(F, helpers.model_law(truth))
     initial = mining.initial_dataset(n_steps=8, stress=stress)
     return truth, initial
 
@@ -963,6 +963,28 @@ class TestKnowledgeBase:
             data.load_kbase(p)
         assert err.value.line_no == 4
         assert str(err.value).startswith(f"{p}: line 4: ")
+
+    @pytest.mark.parametrize("F", [np.diag([1.0, 1.0, 0.0]),
+                                   np.diag([1.0, -1.0, 1.0])],
+                             ids=["singular", "reflected"])
+    def test_an_F_with_det_at_most_zero_is_refused_at_its_line(self, tmp_path, F):
+        ds = self._dataset(54, 4)
+        p = tmp_path / "kb.txt"
+        data.save_kbase(ds, p)
+        lines = p.read_text().splitlines()
+        parts = lines[3].split()
+        parts[5:14] = [repr(float(x)) for x in F.ravel()]
+        lines[3] = " ".join(parts)
+        # a later inf and a later short record are later faults
+        later = lines[4].split()
+        later[6] = "inf"
+        lines[4] = " ".join(later)
+        p.write_text("\n".join(lines) + "\n")
+        for text in (p.read_text(), p.read_text() + "mined:x 0 0 1\n"):
+            p.write_text(text)
+            with pytest.raises(CorruptRecord) as err:
+                data.load_kbase(p)
+            assert str(err.value) == f"{p}: line 4: det F <= 0"
 
     def test_a_fifo_is_written_in_place(self, tmp_path):
         # a FIFO or a device cannot be replaced atomically; renaming the

@@ -43,7 +43,7 @@ class TestEnergyAndStress:
         C = oracles.random_spd(rng0(0))
         assert np.isclose(surrogate.model_energy(model, C, M),
                           1.0 + 2.0 * np.log1p(np.exp(0.3)))
-        assert np.allclose(surrogate.model_stress(model, C, M), 0.0, atol=0.0)
+        assert np.allclose(surrogate.model_stress(model, C, M)[0], 0.0, atol=0.0)
 
     def test_single_neuron_closed_form(self):
         # one neuron reading only the first invariant
@@ -65,7 +65,7 @@ class TestEnergyAndStress:
         sig = 1.0 / (1.0 + np.exp(-z))
         T = 2.0 * W1 * sig * w1 * s1 * np.eye(3)
         assert np.isclose(surrogate.model_energy(model, C, M), psi, rtol=1e-12)
-        assert np.allclose(surrogate.model_stress(model, C, M), T, rtol=1e-12)
+        assert np.allclose(surrogate.model_stress(model, C, M)[0], T, rtol=1e-12)
 
     @pytest.mark.parametrize("mode", ["transverse", "isotropic"])
     def test_stress_is_energy_gradient(self, mode):
@@ -73,7 +73,7 @@ class TestEnergyAndStress:
         model, M = helpers.random_model(rng, mode)
         for _ in range(6):
             C = oracles.random_spd(rng)
-            T = surrogate.model_stress(model, C, M)
+            T = surrogate.model_stress(model, C, M)[0]
             ref = 2.0 * oracles.fd_gradient(
                 lambda X: surrogate.model_energy(model, X, M), C)
             assert np.allclose(T, ref, atol=2e-6 * max(1.0, np.abs(ref).max()))
@@ -86,7 +86,7 @@ class TestEnergyAndStress:
             C = oracles.random_spd(rng)
             tang = surrogate.model_tangent(model, C, M)
             ref = 2.0 * oracles.fd_hessian_mandel(
-                lambda X: surrogate.model_stress(model, X, M), C)
+                lambda X: surrogate.model_stress(model, X, M)[0], C)
             assert np.allclose(tang, ref, atol=1e-5 * max(1.0, np.abs(ref).max()))
             assert np.allclose(tang, tang.T, atol=1e-10 * max(1.0, np.abs(tang).max()))
 
@@ -95,12 +95,12 @@ class TestEnergyAndStress:
         model, M = helpers.random_model(rng)
         C = np.stack([oracles.random_spd(rng) for _ in range(5)])
         e = surrogate.model_energy(model, C, M)
-        T = surrogate.model_stress(model, C, M)
+        T = surrogate.model_stress(model, C, M)[0]
         tang = surrogate.model_tangent(model, C, M)
         assert e.shape == (5,) and T.shape == (5, 3, 3) and tang.shape == (5, 6, 6)
         for i in range(5):
             assert np.isclose(e[i], surrogate.model_energy(model, C[i], M))
-            assert np.allclose(T[i], surrogate.model_stress(model, C[i], M))
+            assert np.allclose(T[i], surrogate.model_stress(model, C[i], M)[0])
             assert np.allclose(tang[i], surrogate.model_tangent(model, C[i], M))
 
     @settings(max_examples=25, deadline=None)
@@ -115,8 +115,8 @@ class TestEnergyAndStress:
         base = surrogate.model_energy(model, C, M)
         rotated = surrogate.model_energy(model, Q @ C @ Q.T, Q @ M @ Q.T)
         assert np.isclose(rotated, base, rtol=1e-10)
-        T_base = surrogate.model_stress(model, C, M)
-        T_rot = surrogate.model_stress(model, Q @ C @ Q.T, Q @ M @ Q.T)
+        T_base = surrogate.model_stress(model, C, M)[0]
+        T_rot = surrogate.model_stress(model, Q @ C @ Q.T, Q @ M @ Q.T)[0]
         assert np.allclose(T_rot, Q @ T_base @ Q.T,
                            atol=1e-10 * max(1.0, np.abs(T_base).max()))
 
@@ -124,7 +124,7 @@ class TestEnergyAndStress:
         rng = rng0(5)
         model, M = helpers.random_model(rng)
         F = oracles.random_defgrad(rng)
-        P = surrogate.model_nominal_stress(model, F, M)
+        P = tensors.nominal_stress(F, helpers.model_law(model, M))
         h = 1e-7
         ref = np.zeros((3, 3))
         for i in range(3):
