@@ -271,7 +271,7 @@ class AnalyticOracle:
 class VoxelOracle:
     """Periodic voxel cell solves, each state of a history ramped from the last."""
 
-    def __init__(self, rve: homogenization.VoxelRVE, substeps=2):
+    def __init__(self, rve: homogenization.VoxelRVE, substeps=1):
         self.substeps = substeps
         # a solve only reads the homogenizer, so the enrich threads share it
         self.homogenizer = homogenization.VoxelHomogenizer(rve)
@@ -279,12 +279,16 @@ class VoxelOracle:
     def evaluate_path(self, F, warm_start=True):
         """Cell-averaged nominal stresses of a (..., 3, 3) stack.
 
-        Every solve takes ``substeps`` increments.  Warm, the states are one
-        history: each solve ramps from the last converged state, its
-        deformation and fluctuation, and the first state is solved as a cold
-        one.  Cold, each ramps from the undeformed cell, whose first
-        increment starts from the linear response the homogenizer condensed
-        at construction; see :meth:`homogenization.VoxelHomogenizer.solve`.
+        Every solve takes ``substeps`` increments, by default one: its
+        predicted start is already close to equilibrium, so an intermediate
+        increment would only be converged and discarded, and
+        :func:`fem.ramp` cuts back an increment that diverges.  Warm, the
+        states are one history: each solve ramps from the last converged
+        state, its deformation and fluctuation, along the step that reached
+        it, and the first state is solved as a cold one.  Cold, each ramps
+        from the undeformed cell, whose first increment starts from the
+        linear response the homogenizer condensed at construction; see
+        :meth:`homogenization.VoxelHomogenizer.solve`.
         """
         F = np.asarray(F, dtype=float)
         out = np.empty_like(F)

@@ -9,7 +9,7 @@ iteration written directly against the energy functions.
 import numpy as np
 import scipy.sparse as sp
 
-from matmine import data, materials, tensors
+from matmine import data, fem, materials, tensors
 
 SQRT2 = np.sqrt(2.0)
 
@@ -335,3 +335,14 @@ def lbfgs_two_loop(g, S, Y):
     for (s, y), alpha in zip(zip(S, Y), reversed(alphas)):
         r = r + s * (alpha - (y @ r) / (s @ y))
     return r
+
+
+def lattice_voxel_topology(rve):
+    """A voxel cell's coordinates and connectivity with its nodes numbered
+    in lattice order (``np.ravel_multi_index`` of the wrapped lattice
+    points, last index fastest), the reference for the cell's
+    nested-dissection numbering."""
+    n = rve.n
+    corners = fem.grid_corners((n, n, n))
+    conn = np.ravel_multi_index(np.moveaxis(corners, -1, 0), (n, n, n), mode="wrap")
+    return (corners * (1.0 / n)).astype(float), conn

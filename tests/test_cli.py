@@ -1,5 +1,6 @@
 """Configuration parsing and the command-line pipeline, end to end."""
 
+import inspect
 import json
 import pathlib
 import re
@@ -42,6 +43,12 @@ class TestConfig:
         assert rc.oracle_kind == "analytic"
         assert rc.geometry == "cuboid-hole"
         assert rc.n_steps == 0
+
+    def test_voxel_oracle_takes_the_configured_default_substeps(self):
+        # the keyword default is declared apart from SPEC; the two must agree
+        keyword = inspect.signature(mining.VoxelOracle).parameters["substeps"]
+        assert keyword.default == config.SPEC["oracle"]["substeps"][0]
+        assert config.load_config(None).substeps == keyword.default
 
     def test_default_text_parses_back_to_defaults(self, tmp_path):
         p = tmp_path / "all.ini"

@@ -5,6 +5,7 @@ import functools
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 import helpers
 import oracles
@@ -441,7 +442,7 @@ def test_warm_solve_ramps_from_the_previous_state():
     assert solver.solve(F_1, n_steps=2, start=first).iterations == 0
     assert solver.solve(F_1, start=first).iterations == 0
     # the voxel oracle hands each state of a history the one before
-    oracle = mining.VoxelOracle(solver.rve)
+    oracle = mining.VoxelOracle(solver.rve, substeps=2)
     np.testing.assert_array_equal(oracle.evaluate_path(np.stack([F_1, F_2]))[1],
                                   warm.P_bar)
 
@@ -550,6 +551,23 @@ def test_cell_response_is_objective(axis):
                                atol=1e-8 * np.abs(plain.P_bar).max())
 
 
+def test_large_rotations_are_objective_at_the_default_increments():
+    # a linear ramp of Q F_bar passes nearly singular states for a large Q;
+    # the oracle's default increment count must not take that ramp
+    oracle = mining.VoxelOracle(hom.fiber_rve(4, 0.3, seed=2))
+    solver, n_steps = oracle.homogenizer, oracle.substeps
+    F_bar = np.diag([1.0, 1.0, 1.15])
+    plain = solver.solve(F_bar, n_steps=n_steps)
+    assert plain.iterations > 0
+    rng = np.random.default_rng(3)
+    for _ in range(6):
+        Q = oracles.random_rotation(rng)
+        turned = solver.solve(Q @ F_bar, n_steps=n_steps)
+        np.testing.assert_allclose(turned.P_bar, Q @ plain.P_bar, rtol=0.0,
+                                   atol=1e-10 * np.abs(plain.P_bar).max())
+        assert turned.iterations <= 2 * plain.iterations
+
+
 def test_principal_frame_tangent_leaves_the_cell_solve_unchanged(monkeypatch):
     solver = hom.VoxelHomogenizer(hom.fiber_rve(4, 0.3, seed=2))
     F_1, _ = _stretch_history()
@@ -590,6 +608,53 @@ def test_cell_ordering_leaves_the_solution_unchanged(monkeypatch):
                                atol=1e-10 * np.abs(colamd.P_bar).max())
     np.testing.assert_allclose(symmetric.u_tilde, colamd.u_tilde, rtol=0.0,
                                atol=1e-10 * np.abs(colamd.u_tilde).max())
+
+
+# --- node numbering ------------------------------------------------------------
+
+def test_dissection_rank_numbers_separators_after_their_parts():
+    for n in range(1, 13):
+        rank = hom._dissection_rank(n)
+        np.testing.assert_array_equal(np.sort(rank), np.arange(n ** 3))
+        if n >= 3:
+            # the first cut: the planes x1 = 0 and x1 = n // 2, numbered last
+            planes = rank.reshape(n, n, n)[[0, n // 2]]
+            assert planes.min() == n ** 3 - planes.size
+
+
+@pytest.mark.parametrize("rve", [helpers.layered_rve(3, 0.34),
+                                 hom.fiber_rve(4, 0.3, seed=2)],
+                         ids=["layered-3", "fiber-4"])
+def test_node_numbering_leaves_the_cell_response_unchanged(monkeypatch, rve):
+    F_1, _ = _stretch_history()
+    sol = hom.VoxelHomogenizer(rve).solve(F_1)
+    monkeypatch.setattr(hom, "_voxel_topology", oracles.lattice_voxel_topology)
+    ref = hom.VoxelHomogenizer(rve).solve(F_1)
+    assert sol.iterations > 0 and ref.iterations > 0
+    np.testing.assert_allclose(sol.P_bar, ref.P_bar, rtol=0.0,
+                               atol=1e-12 * np.abs(ref.P_bar).max())
+
+
+def _undeformed_stiffness(solver):
+    """K0 restricted to the free dofs, as ``linear_response`` factorises it."""
+    grid, eye = solver.grid, np.eye(3)
+    A0 = np.empty(grid.wdet.shape + (3, 3, 3, 3))
+    for params, mask in solver.phase_masks:
+        T, tangent = materials.ogden_law(eye, params)
+        A0[mask] = fem.nominal_stress_operator(eye, T, tangent())
+    return solver.free.restrict(
+        fem.tangent_matrix(A0, grid.dNdX, grid.wdet, grid.pattern))
+
+
+def test_dissection_numbering_fills_no_more_than_minimum_degree(monkeypatch):
+    rve = hom.fiber_rve(8, 0.3, seed=0)
+    dissected = spla.splu(_undeformed_stiffness(hom.VoxelHomogenizer(rve)),
+                          permc_spec="NATURAL")
+    monkeypatch.setattr(hom, "_voxel_topology", oracles.lattice_voxel_topology)
+    lattice = spla.splu(_undeformed_stiffness(hom.VoxelHomogenizer(rve)),
+                        permc_spec="MMD_AT_PLUS_A")
+    assert (dissected.L.nnz + dissected.U.nnz
+            <= lattice.L.nnz + lattice.U.nnz)
 
 
 # --- scatter statistic -------------------------------------------------------
