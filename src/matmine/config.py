@@ -76,7 +76,8 @@ SPEC = {
                             "fiber-stretch penalty of the analytic oracle [kPa]"),
         "fiber_axis": (_ORACLE.fiber_axis,
                        "microscale fiber direction (frame mined tuples are stored in)"),
-        "grid": (8, "voxel cells per edge (voxel kind)"),
+        "grid": (8, "voxel cells per edge (voxel kind); the fibers run along "
+                    "z, so the cell is solved on its grid x grid x 1 slab"),
         "volume_fraction": (0.3, "stiff-column probability (voxel kind)"),
         "placement_seed": (0, "fiber placement seed (voxel kind)"),
         "substeps": (1, "load increments per voxel cell solve (voxel kind). One "

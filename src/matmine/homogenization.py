@@ -6,8 +6,9 @@ entries prescribed, the rest found so the conjugate nominal stress components
 vanish); ``mining.initial_dataset`` drives the ``initial_load_suite`` paths in
 lockstep through an oracle's pointwise stress.  The voxel oracle solves a
 periodic first-order homogenization problem on a voxelized representative
-volume, and the scatter of apparent properties across random realizations
-sizes that volume.
+volume, on one voxel layer along every axis the microstructure does not vary
+along (a fiber cell is solved as its cross-section slab), and the scatter of
+apparent properties across random realizations sizes that volume.
 """
 
 from __future__ import annotations
@@ -201,8 +202,11 @@ class VoxelRVE:
 
     ``phase`` is an (n, n, n) integer array selecting into ``phases`` per
     voxel of the unit cube, so each voxel has edge 1/n.  Node fluctuations
-    are periodic, so opposite faces share nodes and the grid has n**3
-    distinct nodes for n**3 elements.
+    are periodic, so opposite faces share nodes.  The solved cell keeps one
+    voxel layer along every axis where ``phase`` is constant
+    (:func:`_voxel_topology`), so it has as many distinct nodes as voxels:
+    n**3 for a cell that varies along all three axes, n**2 for a
+    :func:`fiber_rve`.
     """
 
     phase: np.ndarray
@@ -237,8 +241,8 @@ def fiber_rve(n, volume_fraction, seed, phases=None):
     return VoxelRVE(phase, phases)
 
 
-def _dissection_rank(n):
-    """Nested-dissection id of each node of the periodic n^3 lattice.
+def _dissection_rank(shape):
+    """Nested-dissection id of each node of a periodic lattice of ``shape``.
 
     Indexed by lattice id (``np.ravel_multi_index`` order).  A box is cut
     across its longest axis, the first such axis on a tie.  An axis the box
@@ -251,7 +255,7 @@ def _dissection_rank(n):
     order = []
 
     def number(box):
-        order.append(np.ravel_multi_index(np.ix_(*box), (n, n, n)).reshape(-1))
+        order.append(np.ravel_multi_index(np.ix_(*box), shape).reshape(-1))
 
     def dissect(box, wraps):
         sizes = [len(line) for line in box]
@@ -267,34 +271,47 @@ def _dissection_rank(n):
                 dissect(box[:axis] + (segment[k > 0:],) + box[axis + 1:], wraps)
         number(box[:axis] + (line[cuts],) + box[axis + 1:])
 
-    dissect((np.arange(n),) * 3, (True,) * 3)
-    rank = np.empty(n ** 3, dtype=int)
-    rank[np.concatenate(order)] = np.arange(n ** 3)
+    dissect(tuple(np.arange(m) for m in shape), (True,) * 3)
+    rank = np.empty(np.prod(shape), dtype=int)
+    rank[np.concatenate(order)] = np.arange(rank.size)
     return rank
 
 
 def _voxel_topology(rve: VoxelRVE):
-    """Node coordinates (unwrapped, per element) and wrapped connectivity.
+    """The solved cell: node coordinates (unwrapped, per element), wrapped
+    connectivity and the phase of each of its voxels.
 
-    Node ids are the :func:`_dissection_rank` of the wrapped lattice points,
-    so a factorisation in id order fills about as little as a minimum-degree
-    ordering, without searching for one per solve.
+    Along every axis where ``rve.phase`` is constant, the periodic
+    fluctuation is constant too, so the cell keeps one voxel layer there and
+    its two faces wrap onto one node layer; a ``fiber_rve`` is solved as an
+    n x n x 1 slab.  The voxels stay cubes of edge 1/n, so each node's force
+    is its force in the n^3 cell and the reduction is exact for the discrete
+    problem.  Node ids are the :func:`_dissection_rank` of the wrapped
+    lattice points, so a factorisation in id order fills about as little as
+    a minimum-degree ordering, without searching for one per solve.
     """
-    n = rve.n
-    corners = fem.grid_corners((n, n, n))
-    lattice = np.ravel_multi_index(np.moveaxis(corners, -1, 0), (n, n, n),
+    phase = rve.phase
+    for axis in range(3):
+        if np.all(phase == phase.take([0], axis)):
+            phase = phase.take([0], axis)
+    corners = fem.grid_corners(phase.shape)
+    lattice = np.ravel_multi_index(np.moveaxis(corners, -1, 0), phase.shape,
                                    mode="wrap")
-    return (corners * (1.0 / n)).astype(float), _dissection_rank(n)[lattice]
+    return ((corners * (1.0 / rve.n)).astype(float),
+            _dissection_rank(phase.shape)[lattice], phase)
 
 
 @dataclass
 class VoxelSolution:
     """Converged periodic cell problem at one macroscopic deformation.
 
-    ``F_step`` (3x3) and ``u_step`` (n_nodes x 3) are the last increment's
-    (dg, du) of :func:`fem.ramp`, the step a solve started from this one
-    predicts along.  ``iterations`` counts the Newton updates of the solve
-    that produced it, those of diverged attempts included.
+    ``F_qp``, ``P_qp`` and ``wdet`` (per element and quadrature point) and
+    ``u_tilde`` (n_nodes x 3) cover the solved cell of
+    :class:`VoxelHomogenizer`, whose volume averages are those of the whole
+    unit cube.  ``F_step`` (3x3) and ``u_step`` (n_nodes x 3) are the last
+    increment's (dg, du) of :func:`fem.ramp`, the step a solve started from
+    this one predicts along.  ``iterations`` counts the Newton updates of
+    the solve that produced it, those of diverged attempts included.
     """
 
     F_bar: np.ndarray
@@ -315,7 +332,9 @@ class VoxelHomogenizer:
     fluctuation; sharing wrapped node ids enforces periodicity exactly and
     one node is pinned to remove the rigid translation.  The cell is a
     :func:`fem.grid_corners` lattice with its node ids wrapped and numbered
-    by nested dissection (:func:`_voxel_topology`), and its
+    by nested dissection, one voxel layer thick along every axis where the
+    phase is constant (:func:`_voxel_topology`); ``n_nodes`` counts its
+    nodes, and a cell that varies along all three axes keeps all n**3.  Its
     :class:`fem.FreeDofs` is built here, once, to factorise in that order
     (``"NATURAL"``); its ``solve`` takes every update and the condensation
     below.
@@ -335,10 +354,10 @@ class VoxelHomogenizer:
 
     def __init__(self, rve: VoxelRVE):
         self.rve = rve
-        coords, conn = _voxel_topology(rve)
-        self.n_nodes = rve.n ** 3
+        coords, conn, phase = _voxel_topology(rve)
+        self.n_nodes = phase.size
         self.grid = fem.HexGrid(coords, conn, self.n_nodes)
-        phase_qp = np.repeat(rve.phase.reshape(-1), 8).reshape(-1, 8)
+        phase_qp = np.repeat(phase.reshape(-1), 8).reshape(-1, 8)
         self.phase_masks = [(params, phase_qp == pid)
                             for pid, params in enumerate(rve.phases)
                             if np.any(phase_qp == pid)]

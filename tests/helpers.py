@@ -179,6 +179,14 @@ def layered_rve(n, fraction, axis=2):
         phase, (materials.MATRIX_RUBBER, materials.FIBER_STIFF))
 
 
+def random_voxel_rve(n, fraction, seed):
+    """Rubber-fiber cell whose voxels are each fiber with probability
+    ``fraction``, so its phase varies along every axis."""
+    phase = (np.random.default_rng(seed).random((n, n, n)) < fraction).astype(int)
+    return homogenization.VoxelRVE(
+        phase, (materials.MATRIX_RUBBER, materials.FIBER_STIFF))
+
+
 def cell_path(solver, F_bar, n_steps):
     """Cell solutions at F_k = I + (k/n)(F_bar - I), k = 0..n, in turn.
 

@@ -10,6 +10,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from matmine import data, fem, materials, tensors
+# the cell's own topology, kept under its own name so that a test which
+# patches ``homogenization._voxel_topology`` can still renumber it
+from matmine.homogenization import _dissection_rank, _voxel_topology
 
 SQRT2 = np.sqrt(2.0)
 
@@ -338,11 +341,24 @@ def lbfgs_two_loop(g, S, Y):
 
 
 def lattice_voxel_topology(rve):
-    """A voxel cell's coordinates and connectivity with its nodes numbered
-    in lattice order (``np.ravel_multi_index`` of the wrapped lattice
-    points, last index fastest), the reference for the cell's
-    nested-dissection numbering."""
+    """The voxel cell the homogenizer solves, with its nodes numbered in
+    lattice order (``np.ravel_multi_index`` of the wrapped lattice points,
+    last index fastest), the reference for the cell's nested-dissection
+    numbering."""
+    coords, _, phase = _voxel_topology(rve)
+    corners = np.rint(coords * rve.n).astype(int)
+    conn = np.ravel_multi_index(np.moveaxis(corners, -1, 0), phase.shape,
+                                mode="wrap")
+    return coords, conn, phase
+
+
+def uncollapsed_voxel_topology(rve):
+    """A voxel cell with all n^3 voxels kept, numbered by nested dissection,
+    the reference for the homogenizer's one-layer solve of an axis along
+    which the phase is constant."""
     n = rve.n
     corners = fem.grid_corners((n, n, n))
-    conn = np.ravel_multi_index(np.moveaxis(corners, -1, 0), (n, n, n), mode="wrap")
-    return (corners * (1.0 / n)).astype(float), conn
+    lattice = np.ravel_multi_index(np.moveaxis(corners, -1, 0), (n, n, n),
+                                   mode="wrap")
+    return ((corners * (1.0 / n)).astype(float),
+            _dissection_rank((n, n, n))[lattice], rve.phase)

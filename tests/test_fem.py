@@ -29,8 +29,11 @@ def _cuboid():
 
 
 def _voxel(n):
-    cell = hom.VoxelHomogenizer(helpers.homogeneous_rve(n))
-    return cell.grid.coords, cell.grid.conn, cell.n_nodes
+    # every voxel kept: the homogenizer solves a homogeneous cell of any n on
+    # a single voxel
+    coords, conn, phase = oracles.uncollapsed_voxel_topology(
+        helpers.homogeneous_rve(n))
+    return coords, conn, phase.size
 
 
 @pytest.mark.parametrize("mesh", [_cuboid, lambda: _voxel(1), lambda: _voxel(3)],

@@ -10,7 +10,7 @@ import scipy.sparse.linalg as spla
 import helpers
 import oracles
 from matmine import homogenization as hom
-from matmine import fem, macro, materials, mining, tensors
+from matmine import config, fem, macro, materials, mining, tensors
 from matmine.errors import NewtonDivergence, ZeroMean
 
 
@@ -235,19 +235,25 @@ def test_initial_data_contains_identity_rows_and_oracle_stresses():
 
 # --- voxel cell solver -------------------------------------------------------
 
-def test_homogeneous_cell_reproduces_pointwise_response():
-    rve = helpers.homogeneous_rve(3)
-    solver = hom.VoxelHomogenizer(rve)
+def test_homogeneous_cell_reproduces_pointwise_response(monkeypatch):
     F_bar = np.array([[1.1, 0.05, 0.0],
                       [0.0, 0.95, 0.02],
                       [0.0, 0.0, 1.03]])
-    sol = solver.solve(F_bar)
     expected = tensors.nominal_stress(
         F_bar, lambda C: materials.ogden_law(C, materials.MATRIX_RUBBER))
-    np.testing.assert_allclose(sol.P_bar, expected, rtol=1e-8, atol=1e-10)
-    assert np.max(np.abs(sol.u_tilde)) < 1e-10
-    assert helpers.cell_energy(solver, sol) == pytest.approx(
-        helpers.ogden_energy(F_bar, materials.MATRIX_RUBBER), rel=1e-8)
+    rve = helpers.homogeneous_rve(3)
+    solved = hom.VoxelHomogenizer(rve)
+    # the solved cell is one node with no free dof; the uncollapsed 3^3 cell
+    # still runs a periodic 3D Newton solve
+    monkeypatch.setattr(hom, "_voxel_topology", oracles.uncollapsed_voxel_topology)
+    uncollapsed = hom.VoxelHomogenizer(rve)
+    assert (solved.n_nodes, uncollapsed.n_nodes) == (1, 27)
+    for solver in (solved, uncollapsed):
+        sol = solver.solve(F_bar)
+        np.testing.assert_allclose(sol.P_bar, expected, rtol=1e-8, atol=1e-10)
+        assert np.max(np.abs(sol.u_tilde)) < 1e-10
+        assert helpers.cell_energy(solver, sol) == pytest.approx(
+            helpers.ogden_energy(F_bar, materials.MATRIX_RUBBER), rel=1e-8)
 
 
 def test_layered_cell_matches_semianalytic_laminate():
@@ -263,10 +269,10 @@ def test_layered_cell_matches_semianalytic_laminate():
     assert sol.P_bar[0, 0] == pytest.approx(p11, rel=1e-6)
     # the exact fields are piecewise affine, so the per-point stretches
     # should cluster at the two semianalytic layer values
-    f11 = sol.F_qp[..., 0, 0].reshape(-1)
-    phase = np.repeat(rve.phase.reshape(-1), 8)
-    np.testing.assert_allclose(f11[phase == 1], lam1, rtol=1e-6)
-    np.testing.assert_allclose(f11[phase == 0], lam2, rtol=1e-6)
+    f11 = sol.F_qp[..., 0, 0]
+    (_, matrix), (_, fiber) = solver.phase_masks
+    np.testing.assert_allclose(f11[fiber], lam1, rtol=1e-6)
+    np.testing.assert_allclose(f11[matrix], lam2, rtol=1e-6)
 
 
 def test_work_average_identity_holds_on_random_cell():
@@ -610,21 +616,79 @@ def test_cell_ordering_leaves_the_solution_unchanged(monkeypatch):
                                atol=1e-10 * np.abs(colamd.u_tilde).max())
 
 
+# --- extruded cells --------------------------------------------------------------
+
+def test_the_cell_keeps_one_voxel_layer_along_each_constant_axis():
+    rc = config.load_config(None, overrides={("oracle", "kind"): "voxel"})
+    assert config.make_oracle(rc).homogenizer.n_nodes == rc.voxel_grid ** 2
+    assert hom.VoxelHomogenizer(helpers.random_voxel_rve(3, 0.3, seed=0)).n_nodes == 27
+    assert hom.VoxelHomogenizer(helpers.homogeneous_rve(3)).n_nodes == 1
+    assert hom.VoxelHomogenizer(helpers.layered_rve(4, 0.5, axis=0)).n_nodes == 4
+
+
+def _oracle_answers(monkeypatch, oracle, loads, chain):
+    """P_bar of a cold solve per load and of a warm chain, and the Newton
+    updates of every solve in turn."""
+    updates, solve = [], oracle.homogenizer.solve
+
+    def counted(*args, **kwargs):
+        sol = solve(*args, **kwargs)
+        updates.append(sol.iterations)
+        return sol
+
+    monkeypatch.setattr(oracle.homogenizer, "solve", counted)
+    P = [oracle.evaluate_path(F_bar) for F_bar in loads]
+    return P + list(oracle.evaluate_path(chain)), updates
+
+
+@pytest.mark.parametrize("rve", [hom.fiber_rve(4, 0.3, seed=2),
+                                 hom.fiber_rve(8, 0.3, seed=0)],
+                         ids=["fiber-4", "fiber-8"])
+def test_the_extruded_cell_gives_the_answers_of_every_voxel(monkeypatch, rve):
+    # the n^3 cell's Newton iterates stay constant along the fibers, so the
+    # one-layer solve takes the same updates to the same P_bar up to rounding
+    loads = [hom.uniaxial_case(2, 1.6).values, hom.uniaxial_case(2, 0.7).values,
+             hom.uniaxial_case(0, 1.6).values, hom.shear_case(0, 2, 0.5).values,
+             oracles.random_rotation(np.random.default_rng(4))
+             @ np.diag([1.0, 1.0, 1.15])]
+    chain = np.stack(_stretch_history())
+    slab = mining.VoxelOracle(rve)
+    monkeypatch.setattr(hom, "_voxel_topology", oracles.uncollapsed_voxel_topology)
+    reference = mining.VoxelOracle(rve)
+    assert (slab.homogenizer.n_nodes, reference.homogenizer.n_nodes) == (
+        rve.n ** 2, rve.n ** 3)
+    # voxels of one size, so each node's force is its force in the n^3 cell
+    # and the force tolerance means the same
+    assert slab.homogenizer.force_tol == reference.homogenizer.force_tol
+    np.testing.assert_allclose(slab.homogenizer.grid.wdet,
+                               reference.homogenizer.grid.wdet[0, 0], rtol=1e-12)
+    P, updates = _oracle_answers(monkeypatch, slab, loads, chain)
+    P_ref, updates_ref = _oracle_answers(monkeypatch, reference, loads, chain)
+    assert updates == updates_ref and min(updates) > 0
+    for got, ref in zip(P, P_ref, strict=True):
+        np.testing.assert_allclose(got, ref, rtol=0.0,
+                                   atol=1e-12 * np.abs(ref).max())
+
+
 # --- node numbering ------------------------------------------------------------
 
 def test_dissection_rank_numbers_separators_after_their_parts():
     for n in range(1, 13):
-        rank = hom._dissection_rank(n)
-        np.testing.assert_array_equal(np.sort(rank), np.arange(n ** 3))
-        if n >= 3:
-            # the first cut: the planes x1 = 0 and x1 = n // 2, numbered last
-            planes = rank.reshape(n, n, n)[[0, n // 2]]
-            assert planes.min() == n ** 3 - planes.size
+        for shape in ((n, n, n), (n, n, 1)):
+            rank = hom._dissection_rank(shape)
+            size = np.prod(shape)
+            np.testing.assert_array_equal(np.sort(rank), np.arange(size))
+            if size > 8:
+                # the first cut: the planes x1 = 0 and x1 = n // 2, numbered
+                # last
+                planes = rank.reshape(shape)[[0, n // 2]]
+                assert planes.min() == size - planes.size
 
 
 @pytest.mark.parametrize("rve", [helpers.layered_rve(3, 0.34),
-                                 hom.fiber_rve(4, 0.3, seed=2)],
-                         ids=["layered-3", "fiber-4"])
+                                 hom.fiber_rve(4, 0.3, seed=2),
+                                 helpers.random_voxel_rve(4, 0.3, seed=1)],
+                         ids=["layered-3", "fiber-4", "random-4"])
 def test_node_numbering_leaves_the_cell_response_unchanged(monkeypatch, rve):
     F_1, _ = _stretch_history()
     sol = hom.VoxelHomogenizer(rve).solve(F_1)
@@ -647,7 +711,7 @@ def _undeformed_stiffness(solver):
 
 
 def test_dissection_numbering_fills_no_more_than_minimum_degree(monkeypatch):
-    rve = hom.fiber_rve(8, 0.3, seed=0)
+    rve = helpers.random_voxel_rve(8, 0.3, seed=0)
     dissected = spla.splu(_undeformed_stiffness(hom.VoxelHomogenizer(rve)),
                           permc_spec="NATURAL")
     monkeypatch.setattr(hom, "_voxel_topology", oracles.lattice_voxel_topology)
