@@ -202,9 +202,12 @@ class FreeDofs:
         is structurally symmetric, so the default is the symmetric
         fill-reducing ``"MMD_AT_PLUS_A"`` (minimum degree on K^T + K), which
         fills less than SuperLU's own default COLAMD.  Only the macro meshes
-        use it: the voxel cell numbers its nodes by nested dissection, which
-        fills no more than minimum degree from 8^3 voxels up, and passes
-        ``"NATURAL"``, so its solves search no ordering.  ``spsolve`` is
+        use it: the voxel cell numbers its nodes by nested dissection and
+        passes ``"NATURAL"``, so its solves search no ordering.  On a cell
+        that varies along all three axes, that fills no more than minimum
+        degree from 8^3 voxels up.  On the n x n x 1 slab of a fiber cell it
+        fills slightly more at n = 8-16 (L+U nonzeros 14 506 against
+        13 679 at n = 8, 192 dofs), which costs nothing there.  ``spsolve`` is
         looked up on ``scipy.sparse.linalg`` at each call, so a wrapper
         installed there sees every solve.
         """

@@ -214,7 +214,10 @@ def oracle_nominal_stress(F, oracle: OracleParameters):
 def stress_tangent_fd(stress_from_C, C):
     """Mandel tangent 2 dT/dC of a stress routine by central differences.
 
-    ``stress_from_C`` maps (...,3,3) -> (...,3,3).  The step is the fixed
+    ``stress_from_C`` is called once, on one (12,...,3,3) stack: C plus
+    each of the six Mandel basis steps, then C minus each.  It must be
+    batched over leading axes and act per sample, so that a sample's stress
+    does not depend on the rest of the stack.  The step is the fixed
     relative ``_FD_STEP`` times tr(C)/3 per sample; the result is symmetrized,
     which a thermodynamically consistent stress guarantees up to the FD
     error.  Generic in the stress routine; the voxel cell's Ogden phases
@@ -223,13 +226,10 @@ def stress_tangent_fd(stress_from_C, C):
     """
     C = np.asarray(C, dtype=float)
     scale = _FD_STEP * np.trace(C, axis1=-2, axis2=-1)[..., None, None] / 3.0
-    cols = []
-    for a in range(6):
-        dC = scale * tensors.mandel_to_sym(np.eye(6)[a])
-        Tp = tensors.sym_to_mandel(stress_from_C(C + dC))
-        Tm = tensors.sym_to_mandel(stress_from_C(C - dC))
-        cols.append((Tp - Tm) / (2.0 * scale[..., 0, 0][..., None]))
-    dT_dC = np.stack(cols, axis=-1)
+    dC = scale * tensors.MANDEL_BASIS.reshape((6,) + (1,) * (C.ndim - 2) + (3, 3))
+    T = tensors.sym_to_mandel(stress_from_C(np.concatenate([C + dC, C - dC])))
+    # column a of dT/dC, moved from the leading axis to the last
+    dT_dC = np.moveaxis((T[:6] - T[6:]) / (2.0 * scale[..., 0, 0][..., None]), 0, -1)
     # tangent C = 4 d^2 psi/dCdC = 2 dT/dC, symmetrized
     tang = 2.0 * dT_dC
     return 0.5 * (tang + np.swapaxes(tang, -1, -2))

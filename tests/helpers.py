@@ -33,17 +33,35 @@ def law(stress, tangent):
 SVK = law(svk_stress, svk_tangent)
 
 
-def reaction(state, mesh, node_set):
-    """Net internal force on ``node_set`` per step of a macro ``state``, (steps, 3).
-
-    The sum of ``fem.internal_forces`` over the set's nodes: the force the
-    boundary condition there holds against the body.
-    """
+def _nodal_reactions(state, mesh, node_set):
+    """``fem.internal_forces`` on each node of ``node_set`` per step of a
+    macro ``state``, (steps, set nodes, 3): the forces the boundary
+    condition there holds against the body."""
     grid = fem.HexGrid(mesh.element_coords(), mesh.conn, mesh.n_nodes)
     nodes = mesh.node_sets[node_set]
     return np.stack([fem.internal_forces(rec.P_qp, grid.dNdX, grid.wdet, mesh.conn,
-                                         mesh.n_nodes)[nodes].sum(axis=0)
+                                         mesh.n_nodes)[nodes]
                      for rec in state.steps])
+
+
+def reaction(state, mesh, node_set):
+    """Net internal force on ``node_set`` per step of a macro ``state``, (steps, 3)."""
+    return _nodal_reactions(state, mesh, node_set).sum(axis=1)
+
+
+def lever_arm(state, mesh, node_set, origin):
+    """Each node of ``node_set`` in its deformed place, relative to
+    ``origin``, per step of a macro ``state``, (steps, set nodes, 3)."""
+    nodes = mesh.node_sets[node_set]
+    return np.stack([mesh.nodes[nodes] + rec.u[nodes] for rec in state.steps]) - origin
+
+
+def moment(state, mesh, node_set, origin):
+    """Net moment about ``origin`` of the internal forces on ``node_set``,
+    per step of a macro ``state``, (steps, 3): the sum over the set's nodes
+    of lever arm times force."""
+    return np.cross(lever_arm(state, mesh, node_set, origin),
+                    _nodal_reactions(state, mesh, node_set)).sum(axis=1)
 
 
 def ogden_energy_from_C(C, params):

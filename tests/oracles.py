@@ -138,6 +138,24 @@ def ogden_tangent_lab_fd(C, params):
         lambda X: materials.ogden_law(X, params)[0], C)
 
 
+def stress_tangent_fd_columns(stress_from_C, C):
+    """``materials.stress_tangent_fd`` one Mandel column at a time.
+
+    Two stress calls per column, on the plus and the minus step; the
+    package's single stacked call must equal this bit for bit.
+    """
+    C = np.asarray(C, dtype=float)
+    scale = materials._FD_STEP * np.trace(C, axis1=-2, axis2=-1)[..., None, None] / 3.0
+    cols = []
+    for a in range(6):
+        dC = scale * tensors.mandel_to_sym(np.eye(6)[a])
+        Tp = tensors.sym_to_mandel(stress_from_C(C + dC))
+        Tm = tensors.sym_to_mandel(stress_from_C(C - dC))
+        cols.append((Tp - Tm) / (2.0 * scale[..., 0, 0][..., None]))
+    tang = 2.0 * np.stack(cols, axis=-1)
+    return 0.5 * (tang + np.swapaxes(tang, -1, -2))
+
+
 def _dyad44(A, B):
     return np.einsum("...ij,...kl->...ijkl", A, B)
 

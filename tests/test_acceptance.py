@@ -62,6 +62,12 @@ def cuboid_run(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def torsion_run(cuboid_run, tmp_path_factory):
+    return _run_geometry("torsion-bar", cuboid_run.result.dataset,
+                         tmp_path_factory.mktemp("gate_torsion"))
+
+
+@pytest.fixture(scope="module")
 def suite_dataset():
     rc = config.load_config(None)
     return config.make_initial_dataset(rc, config.make_oracle(rc))
@@ -250,9 +256,8 @@ def test_06_closed_loop_converges_and_validates(cuboid_run):
           f"{val['rel_p95']:.4f} <= 0.05, {cuboid_run.wall:.0f}s")
 
 
-def test_07_warm_started_geometries_close_quickly(cuboid_run, tmp_path):
-    torsion = _run_geometry("torsion-bar", cuboid_run.result.dataset,
-                            tmp_path / "torsion")
+def test_07_warm_started_geometries_close_quickly(torsion_run, tmp_path):
+    torsion = torsion_run
     assert torsion.result.converged
     assert len(torsion.result.iterations) <= 3
     assert torsion.wall < 1800.0
@@ -329,6 +334,23 @@ def test_restarting_from_the_converged_base_closes_at_once(cuboid_run,
     assert len(restart.result.dataset) == len(cuboid_run.result.dataset)
 
 
+def _final_and_oracle_law_solves(run):
+    """The loop's final macro solve, the same problem solved with the
+    analytic oracle's own law, and the indices of their common steps, the
+    last of which is t = 1."""
+    problem = run.problem
+    params = materials.OracleParameters(run.rc.matrix, problem.fiber_axis,
+                                        run.rc.oracle.fiber_stiffness)
+    ref = macro.solve_macro(problem.mesh, problem.bcs,
+                            lambda C: materials.oracle_law(C, params), problem.n_steps)
+    state = run.result.final_state
+    assert ref.completed and state.completed
+    t, k, k_ref = np.intersect1d([s.t for s in state.steps],
+                                 [s.t for s in ref.steps], return_indices=True)
+    assert t[-1] == 1.0
+    return state, ref, k, k_ref
+
+
 def test_macro_reaction_matches_a_solve_with_the_oracle_law(cuboid_run):
     """Not a gate: the paper's macro validation.  The loop's final solve,
     with its surrogate, against the same problem solved with the analytic
@@ -336,23 +358,33 @@ def test_macro_reaction_matches_a_solve_with_the_oracle_law(cuboid_run):
     on the x1max face per converged step, |R1 - R1_ref| over the largest
     |R1_ref| of the ramp; its bound is 1.2e-3, about twice the 5.7e-4 this
     run measures."""
-    r = cuboid_run
-    problem = r.problem
-    params = materials.OracleParameters(r.rc.matrix, problem.fiber_axis,
-                                        r.rc.oracle.fiber_stiffness)
-    ref = macro.solve_macro(problem.mesh, problem.bcs,
-                            lambda C: materials.oracle_law(C, params), problem.n_steps)
-    state = r.result.final_state
-    assert ref.completed and state.completed
-    t, k, k_ref = np.intersect1d([s.t for s in state.steps],
-                                 [s.t for s in ref.steps], return_indices=True)
-    assert t[-1] == 1.0
-    R1 = helpers.reaction(state, problem.mesh, "x1max")[k, 0]
-    R1_ref = helpers.reaction(ref, problem.mesh, "x1max")[k_ref, 0]
+    state, ref, k, k_ref = _final_and_oracle_law_solves(cuboid_run)
+    mesh = cuboid_run.problem.mesh
+    R1 = helpers.reaction(state, mesh, "x1max")[k, 0]
+    R1_ref = helpers.reaction(ref, mesh, "x1max")[k_ref, 0]
     err = np.abs(R1 - R1_ref).max() / np.abs(R1_ref).max()
     assert err <= 1.2e-3
     print(f"macro x1 reaction error {err:.3g} against the oracle law over "
-          f"{len(t) - 1} steps")
+          f"{len(k) - 1} steps")
+
+
+def test_macro_torsion_moment_matches_a_solve_with_the_oracle_law(torsion_run):
+    """Not a gate: the macro validation of gate 07's warm-started torsion
+    bar.  The quantity is the moment about the twist axis (x1, through the
+    centre of the x1max face) of the internal forces on the twisted face,
+    per converged step, each node's force times its deformed lever arm;
+    |M1 - M1_ref| over the largest |M1_ref| of the ramp.  Its bound is
+    1.5e-2, about twice the 7.2e-3 this run measures."""
+    state, ref, k, k_ref = _final_and_oracle_law_solves(torsion_run)
+    mesh = torsion_run.problem.mesh
+    [twist] = [bc for bc in torsion_run.problem.bcs
+               if isinstance(bc, macro.RotationRamp)]
+    M1 = helpers.moment(state, mesh, twist.node_set, twist.origin)[k] @ twist.axis
+    M1_ref = helpers.moment(ref, mesh, twist.node_set, twist.origin)[k_ref] @ twist.axis
+    err = np.abs(M1 - M1_ref).max() / np.abs(M1_ref).max()
+    assert err <= 1.5e-2
+    print(f"macro x1 torsion moment error {err:.3g} against the oracle law "
+          f"over {len(k) - 1} steps")
 
 
 def test_10_macro_solver_reference_checks():

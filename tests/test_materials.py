@@ -252,6 +252,30 @@ class TestTangentFD:
                 lambda X: materials.ogden_law(X, p)[0], C[i])
             assert np.allclose(tang[i], single, rtol=1e-10, atol=1e-8)
 
+    @pytest.mark.parametrize("law", ["ogden", "oracle", "principal"])
+    @pytest.mark.parametrize("shape", [(), (4,), (2, 3)],
+                             ids=["3x3", "4x3x3", "2x3x3x3"])
+    def test_one_stacked_call_is_bitwise_the_column_loop(self, law, shape):
+        # near-coalescent states: a triple within one step, C = I, a double
+        # eigenvalue, and gaps of 0.5, 1 and 2 steps
+        states = _tangent_states(rng0(19))
+        pick = {(): [24], (4,): [16, 17, 18, 19], (2, 3): [0, 20, 21, 22, 23, 24]}[shape]
+        C = states[pick].reshape(shape + (3, 3))
+        stress = {
+            "ogden": lambda X: materials.ogden_law(X, materials.MATRIX_RUBBER)[0],
+            "oracle": lambda X: materials.oracle_law(X, materials.OracleParameters())[0],
+            "principal": lambda X: materials._principal_stresses(X, materials.MATRIX_RUBBER),
+        }[law]
+        if law == "principal":
+            C = np.linalg.eigvalsh(C)[..., :, None] * np.eye(3)
+        calls = []
+        tang = materials.stress_tangent_fd(
+            lambda X: calls.append(X.shape) or stress(X), C)
+        assert calls == [(12,) + C.shape]
+        ref = oracles.stress_tangent_fd_columns(stress, C)
+        assert tang.shape == ref.shape == shape + (6, 6)
+        assert tang.tobytes() == ref.tobytes()
+
 
 def _tangent_states(rng):
     """Random SPD states plus the coalescent cases near and at C = I."""
