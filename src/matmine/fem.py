@@ -174,13 +174,12 @@ class FreeDofs:
     entries, found once by restricting a K whose data are those positions.
     :meth:`restrict` then gathers a stiffness's data into that layout, so
     SuperLU gets the bytes the two slices would give.  :meth:`solve` is the
-    package's one sparse solve, with SuperLU's column ``ordering``.  Only
-    read after construction, so concurrent solves may share one.
+    package's one sparse solve.  Only read after construction, so
+    concurrent solves may share one.
     """
 
-    def __init__(self, pattern: StiffnessPattern, mask, ordering="MMD_AT_PLUS_A"):
+    def __init__(self, pattern: StiffnessPattern, mask):
         self.mask = np.asarray(mask, dtype=bool).reshape(-1)
-        self.ordering = ordering
         # positions counted from 1: a zero could be dropped as an explicit zero
         position = np.arange(1.0, len(pattern.indices) + 1.0)
         probe = sp.csr_matrix((position, pattern.indices, pattern.indptr),
@@ -197,23 +196,16 @@ class FreeDofs:
     def solve(self, K, rhs):
         """x with K[free][:, free] x[free] = rhs[free] and zeros elsewhere.
 
-        ``rhs`` is (n_dofs,) or (n_dofs, m) with m > 1.  SuperLU orders
-        the columns by ``ordering``.  Every stiffness of a :class:`HexGrid`
-        is structurally symmetric, so the default is the symmetric
-        fill-reducing ``"MMD_AT_PLUS_A"`` (minimum degree on K^T + K), which
-        fills less than SuperLU's own default COLAMD.  Only the macro meshes
-        use it: the voxel cell numbers its nodes by nested dissection and
-        passes ``"NATURAL"``, so its solves search no ordering.  On a cell
-        that varies along all three axes, that fills no more than minimum
-        degree from 8^3 voxels up.  On the n x n x 1 slab of a fiber cell it
-        fills slightly more at n = 8-16 (L+U nonzeros 14 506 against
-        13 679 at n = 8, 192 dofs), which costs nothing there.  ``spsolve`` is
-        looked up on ``scipy.sparse.linalg`` at each call, so a wrapper
-        installed there sees every solve.
+        ``rhs`` is (n_dofs,) or (n_dofs, m) with m > 1.  Every stiffness of
+        a :class:`HexGrid` is structurally symmetric, so SuperLU orders the
+        columns of the macro meshes and of the lattice-numbered voxel cell
+        alike by the symmetric ``"MMD_AT_PLUS_A"`` (minimum degree on
+        K^T + K).  ``spsolve`` is looked up on ``scipy.sparse.linalg`` at
+        each call, so a wrapper installed there sees every solve.
         """
         x = np.zeros(rhs.shape)
         x[self.mask] = spla.spsolve(self.restrict(K), rhs[self.mask],
-                                    self.ordering)
+                                    "MMD_AT_PLUS_A")
         return x
 
 

@@ -241,42 +241,6 @@ def fiber_rve(n, volume_fraction, seed, phases=None):
     return VoxelRVE(phase, phases)
 
 
-def _dissection_rank(shape):
-    """Nested-dissection id of each node of a periodic lattice of ``shape``.
-
-    Indexed by lattice id (``np.ravel_multi_index`` order).  A box is cut
-    across its longest axis, the first such axis on a tie.  An axis the box
-    still wraps around is cut by two planes, at its first index and at its
-    middle; later cuts across it take the middle plane alone.  The parts are
-    numbered first and the separator after them, and a box of at most 8
-    nodes is a leaf, numbered in lattice order (A. George, SIAM J. Numer.
-    Anal. 10, 1973).
-    """
-    order = []
-
-    def number(box):
-        order.append(np.ravel_multi_index(np.ix_(*box), shape).reshape(-1))
-
-    def dissect(box, wraps):
-        sizes = [len(line) for line in box]
-        if np.prod(sizes) <= 8:
-            return number(box)
-        axis = int(np.argmax(sizes))
-        line = box[axis]
-        cuts = [0, len(line) // 2] if wraps[axis] else [len(line) // 2]
-        wraps = tuple(w and k != axis for k, w in enumerate(wraps))
-        # every segment after the first starts with its cut
-        for k, segment in enumerate(np.split(line, cuts)):
-            if segment[k > 0:].size:
-                dissect(box[:axis] + (segment[k > 0:],) + box[axis + 1:], wraps)
-        number(box[:axis] + (line[cuts],) + box[axis + 1:])
-
-    dissect(tuple(np.arange(m) for m in shape), (True,) * 3)
-    rank = np.empty(np.prod(shape), dtype=int)
-    rank[np.concatenate(order)] = np.arange(rank.size)
-    return rank
-
-
 def _voxel_topology(rve: VoxelRVE):
     """The solved cell: node coordinates (unwrapped, per element), wrapped
     connectivity and the phase of each of its voxels.
@@ -286,19 +250,17 @@ def _voxel_topology(rve: VoxelRVE):
     its two faces wrap onto one node layer; a ``fiber_rve`` is solved as an
     n x n x 1 slab.  The voxels stay cubes of edge 1/n, so each node's force
     is its force in the n^3 cell and the reduction is exact for the discrete
-    problem.  Node ids are the :func:`_dissection_rank` of the wrapped
-    lattice points, so a factorisation in id order fills about as little as
-    a minimum-degree ordering, without searching for one per solve.
+    problem.  Node ids are the wrapped lattice points'
+    ``np.ravel_multi_index`` ids in the solved cell's shape.
     """
     phase = rve.phase
     for axis in range(3):
         if np.all(phase == phase.take([0], axis)):
             phase = phase.take([0], axis)
     corners = fem.grid_corners(phase.shape)
-    lattice = np.ravel_multi_index(np.moveaxis(corners, -1, 0), phase.shape,
-                                   mode="wrap")
-    return ((corners * (1.0 / rve.n)).astype(float),
-            _dissection_rank(phase.shape)[lattice], phase)
+    conn = np.ravel_multi_index(np.moveaxis(corners, -1, 0), phase.shape,
+                                mode="wrap")
+    return (corners * (1.0 / rve.n)).astype(float), conn, phase
 
 
 @dataclass
@@ -331,13 +293,12 @@ class VoxelHomogenizer:
     The total deformation is the macroscopic affine map plus a periodic
     fluctuation; sharing wrapped node ids enforces periodicity exactly and
     one node is pinned to remove the rigid translation.  The cell is a
-    :func:`fem.grid_corners` lattice with its node ids wrapped and numbered
-    by nested dissection, one voxel layer thick along every axis where the
-    phase is constant (:func:`_voxel_topology`); ``n_nodes`` counts its
-    nodes, and a cell that varies along all three axes keeps all n**3.  Its
-    :class:`fem.FreeDofs` is built here, once, to factorise in that order
-    (``"NATURAL"``); its ``solve`` takes every update and the condensation
-    below.
+    :func:`fem.grid_corners` lattice with its node ids wrapped in lattice
+    order, one voxel layer thick along every axis where the phase is
+    constant (:func:`_voxel_topology`); ``n_nodes`` counts its nodes, and a
+    cell that varies along all three axes keeps all n**3.  Its
+    :class:`fem.FreeDofs` is built here, once, as the macro solve builds
+    its own; its ``solve`` takes every update and the condensation below.
     Newton converges once every free nodal force is within 1e-9 G_max h^2
     (G_max the stiffest phase's shear modulus, h = 1/n the voxel edge), in at
     most 25 updates.  Each iterate makes one :func:`materials.ogden_law` call
@@ -366,7 +327,7 @@ class VoxelHomogenizer:
         self.force_tol = 1e-9 * scale * h * h
         free = np.ones(3 * self.n_nodes, dtype=bool)
         free[:3] = False
-        self.free = fem.FreeDofs(self.grid.pattern, free, "NATURAL")
+        self.free = fem.FreeDofs(self.grid.pattern, free)
         self.linear_response = self._linear_response()
 
     def _linear_response(self):

@@ -52,12 +52,6 @@ def sym_to_mandel(A):
     return A[..., MANDEL_ROWS, MANDEL_COLS] * MANDEL_WEIGHTS
 
 
-def mandel_to_sym(v):
-    """Inverse of :func:`sym_to_mandel`."""
-    v = np.asarray(v, dtype=float)
-    return np.einsum("...a,aij->...ij", v, MANDEL_BASIS)
-
-
 def jacobian(F):
     """det F, raising :class:`NonPositiveJacobian` when any det <= 0."""
     J = np.linalg.det(np.asarray(F, dtype=float))

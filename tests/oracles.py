@@ -12,7 +12,7 @@ import scipy.sparse as sp
 from matmine import data, fem, materials, tensors
 # the cell's own topology, kept under its own name so that a test which
 # patches ``homogenization._voxel_topology`` can still renumber it
-from matmine.homogenization import _dissection_rank, _voxel_topology
+from matmine.homogenization import _voxel_topology
 
 SQRT2 = np.sqrt(2.0)
 
@@ -64,6 +64,13 @@ def fd_gradient(f, C, h=1e-6):
     return G
 
 
+def mandel_to_sym(v):
+    """Inverse of ``tensors.sym_to_mandel``: the (...,3,3) tensor of a
+    (...,6) Mandel vector."""
+    v = np.asarray(v, dtype=float)
+    return np.einsum("...a,aij->...ij", v, tensors.MANDEL_BASIS)
+
+
 def fd_hessian_mandel(grad, C, h=1e-6):
     """Central-difference Mandel matrix of d(grad)/dC.
 
@@ -73,7 +80,7 @@ def fd_hessian_mandel(grad, C, h=1e-6):
     """
     H = np.zeros((6, 6))
     for a in range(6):
-        dC = h * tensors.mandel_to_sym(np.eye(6)[a])
+        dC = h * mandel_to_sym(np.eye(6)[a])
         gp = tensors.sym_to_mandel(grad(C + dC))
         gm = tensors.sym_to_mandel(grad(C - dC))
         H[:, a] = (gp - gm) / (2.0 * h)
@@ -148,7 +155,7 @@ def stress_tangent_fd_columns(stress_from_C, C):
     scale = materials._FD_STEP * np.trace(C, axis1=-2, axis2=-1)[..., None, None] / 3.0
     cols = []
     for a in range(6):
-        dC = scale * tensors.mandel_to_sym(np.eye(6)[a])
+        dC = scale * mandel_to_sym(np.eye(6)[a])
         Tp = tensors.sym_to_mandel(stress_from_C(C + dC))
         Tm = tensors.sym_to_mandel(stress_from_C(C - dC))
         cols.append((Tp - Tm) / (2.0 * scale[..., 0, 0][..., None]))
@@ -358,25 +365,21 @@ def lbfgs_two_loop(g, S, Y):
     return r
 
 
-def lattice_voxel_topology(rve):
-    """The voxel cell the homogenizer solves, with its nodes numbered in
-    lattice order (``np.ravel_multi_index`` of the wrapped lattice points,
-    last index fastest), the reference for the cell's nested-dissection
-    numbering."""
-    coords, _, phase = _voxel_topology(rve)
-    corners = np.rint(coords * rve.n).astype(int)
-    conn = np.ravel_multi_index(np.moveaxis(corners, -1, 0), phase.shape,
-                                mode="wrap")
-    return coords, conn, phase
+def permuted_voxel_topology(rve):
+    """The voxel cell the homogenizer solves, with its nodes relabelled by a
+    fixed random permutation: a numbering the cell's answer must not
+    depend on."""
+    coords, conn, phase = _voxel_topology(rve)
+    relabel = np.random.default_rng(0).permutation(conn.max() + 1)
+    return coords, relabel[conn], phase
 
 
 def uncollapsed_voxel_topology(rve):
-    """A voxel cell with all n^3 voxels kept, numbered by nested dissection,
+    """A voxel cell with all n^3 voxels kept, numbered in lattice order,
     the reference for the homogenizer's one-layer solve of an axis along
     which the phase is constant."""
     n = rve.n
     corners = fem.grid_corners((n, n, n))
-    lattice = np.ravel_multi_index(np.moveaxis(corners, -1, 0), (n, n, n),
-                                   mode="wrap")
-    return ((corners * (1.0 / n)).astype(float),
-            _dissection_rank((n, n, n))[lattice], rve.phase)
+    conn = np.ravel_multi_index(np.moveaxis(corners, -1, 0), (n, n, n),
+                                mode="wrap")
+    return (corners * (1.0 / n)).astype(float), conn, rve.phase

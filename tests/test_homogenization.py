@@ -5,7 +5,6 @@ import functools
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg as spla
 
 import helpers
 import oracles
@@ -672,19 +671,6 @@ def test_the_extruded_cell_gives_the_answers_of_every_voxel(monkeypatch, rve):
 
 # --- node numbering ------------------------------------------------------------
 
-def test_dissection_rank_numbers_separators_after_their_parts():
-    for n in range(1, 13):
-        for shape in ((n, n, n), (n, n, 1)):
-            rank = hom._dissection_rank(shape)
-            size = np.prod(shape)
-            np.testing.assert_array_equal(np.sort(rank), np.arange(size))
-            if size > 8:
-                # the first cut: the planes x1 = 0 and x1 = n // 2, numbered
-                # last
-                planes = rank.reshape(shape)[[0, n // 2]]
-                assert planes.min() == size - planes.size
-
-
 @pytest.mark.parametrize("rve", [helpers.layered_rve(3, 0.34),
                                  hom.fiber_rve(4, 0.3, seed=2),
                                  helpers.random_voxel_rve(4, 0.3, seed=1)],
@@ -692,33 +678,11 @@ def test_dissection_rank_numbers_separators_after_their_parts():
 def test_node_numbering_leaves_the_cell_response_unchanged(monkeypatch, rve):
     F_1, _ = _stretch_history()
     sol = hom.VoxelHomogenizer(rve).solve(F_1)
-    monkeypatch.setattr(hom, "_voxel_topology", oracles.lattice_voxel_topology)
+    monkeypatch.setattr(hom, "_voxel_topology", oracles.permuted_voxel_topology)
     ref = hom.VoxelHomogenizer(rve).solve(F_1)
     assert sol.iterations > 0 and ref.iterations > 0
     np.testing.assert_allclose(sol.P_bar, ref.P_bar, rtol=0.0,
                                atol=1e-12 * np.abs(ref.P_bar).max())
-
-
-def _undeformed_stiffness(solver):
-    """K0 restricted to the free dofs, as ``linear_response`` factorises it."""
-    grid, eye = solver.grid, np.eye(3)
-    A0 = np.empty(grid.wdet.shape + (3, 3, 3, 3))
-    for params, mask in solver.phase_masks:
-        T, tangent = materials.ogden_law(eye, params)
-        A0[mask] = fem.nominal_stress_operator(eye, T, tangent())
-    return solver.free.restrict(
-        fem.tangent_matrix(A0, grid.dNdX, grid.wdet, grid.pattern))
-
-
-def test_dissection_numbering_fills_no_more_than_minimum_degree(monkeypatch):
-    rve = helpers.random_voxel_rve(8, 0.3, seed=0)
-    dissected = spla.splu(_undeformed_stiffness(hom.VoxelHomogenizer(rve)),
-                          permc_spec="NATURAL")
-    monkeypatch.setattr(hom, "_voxel_topology", oracles.lattice_voxel_topology)
-    lattice = spla.splu(_undeformed_stiffness(hom.VoxelHomogenizer(rve)),
-                        permc_spec="MMD_AT_PLUS_A")
-    assert (dissected.L.nnz + dissected.U.nnz
-            <= lattice.L.nnz + lattice.U.nnz)
 
 
 # --- scatter statistic -------------------------------------------------------
