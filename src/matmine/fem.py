@@ -1,11 +1,12 @@
 """Shared trilinear hexahedron machinery for the total-Lagrangian solvers.
 
-Element type is the 8-node brick with 2x2x2 Gauss quadrature.  All routines
-are vectorized over elements and gather and scatter through a connectivity
-array of global node ids (E, 8); repeated ids accumulate, which is how the
-voxel homogenizer wraps its cell periodically.  :class:`HexGrid` holds one
-mesh and runs the Newton iteration both solvers use, and :func:`ramp` is
-the pseudo-time loop around it.
+Element type is the 8-node brick with a tensor-product Gauss rule of order 1
+or 2 per axis, 2x2x2 by default (:func:`gauss_rule`).  All routines are
+vectorized over elements and quadrature points and gather and scatter
+through a connectivity array of global node ids (E, 8); repeated ids
+accumulate, which is how the voxel homogenizer wraps its cell periodically.
+:class:`HexGrid` holds one mesh and runs the Newton iteration both solvers
+use, and :func:`ramp` is the pseudo-time loop around it.
 """
 
 from __future__ import annotations
@@ -23,9 +24,21 @@ CORNERS = np.array([
     [-1.0, -1.0, 1.0], [1.0, -1.0, 1.0], [1.0, 1.0, 1.0], [-1.0, 1.0, 1.0],
 ])
 
-_g = 1.0 / np.sqrt(3.0)
-GAUSS_POINTS = CORNERS * _g
-GAUSS_WEIGHTS = np.ones(8)
+
+def gauss_rule(order=(2, 2, 2)):
+    """Tensor-product Gauss points (n_q, 3) and weights (n_q,) on [-1, 1]^3.
+
+    Order 1 along an axis is the point 0 with weight 2, order 2 the points
+    +-1/sqrt(3) with weight 1.  Order 2 is the brick's full rule; order 1
+    is exact along an axis where the integrand is at most linear, as the
+    voxel cell's assembled integrands are constant through a layer wrapped
+    onto itself.  The points keep :data:`CORNERS` order, so the default rule
+    is the eight corners scaled by 1/sqrt(3) with unit weights.
+    """
+    order = np.asarray(order)
+    keep = np.all((CORNERS < 0.0) | (order == 2), axis=1)
+    points = (CORNERS * np.where(order == 2, 1.0 / np.sqrt(3.0), 0.0))[keep]
+    return points, np.full(len(points), 8.0 / len(points))
 
 
 def _shape_gradients_local(points):
@@ -42,8 +55,6 @@ def _shape_gradients_local(points):
             ])
     return grads
 
-SHAPE_GRADS_LOCAL = _shape_gradients_local(GAUSS_POINTS)
-
 
 def grid_corners(divisions):
     """Integer lattice corners (E, 8, 3) of a structured brick grid.
@@ -58,27 +69,30 @@ def grid_corners(divisions):
     return base[:, None, :] + ((CORNERS + 1.0) / 2.0).astype(int)
 
 
-def element_gradients(coords):
+def element_gradients(coords, gauss=(2, 2, 2)):
     """Reference shape gradients and weighted volumes per quadrature point.
 
     Parameters
     ----------
     coords : (E, 8, 3) reference node coordinates per element.
+    gauss : Gauss order (1 or 2) along each local axis, see :func:`gauss_rule`.
 
     Returns
     -------
-    dNdX : (E, 8, 8, 3) gradients (element, gauss point, node, direction).
-    wdet : (E, 8) quadrature weight times Jacobian determinant.
+    dNdX : (E, n_q, 8, 3) gradients (element, gauss point, node, direction).
+    wdet : (E, n_q) quadrature weight times Jacobian determinant.
     """
     coords = np.asarray(coords, dtype=float)
+    points, weights = gauss_rule(gauss)
+    grads = _shape_gradients_local(points)
     # J[e,q,i,j] = d X_j / d xi_i
-    J = np.einsum("qai,eaj->eqij", SHAPE_GRADS_LOCAL, coords)
+    J = np.einsum("qai,eaj->eqij", grads, coords)
     detJ = np.linalg.det(J)
     if np.any(detJ <= 0.0):
         raise ValueError("element with non-positive Jacobian (check node order)")
     Jinv = np.linalg.inv(J)
-    dNdX = np.einsum("qai,eqij->eqaj", SHAPE_GRADS_LOCAL, Jinv)
-    return dNdX, detJ * GAUSS_WEIGHTS
+    dNdX = np.einsum("qai,eqij->eqaj", grads, Jinv)
+    return dNdX, detJ * weights
 
 
 def deformation_gradients(u_elem, dNdX):
@@ -212,9 +226,10 @@ class FreeDofs:
 def tangent_matrix(A, dNdX, wdet, pattern: StiffnessPattern):
     """Assemble the global stiffness as CSR from per-point tangents A.
 
-    K_(ia)(kb) = sum_q w dN_a/dX_j A_ijkl dN_b/dX_l per element, formed one
-    quadrature point at a time as two batched matmuls: A (27x3) times the
-    8 shape gradients, then the weighted shape gradients against the j slot.
+    K_(ia)(kb) = sum_q w dN_a/dX_j A_ijkl dN_b/dX_l per element over the
+    n_q points of ``A`` (E, n_q, 3, 3, 3, 3), formed one quadrature point at
+    a time as two batched matmuls: A (27x3) times the 8 shape gradients,
+    then the weighted shape gradients against the j slot.
     """
     E, n_q = A.shape[:2]
     wdN = wdet[:, :, None, None] * dNdX
@@ -234,14 +249,15 @@ class HexGrid:
     """One hexahedral mesh: shape gradients, weights and stiffness layout.
 
     ``coords`` holds the reference node coordinates per element (E, 8, 3)
-    and ``conn`` the global node ids (E, 8).
+    and ``conn`` the global node ids (E, 8).  ``gauss`` is the per-axis
+    Gauss order of :func:`element_gradients`; ``wdet`` is (E, n_q).
     """
 
-    def __init__(self, coords, conn, n_nodes):
+    def __init__(self, coords, conn, n_nodes, gauss=(2, 2, 2)):
         self.coords = np.asarray(coords, dtype=float)
         self.conn = np.asarray(conn)
         self.n_nodes = n_nodes
-        self.dNdX, self.wdet = element_gradients(self.coords)
+        self.dNdX, self.wdet = element_gradients(self.coords, gauss)
         self.pattern = StiffnessPattern(self.conn, n_nodes)
 
     def newton(self, u, law, free: FreeDofs, tol, max_iterations,
@@ -259,7 +275,7 @@ class HexGrid:
         ``u``.  Converged once the largest free residual entry of f_int -
         f_ext is at most ``tol``; returns (u, F, P, residuals): the
         displacement, the deformation gradient and nominal stress per
-        quadrature point (E, 8, 3, 3) and the residual of every iteration.
+        quadrature point (E, n_q, 3, 3) and the residual of every iteration.
         Inverted elements, a non-finite update or ``max_iterations``
         residuals above ``tol`` raise :class:`NewtonDivergence`.
         """

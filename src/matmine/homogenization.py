@@ -7,8 +7,9 @@ vanish); ``mining.initial_dataset`` drives the ``initial_load_suite`` paths in
 lockstep through an oracle's pointwise stress.  The voxel oracle solves a
 periodic first-order homogenization problem on a voxelized representative
 volume, on one voxel layer along every axis the microstructure does not vary
-along (a fiber cell is solved as its cross-section slab), and the scatter of
-apparent properties across random realizations sizes that volume.
+along (a fiber cell is solved as its cross-section slab, with one Gauss
+point through its thickness), and the scatter of apparent properties across
+random realizations sizes that volume.
 """
 
 from __future__ import annotations
@@ -267,13 +268,14 @@ def _voxel_topology(rve: VoxelRVE):
 class VoxelSolution:
     """Converged periodic cell problem at one macroscopic deformation.
 
-    ``F_qp``, ``P_qp`` and ``wdet`` (per element and quadrature point) and
-    ``u_tilde`` (n_nodes x 3) cover the solved cell of
-    :class:`VoxelHomogenizer`, whose volume averages are those of the whole
-    unit cube.  ``F_step`` (3x3) and ``u_step`` (n_nodes x 3) are the last
-    increment's (dg, du) of :func:`fem.ramp`, the step a solve started from
-    this one predicts along.  ``iterations`` counts the Newton updates of
-    the solve that produced it, those of diverged attempts included.
+    ``F_qp``, ``P_qp`` and ``wdet`` (per element and quadrature point of
+    the cell's Gauss rule, (E, n_q, ...)) and ``u_tilde`` (n_nodes x 3) cover
+    the solved cell of :class:`VoxelHomogenizer`, whose volume averages are
+    those of the whole unit cube.  ``F_step`` (3x3) and ``u_step``
+    (n_nodes x 3) are the last increment's (dg, du) of :func:`fem.ramp`, the
+    step a solve started from this one predicts along.  ``iterations``
+    counts the Newton updates of the solve that produced it, those of
+    diverged attempts included.
     """
 
     F_bar: np.ndarray
@@ -296,7 +298,13 @@ class VoxelHomogenizer:
     :func:`fem.grid_corners` lattice with its node ids wrapped in lattice
     order, one voxel layer thick along every axis where the phase is
     constant (:func:`_voxel_topology`); ``n_nodes`` counts its nodes, and a
-    cell that varies along all three axes keeps all n**3.  Its
+    cell that varies along all three axes keeps all n**3.  The grid takes
+    one Gauss point along each such single-layer axis and two along the
+    others, so a fiber slab has 4 points per voxel and a fully varying cell
+    8.  That is exact: the layer's two faces are one node layer, so the
+    fluctuation, F and P do not vary through it, and the wrap-assembled
+    internal forces, stiffness and P_bar have integrands constant along it,
+    which any Gauss rule integrates exactly.  Its
     :class:`fem.FreeDofs` is built here, once, as the macro solve builds
     its own; its ``solve`` takes every update and the condensation below.
     Newton converges once every free nodal force is within 1e-9 G_max h^2
@@ -317,8 +325,10 @@ class VoxelHomogenizer:
         self.rve = rve
         coords, conn, phase = _voxel_topology(rve)
         self.n_nodes = phase.size
-        self.grid = fem.HexGrid(coords, conn, self.n_nodes)
-        phase_qp = np.repeat(phase.reshape(-1), 8).reshape(-1, 8)
+        gauss = [1 if size == 1 else 2 for size in phase.shape]
+        self.grid = fem.HexGrid(coords, conn, self.n_nodes, gauss)
+        n_q = self.grid.wdet.shape[1]
+        phase_qp = np.repeat(phase.reshape(-1), n_q).reshape(-1, n_q)
         self.phase_masks = [(params, phase_qp == pid)
                             for pid, params in enumerate(rve.phases)
                             if np.any(phase_qp == pid)]

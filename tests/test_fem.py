@@ -6,7 +6,7 @@ import pytest
 import helpers
 import oracles
 from matmine import fem, homogenization as hom
-from matmine import macro, surrogate, tensors
+from matmine import macro, materials, surrogate, tensors
 from matmine.errors import NewtonDivergence
 
 rng0 = np.random.default_rng
@@ -62,6 +62,77 @@ def test_element_kernels_match_einsum_references(mesh):
 
 def _bits(a):
     return np.ascontiguousarray(a).view(np.int64)
+
+
+def _box():
+    mesh = macro.box_mesh((2.0, 1.0, 1.0), (3, 2, 2))
+    return mesh.element_coords(), mesh.conn, mesh.n_nodes
+
+
+@pytest.mark.parametrize("mesh", [_box, _cuboid], ids=["box", "cuboid"])
+def test_the_default_rule_is_the_full_gauss_rule_bitwise(mesh):
+    coords, conn, n_nodes = mesh()
+    # 2x2x2 points in CORNERS order, unit weights
+    points = fem.CORNERS * (1.0 / np.sqrt(3.0))
+    got_points, weights = fem.gauss_rule()
+    np.testing.assert_array_equal(_bits(got_points), _bits(points))
+    np.testing.assert_array_equal(_bits(weights), _bits(np.ones(8)))
+    shape_grads = fem._shape_gradients_local(points)
+    J = np.einsum("qai,eaj->eqij", shape_grads, coords)
+    dNdX = np.einsum("qai,eqij->eqaj", shape_grads, np.linalg.inv(J))
+    grid = fem.HexGrid(coords, conn, n_nodes)
+    np.testing.assert_array_equal(_bits(grid.dNdX), _bits(dNdX))
+    np.testing.assert_array_equal(_bits(grid.wdet),
+                                  _bits(np.linalg.det(J) * np.ones(8)))
+
+
+@pytest.mark.parametrize("order", [(1, 1, 1), (2, 1, 2), (2, 2, 1)])
+def test_a_reduced_rule_has_a_point_per_order_two_combination(order):
+    points, weights = fem.gauss_rule(order)
+    assert len(points) == 2 ** order.count(2) == len(np.unique(points, axis=0))
+    assert np.all(points[:, np.array(order) == 1] == 0.0)
+    assert weights.sum() == 8.0
+
+
+def _cell_response(coords, conn, phase, rve, gauss, F_bar, u_tilde):
+    """f_int, P_bar and K of the cell at u = (F_bar - 1) X + u_tilde."""
+    n_nodes = phase.size
+    dNdX, wdet = fem.element_gradients(coords, gauss)
+    u_elem = coords @ (F_bar - np.eye(3)).T + u_tilde[conn]
+    F = fem.deformation_gradients(u_elem, dNdX)
+    C = tensors.right_cauchy_green(F)
+    phase_qp = np.repeat(phase.reshape(-1), wdet.shape[1]).reshape(wdet.shape)
+    T, L = np.empty(C.shape), np.empty(C.shape[:-2] + (6, 6))
+    for pid, params in enumerate(rve.phases):
+        mask = phase_qp == pid
+        T[mask], tangent = materials.ogden_law(C[mask], params)
+        L[mask] = tangent()
+    P = F @ T
+    K = fem.tangent_matrix(fem.nominal_stress_operator(F, T, L), dNdX, wdet,
+                           fem.StiffnessPattern(conn, n_nodes))
+    return (wdet.shape[1], fem.internal_forces(P, dNdX, wdet, conn, n_nodes),
+            fem.volume_average(P, wdet), K.toarray())
+
+
+@pytest.mark.parametrize("rve, n_q", [(hom.fiber_rve(5, 0.4, seed=3), 4),
+                                      (helpers.layered_rve(4, 0.5, axis=1), 2)],
+                         ids=["fiber-slab", "layered-lattice"])
+def test_one_point_along_wrapped_layers_integrates_the_cell_exactly(rve, n_q):
+    # the fluctuation is constant through a layer wrapped onto itself, so F
+    # and P are too, and the wrap-assembled integrands do not vary along it
+    coords, conn, phase = hom._voxel_topology(rve)
+    gauss = [1 if size == 1 else 2 for size in phase.shape]
+    rng = rng0(16)
+    F_bar = np.eye(3) + 0.1 * rng.normal(size=(3, 3))
+    u_tilde = 0.02 / rve.n * rng.normal(size=(phase.size, 3))
+    n_reduced, *reduced = _cell_response(coords, conn, phase, rve, gauss,
+                                         F_bar, u_tilde)
+    n_full, *full = _cell_response(coords, conn, phase, rve, (2, 2, 2),
+                                   F_bar, u_tilde)
+    assert (n_reduced, n_full) == (n_q, 8)
+    for got, want, tol in zip(reduced, full, (1e-13, 1e-13, 1e-9), strict=True):
+        np.testing.assert_allclose(got, want, rtol=0.0,
+                                   atol=tol * np.abs(want).max())
 
 
 @pytest.mark.parametrize("n_elements, n_nodes", [(96, 40), (512, 125)])

@@ -659,8 +659,13 @@ def test_the_extruded_cell_gives_the_answers_of_every_voxel(monkeypatch, rve):
     # voxels of one size, so each node's force is its force in the n^3 cell
     # and the force tolerance means the same
     assert slab.homogenizer.force_tol == reference.homogenizer.force_tol
-    np.testing.assert_allclose(slab.homogenizer.grid.wdet,
-                               reference.homogenizer.grid.wdet[0, 0], rtol=1e-12)
+    # one Gauss point through the slab's single layer, the full rule in the
+    # n^3 cell, over voxels of one volume
+    slab_wdet = slab.homogenizer.grid.wdet
+    ref_wdet = reference.homogenizer.grid.wdet
+    assert (slab_wdet.shape[1], ref_wdet.shape[1]) == (4, 8)
+    np.testing.assert_allclose(slab_wdet.sum(axis=1),
+                               ref_wdet.sum(axis=1)[0], rtol=1e-12)
     P, updates = _oracle_answers(monkeypatch, slab, loads, chain)
     P_ref, updates_ref = _oracle_answers(monkeypatch, reference, loads, chain)
     assert updates == updates_ref and min(updates) > 0
